@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .exact import RatFunc, Series, qpow
 from .partitions import Partition, enumerate_partitions, partitions_up_to
-from .polycount import count_selfdual_and_pairs, brute_poly_census
+from .polycount import (brute_poly_census, count_selfdual_and_pairs, parity_e,
+                        to_int)
 from .hl import hl_principal, rs_multi, rs_homog, rogers_szego, pochhammer_cd
 from .qseries import named_gf, series_pow_general
 
@@ -40,20 +41,13 @@ def _qval(q):
     return Fraction(q)
 
 
-def _to_int(x) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {f}")
-    return int(f)
-
-
 def _finish(x, q):
     """Symbolic results stay RatFunc; numeric results become ints."""
     if q is None:
         return x
     if isinstance(x, RatFunc):
         x = x.eval(q)
-    return _to_int(x)
+    return to_int(x)
 
 
 def _eval_sym(x: RatFunc, q):
@@ -96,19 +90,6 @@ def u_prefactor_abs(n: int, q=None):
     return _finish(out, q)
 
 
-def _parity_e(q, parity) -> int:
-    if q is not None:
-        e = 1 if q % 2 == 0 else 2
-        if parity is not None and {1: "even", 2: "odd"}[e] != parity:
-            raise ValueError(f"parity {parity!r} contradicts q={q}")
-        return e
-    if parity == "even":
-        return 1
-    if parity == "odd":
-        return 2
-    raise ValueError("symbolic evaluation needs parity='even' or 'odd'")
-
-
 def involution_count(flavor: str, n: int, q=None, parity=None):
     """Number of group elements squaring to the identity, by closed formula.
 
@@ -119,7 +100,7 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
     """
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
-    e = _parity_e(q, parity)
+    e = parity_e(q, parity)
     order = gl_group_order if flavor == "gl" else u_group_order
     qq = _qval(q)
     g = [order(j, q) for j in range(n + 1)]
@@ -232,7 +213,7 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None,
         raise ValueError("counts must be 'formula' or 'census'")
     if counts == "census" and q is None:
         raise ValueError("census counts need numeric q")
-    e = _parity_e(q, parity)
+    e = parity_e(q, parity)
     qq = _qval(q)
     out = Series.constant(qq ** 0, order)
     for d in range(1, order + 1):
@@ -263,13 +244,13 @@ def real_degree_sum_oracle(flavor: str, n: int, q: int) -> int:
         raise ValueError("oracle budget: n <= 4 and q <= 5")
     gf = real_sum_gf_from_classes(flavor, n, q, counts="census")
     pref = gl_prefactor(n, q) if flavor == "gl" else u_prefactor_abs(n, q)
-    return _to_int(gf.coefficient(n) * pref)
+    return to_int(gf.coefficient(n) * pref)
 
 
 def real_degree_sum_gf(flavor: str, n: int, q=None, parity=None):
     """Real-character degree sum at rank n from the named closed-form
     generating functions (prefactor times u^n coefficient)."""
-    e = _parity_e(q, parity)
+    e = parity_e(q, parity)
     par = {1: "even", 2: "odd"}[e]
     if flavor == "gl":
         coeff = named_gf("gl_real_gf", par, n).coefficient(n)
@@ -280,7 +261,7 @@ def real_degree_sum_gf(flavor: str, n: int, q=None, parity=None):
 
 def involution_count_gf(flavor: str, n: int, q=None, parity=None):
     """Involution count at rank n via the generating-function route."""
-    e = _parity_e(q, parity)
+    e = parity_e(q, parity)
     par = {1: "even", 2: "odd"}[e]
     if flavor == "gl":
         coeff = named_gf("gl_invol_gf", par, n).coefficient(n)
@@ -295,7 +276,7 @@ def u_eps_sum_gf(n: int, sign: int, q=None, parity=None):
     +1 or -1, from the eps-split generating functions."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    e = _parity_e(q, parity)
+    e = parity_e(q, parity)
     par = {1: "even", 2: "odd"}[e]
     name = "u_eps_plus_gf" if sign == 1 else "u_eps_minus_gf"
     coeff = named_gf(name, par, n).coefficient(n)
@@ -381,7 +362,7 @@ def u_real_sum_odd_closed(n: int, q=None):
 
 def u_real_sum_closed(n: int, q=None, parity=None):
     """Closed-form unitary real degree sum (partition-sum route)."""
-    e = _parity_e(q, parity)
+    e = parity_e(q, parity)
     return u_real_sum_even_closed(n, q) if e == 1 else u_real_sum_odd_closed(n, q)
 
 
@@ -389,7 +370,7 @@ def u_eps_sum_closed(n: int, sign: int, q=None, parity=None):
     """(real sum +- involution count)/2, closed-form routes for both."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    e = _parity_e(q, parity)
+    e = parity_e(q, parity)
     par = {1: "even", 2: "odd"}[e]
     real = u_real_sum_closed(n, None, par)
     inv = involution_count("u", n, None, par)
@@ -452,7 +433,7 @@ def _factorials(n: int):
 def _egf_coeff_times_factorial(log_co, n: int) -> int:
     """n! * [u^n] exp(series with given low-order coefficients)."""
     s = Series([Fraction(c) for c in log_co] + [Fraction(0)] * (n + 1), n)
-    return _to_int(s.exp().coefficient(n) * _factorials(n)[n])
+    return to_int(s.exp().coefficient(n) * _factorials(n)[n])
 
 
 def weyl_sums(family: str, n: int) -> dict:
@@ -488,7 +469,7 @@ def weyl_sums(family: str, n: int) -> dict:
         e_u2 = Series([Fraction(0), Fraction(0), Fraction(1)], n).exp()
         e_2u = Series([Fraction(0), Fraction(2)], n).exp()
         coeff = (e_u2 * (e_2u + 1)).coefficient(n)
-        involutions = _to_int(coeff * fact[n] / 2)
+        involutions = to_int(coeff * fact[n] / 2)
     else:
         raise ValueError(f"family must be 'A', 'B', or 'D', got {family!r}")
     return {"degree_sum": degree_sum, "involutions": involutions}

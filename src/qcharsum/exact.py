@@ -3,7 +3,9 @@
 Everything in this package reduces to arithmetic in the field Q(q) of
 rational functions over the rationals, plus truncated power series in a
 formal variable u over such coefficients.  No floats, ever; equality is
-structural equality of canonical forms.
+structural equality of canonical forms.  q is the only indeterminate of
+Q(q); a polynomial carries no symbol of its own, so a Kostka-Foulkes or
+Gaussian-binomial polynomial in t is a QPoly too, printed in q.
 
 Canonical forms
 ---------------
@@ -39,12 +41,23 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, starting from `one`."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return out
+
+
 class QPoly:
     """Univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ic", "content", "sym")
+    __slots__ = ("ic", "content")
 
-    def __init__(self, coeffs=(), sym: str = "q"):
+    def __init__(self, coeffs=()):
         fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while fracs and not fracs[-1]:
             fracs.pop()
@@ -63,34 +76,32 @@ class QPoly:
                 g = -g
             self.ic = tuple(c // g for c in ints)
             self.content = Fraction(g, den)
-        self.sym = sym
 
     @classmethod
-    def _mk(cls, ic: tuple, content: Fraction, sym: str) -> "QPoly":
+    def _mk(cls, ic: tuple, content: Fraction) -> "QPoly":
         p = cls.__new__(cls)
         p.ic = ic
         p.content = content
-        p.sym = sym
         return p
 
     @classmethod
-    def zero(cls, sym: str = "q") -> "QPoly":
-        return cls._mk((), Fraction(0), sym)
+    def zero(cls) -> "QPoly":
+        return cls._mk((), Fraction(0))
 
     @classmethod
-    def one(cls, sym: str = "q") -> "QPoly":
-        return cls._mk((1,), Fraction(1), sym)
+    def one(cls) -> "QPoly":
+        return cls._mk((1,), Fraction(1))
 
     @classmethod
-    def x(cls, sym: str = "q") -> "QPoly":
-        return cls._mk((0, 1), Fraction(1), sym)
+    def x(cls) -> "QPoly":
+        return cls._mk((0, 1), Fraction(1))
 
     @classmethod
-    def monomial(cls, k: int, c=1, sym: str = "q") -> "QPoly":
+    def monomial(cls, k: int, c=1) -> "QPoly":
         c = Fraction(c)
         if not c:
-            return cls.zero(sym)
-        return cls._mk((0,) * k + (1,), c, sym)
+            return cls.zero()
+        return cls._mk((0,) * k + (1,), c)
 
     # -- queries ----------------------------------------------------------
 
@@ -118,36 +129,23 @@ class QPoly:
     def coefficients(self) -> tuple:
         return tuple(self.content * c for c in self.ic)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.content * self.ic[-1] if self.ic else Fraction(0)
-
-    # -- symbol plumbing ---------------------------------------------------
-
-    def _join_sym(self, other: "QPoly") -> str:
-        if self.sym == other.sym:
-            return self.sym
-        if len(self.ic) <= 1:
-            return other.sym
-        if len(other.ic) <= 1:
-            return self.sym
-        raise ValueError(f"mixed polynomial symbols {self.sym!r} and {other.sym!r}")
+    # -- coercion ------------------------------------------------------------
 
     @staticmethod
-    def _coerce(x, sym: str):
+    def _coerce(x):
         if isinstance(x, QPoly):
             return x
         if isinstance(x, (int, Fraction)):
             c = Fraction(x)
-            return QPoly._mk((1,), c, sym) if c else QPoly.zero(sym)
+            return QPoly._mk((1,), c) if c else QPoly.zero()
         return None
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other, self.sym)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        sym = self._join_sym(other)
         if self.is_zero:
             return other
         if other.is_zero:
@@ -158,21 +156,21 @@ class QPoly:
         ints = _k.zz_add(_k.zz_mul_scalar(list(self.ic), m1),
                          _k.zz_mul_scalar(list(other.ic), m2))
         if not ints:
-            return QPoly.zero(sym)
+            return QPoly.zero()
         c, prim = _k.zz_primitive(ints)
         if prim[-1] < 0:
             c, prim = -c, [-v for v in prim]
-        return QPoly._mk(tuple(prim), g * c, sym)
+        return QPoly._mk(tuple(prim), g * c)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return QPoly._mk(self.ic, -self.content, self.sym)
+        return QPoly._mk(self.ic, -self.content)
 
     def __sub__(self, other):
-        other = self._coerce(other, self.sym)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -181,84 +179,37 @@ class QPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other, self.sym)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        sym = self._join_sym(other)
         if self.is_zero or other.is_zero:
-            return QPoly.zero(sym)
+            return QPoly.zero()
         ic = tuple(_k.zz_mul(list(self.ic), list(other.ic)))
-        return QPoly._mk(ic, self.content * other.content, sym)
+        return QPoly._mk(ic, self.content * other.content)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
-        out = QPoly.one(self.sym)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def __divmod__(self, other):
-        other = self._coerce(other, self.sym)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        sym = self._join_sym(other)
-        a = list(self.coefficients)
-        b = other.coefficients
-        db = len(b) - 1
-        q = [Fraction(0)] * max(len(a) - db, 0)
-        while len(a) - 1 >= db and a:
-            t = a[-1] / b[-1]
-            k = len(a) - 1 - db
-            q[k] = t
-            for j in range(db + 1):
-                a[k + j] -= t * b[j]
-            while a and not a[-1]:
-                a.pop()
-        return QPoly(q, sym), QPoly(a, sym)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+        return _power(self, n, QPoly.one())
 
     def div_exact(self, other: "QPoly") -> "QPoly":
         """Exact quotient; ValueError if the division leaves a remainder."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
-            return QPoly.zero(self._join_sym(other))
-        sym = self._join_sym(other)
+            return QPoly.zero()
         ic = tuple(_k.zz_divexact(list(self.ic), list(other.ic)))
-        return QPoly._mk(ic, self.content / other.content, sym)
+        return QPoly._mk(ic, self.content / other.content)
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic gcd over Q (1 for coprime inputs, 0 only for gcd(0, 0))."""
-        other = self._coerce(other, self.sym)
-        sym = self._join_sym(other)
+        other = self._coerce(other)
         g = _k.zz_gcd(list(self.ic), list(other.ic))
         if not g:
-            return QPoly.zero(sym)
-        return QPoly._mk(tuple(g), Fraction(1, g[-1]), sym)
-
-    def monic(self) -> "QPoly":
-        if self.is_zero:
-            return self
-        return QPoly._mk(self.ic, Fraction(1, self.ic[-1]), self.sym)
-
-    def mul_xpow(self, k: int) -> "QPoly":
-        if self.is_zero or k == 0:
-            return self
-        return QPoly._mk((0,) * k + self.ic, self.content, self.sym)
+            return QPoly.zero()
+        return QPoly._mk(tuple(g), Fraction(1, g[-1]))
 
     # -- maps ---------------------------------------------------------------
 
@@ -269,25 +220,12 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def subs_neg(self) -> "QPoly":
-        """Substitute the variable by its negative."""
-        ic = list(self.ic)
-        for i in range(1, len(ic), 2):
-            ic[i] = -ic[i]
-        content = self.content
-        if ic and ic[-1] < 0:
-            ic = [-c for c in ic]
-            content = -content
-        return QPoly._mk(tuple(ic), content, self.sym)
-
     # -- comparisons / output ------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other, self.sym)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.sym != other.sym and len(self.ic) > 1 and len(other.ic) > 1:
-            return False
         return self.ic == other.ic and self.content == other.content
 
     def __hash__(self):
@@ -304,7 +242,7 @@ class QPoly:
             if i == 0:
                 term = str(abs(c))
             else:
-                v = self.sym if i == 1 else f"{self.sym}^{i}"
+                v = "q" if i == 1 else f"q^{i}"
                 term = v if abs(c) == 1 else f"{abs(c)}*{v}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -321,19 +259,19 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=0, den=None, sym: str = "q"):
+    def __init__(self, num=0, den=None):
         if isinstance(num, RatFunc):
             if den is not None:
                 raise ValueError("cannot combine a RatFunc numerator with a denominator")
             self.num, self.den = num.num, num.den
             return
-        numq = num if isinstance(num, QPoly) else QPoly._coerce(num, sym)
+        numq = QPoly._coerce(num)
         if numq is None:
             raise TypeError(f"cannot build RatFunc from {type(num).__name__}")
         if den is None:
-            denq = QPoly.one(numq.sym)
+            denq = QPoly.one()
         else:
-            denq = den if isinstance(den, QPoly) else QPoly._coerce(den, numq.sym)
+            denq = QPoly._coerce(den)
             if denq is None:
                 raise TypeError(f"cannot build RatFunc from {type(den).__name__}")
         self.num, self.den = _ratfunc_normalize(numq, denq)
@@ -346,14 +284,14 @@ class RatFunc:
         return r
 
     @classmethod
-    def x(cls, sym: str = "q") -> "RatFunc":
-        return cls._mk(QPoly.x(sym), QPoly.one(sym))
+    def x(cls) -> "RatFunc":
+        return cls._mk(QPoly.x(), QPoly.one())
 
     @classmethod
-    def const(cls, c, sym: str = "q") -> "RatFunc":
+    def const(cls, c) -> "RatFunc":
         c = Fraction(c)
-        num = QPoly._mk((1,), c, sym) if c else QPoly.zero(sym)
-        return cls._mk(num, QPoly.one(sym))
+        num = QPoly._mk((1,), c) if c else QPoly.zero()
+        return cls._mk(num, QPoly.one())
 
     # -- queries ---------------------------------------------------------
 
@@ -363,10 +301,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return not self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_one
 
     def as_poly(self) -> QPoly:
         if not self.den.is_one:
@@ -385,9 +319,9 @@ class RatFunc:
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, QPoly):
-            return RatFunc._mk(x, QPoly.one(x.sym))
+            return RatFunc._mk(x, QPoly.one())
         if isinstance(x, (int, Fraction)):
-            return RatFunc.const(x, self.num.sym)
+            return RatFunc.const(x)
         return None
 
     # -- field operations ----------------------------------------------------
@@ -406,14 +340,14 @@ class RatFunc:
             num = self.num * d2 + other.num * d1
             den = d1 * d2
             if num.is_zero:
-                return RatFunc.const(0, num.sym)
+                return RatFunc.const(0)
             return _monicized(num, den)
         d1r = d1.div_exact(g)
         d2r = d2.div_exact(g)
         num = self.num * d2r + other.num * d1r
         den = d1 * d2r
         if num.is_zero:
-            return RatFunc.const(0, num.sym)
+            return RatFunc.const(0)
         h = num.gcd(g)
         if h.degree() > 0:
             num = num.div_exact(h)
@@ -439,7 +373,7 @@ class RatFunc:
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return RatFunc.const(0, self.num.sym)
+            return RatFunc.const(0)
         # cross-cancellation keeps the product already reduced
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
@@ -467,26 +401,15 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = RatFunc.const(1, self.num.sym)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, RatFunc.const(1))
 
     # -- maps -----------------------------------------------------------------
 
     def eval(self, q0) -> Fraction:
         d = self.den.eval(Fraction(q0))
         if not d:
-            raise ZeroDivisionError(f"pole at {self.num.sym} = {q0}")
+            raise ZeroDivisionError(f"pole at q = {q0}")
         return self.num.eval(Fraction(q0)) / d
-
-    def subs_neg(self) -> "RatFunc":
-        """Substitute q by -q (an automorphism, so the result stays reduced)."""
-        return _monicized(self.num.subs_neg(), self.den.subs_neg())
 
     # -- comparisons / output ---------------------------------------------------
 
@@ -517,9 +440,8 @@ class RatFunc:
 def _ratfunc_normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
     if den.is_zero:
         raise ZeroDivisionError("rational function with zero denominator")
-    sym = num._join_sym(den)
     if num.is_zero:
-        return QPoly.zero(sym), QPoly.one(sym)
+        return QPoly.zero(), QPoly.one()
     g = _k.zz_gcd(list(num.ic), list(den.ic))
     if len(g) > 1:
         nic = tuple(_k.zz_divexact(list(num.ic), g))
@@ -527,17 +449,16 @@ def _ratfunc_normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
     else:
         nic, dic = num.ic, den.ic
     lead = dic[-1]
-    new_den = QPoly._mk(dic, Fraction(1, lead), sym)
-    new_num = QPoly._mk(nic, num.content / (den.content * lead), sym)
+    new_den = QPoly._mk(dic, Fraction(1, lead))
+    new_num = QPoly._mk(nic, num.content / (den.content * lead))
     return new_num, new_den
 
 
 def _monicized(num: QPoly, den: QPoly) -> RatFunc:
     """Build a RatFunc from an already-coprime num/den pair."""
-    sym = num._join_sym(den)
     lead = den.content * den.ic[-1]
-    den = QPoly._mk(den.ic, Fraction(1, den.ic[-1]), sym)
-    num = QPoly._mk(num.ic, num.content / lead, sym)
+    den = QPoly._mk(den.ic, Fraction(1, den.ic[-1]))
+    num = QPoly._mk(num.ic, num.content / lead)
     return RatFunc._mk(num, den)
 
 
@@ -545,19 +466,16 @@ def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
     g = _k.zz_gcd(list(a.ic), list(b.ic))
     if len(g) <= 1:
         return a, b
-    a2 = QPoly._mk(tuple(_k.zz_divexact(list(a.ic), g)), a.content, a.sym)
-    b2 = QPoly._mk(tuple(_k.zz_divexact(list(b.ic), g)), b.content, b.sym)
+    a2 = QPoly._mk(tuple(_k.zz_divexact(list(a.ic), g)), a.content)
+    b2 = QPoly._mk(tuple(_k.zz_divexact(list(b.ic), g)), b.content)
     return a2, b2
 
 
-def qpow(k: int, sym: str = "q") -> RatFunc:
+def qpow(k: int) -> RatFunc:
     """q^k as a RatFunc, any integer k."""
     if k >= 0:
-        return RatFunc._mk(QPoly.monomial(k, 1, sym), QPoly.one(sym))
-    return RatFunc._mk(QPoly.one(sym), QPoly.monomial(-k, 1, sym))
-
-
-QVAR = RatFunc.x()
+        return RatFunc._mk(QPoly.monomial(k), QPoly.one())
+    return RatFunc._mk(QPoly.one(), QPoly.monomial(-k))
 
 
 def _elem_inv(c):
@@ -606,11 +524,6 @@ class Series:
         if n > self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.co[n]
-
-    def truncate(self, m: int) -> "Series":
-        if m >= self.order:
-            return self
-        return Series(self.co[: m + 1], m)
 
     @property
     def zero_elem(self):
@@ -668,14 +581,7 @@ class Series:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = Series.constant(self.one_elem, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, Series.constant(self.one_elem, self.order))
 
     def inv(self) -> "Series":
         a = self.co
@@ -875,14 +781,7 @@ class SymPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a SymPoly")
-        out = SymPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, SymPoly.const(1))
 
     def __truediv__(self, other):
         if isinstance(other, SymPoly):

@@ -162,8 +162,8 @@ def _kostka_poly(lam: Partition, mu: Partition) -> QPoly:
         c = charge(w)
         co[c] = co.get(c, 0) + 1
     if not co:
-        return QPoly([], sym="t")
-    return QPoly([co.get(i, 0) for i in range(max(co) + 1)], sym="t")
+        return QPoly()
+    return QPoly([co.get(i, 0) for i in range(max(co) + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +173,7 @@ def kostka_foulkes(n: int) -> KostkaTable:
         raise ValueError(f"kostka_foulkes supports 0 <= n <= {_KOSTKA_BUDGET}")
     order = tuple(enumerate_partitions(n))
     m = len(order)
-    one = QPoly([1], sym="t")
+    one = QPoly([1])
     K = {}
     for i, lam in enumerate(order):
         for j, mu in enumerate(order):
@@ -188,7 +188,7 @@ def kostka_foulkes(n: int) -> KostkaTable:
     for i in range(m):
         K_inv[(order[i].parts, order[i].parts)] = one
         for j in range(i + 1, m):
-            acc = QPoly([], sym="t")
+            acc = QPoly()
             for k in range(i, j):
                 a = K_inv.get((order[i].parts, order[k].parts))
                 b = K.get((order[k].parts, order[j].parts))

@@ -150,20 +150,6 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def partition_stats(lam: Partition) -> dict:
-    """All statistics of one partition in a single dict."""
-    return {
-        "conjugate": lam.conjugate(),
-        "hooks": lam.hooks(),
-        "n_stat": lam.n_stat(),
-        "ell": lam.ell,
-        "ell_odd": lam.ell_odd,
-        "even_part": lam.even_part(),
-        "odd_part": lam.odd_part(),
-        "mults": lam.mults(),
-    }
-
-
 @lru_cache(maxsize=None)
 def _gauss_row(n: int) -> tuple:
     """Row n of the t-Pascal triangle: integer coefficient tuples for [n, k]_t."""
@@ -190,4 +176,4 @@ def gaussian_binomial(n: int, k: int) -> QPoly:
     """The Gaussian binomial [n choose k]_t as a polynomial in t."""
     if not 0 <= k <= n:
         raise ValueError(f"gaussian_binomial needs 0 <= k <= n, got n={n}, k={k}")
-    return QPoly(_gauss_row(n)[k], sym="t")
+    return QPoly(_gauss_row(n)[k])

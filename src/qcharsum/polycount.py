@@ -68,7 +68,8 @@ def _as_scalar(q):
     return q, True
 
 
-def _to_int(x) -> int:
+def to_int(x) -> int:
+    """x as an int; ArithmeticError if it is not an integer."""
     f = Fraction(x)
     if f.denominator != 1:
         raise ArithmeticError(f"expected an integer, got {f}")
@@ -87,7 +88,7 @@ def count_irreducible(d: int, q=None):
         if mu:
             total = total + mu * qq ** (d // r)
     if numeric:
-        return _to_int(Fraction(total, d))
+        return to_int(Fraction(total, d))
     return total / d
 
 
@@ -101,7 +102,7 @@ def count_u_irreducible(d: int, q=None):
             k = d // r
             total = total + mu * (qq ** k - (-1) ** k)
     if numeric:
-        return _to_int(Fraction(total, d))
+        return to_int(Fraction(total, d))
     return total / d
 
 
@@ -117,7 +118,8 @@ class ClassCounts:
     m_pairs: object  # M*(d, q)
 
 
-def _parity_value(q, parity):
+def parity_e(q, parity) -> int:
+    """e = 1 for even q, 2 for odd q; symbolic q (None) takes it from parity."""
     if q is not None:
         e = 1 if q % 2 == 0 else 2
         if parity is not None and {1: "even", 2: "odd"}[e] != parity:
@@ -127,7 +129,8 @@ def _parity_value(q, parity):
         return 1
     if parity == "odd":
         return 2
-    raise ValueError("symbolic starred counts need parity='even' or 'odd'")
+    raise ValueError(
+        f"symbolic evaluation needs parity='even' or 'odd', got {parity!r}")
 
 
 def _check_flavor(flavor: str) -> None:
@@ -157,13 +160,13 @@ def _nstar_even(flavor: str, m: int, qkey, e: int):
             acc = acc - d * _nstar_even(flavor, d, qkey, e)
     if qkey is None:
         return acc / m
-    return _to_int(Fraction(acc, m))
+    return to_int(Fraction(acc, m))
 
 
 def count_selfdual_and_pairs(d: int, q=None, flavor: str = "gl", parity=None) -> ClassCounts:
     """ClassCounts at degree d; symbolic when q is None (parity required)."""
     _check_flavor(flavor)
-    e = _parity_value(q, parity)
+    e = parity_e(q, parity)
     plain = count_irreducible(d, q) if flavor == "gl" else count_u_irreducible(d, q)
     if d % 2 == 1:
         nstar = e if d == 1 else 0

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RatFunc, Series, qpow
+from .polycount import parity_e
 
 
 def _check_small(r: RatFunc, what: str) -> None:
@@ -157,14 +158,6 @@ GF_NAMES = (
 )
 
 
-def _parity_e(parity: str) -> int:
-    if parity == "even":
-        return 1
-    if parity == "odd":
-        return 2
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
 def _gl_gf(e: int, order: int) -> Series:
     invq = qpow(-1)
     up = euler_expand(GeometricFactorSpec(1, 1, invq, invq, 1), order) ** e
@@ -210,7 +203,7 @@ def named_gf(name: str, parity: str, order: int) -> Series:
     group-order prefactor, yields a real-character degree sum or involution
     count; parity selects e=1 (even characteristic) or e=2 (odd).
     """
-    e = _parity_e(parity)
+    e = parity_e(None, parity)
     if name == "gl_real_gf" or name == "gl_invol_gf":
         return _gl_gf(e, order)
     if name == "u_invol_gf":

@@ -2,16 +2,14 @@
 
 Each check has a stable id, runs exact arithmetic only, and either passes,
 fails with a witness (the first differing index and both exact values), or
-is skipped with a reason.  `run_all` executes the registry in order; the
-QCHARSUM_BUDGET environment variable ("full" by default, or "quick")
-selects default parameter sizes, and callers may override any parameter a
-check declares.
+is skipped with a reason.  `run_all` executes the registry in order; its
+`budget` argument ("full" by default, or "quick") selects default parameter
+sizes, and callers may override any parameter a check declares.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -701,16 +699,11 @@ _register("oracle-hl-finite", ("oracle", "hl"),
 # ---------------------------------------------------------------------------
 
 
-def _budget() -> str:
-    b = os.environ.get("QCHARSUM_BUDGET", "full")
-    if b not in ("full", "quick"):
-        raise ValueError(f"QCHARSUM_BUDGET must be 'full' or 'quick', got {b!r}")
-    return b
-
-
-def _params_for(spec: CheckSpec, overrides: dict) -> dict:
+def _params_for(spec: CheckSpec, budget: str, overrides: dict) -> dict:
+    if budget not in ("full", "quick"):
+        raise ValueError(f"budget must be 'full' or 'quick', got {budget!r}")
     params = dict(spec.params)
-    if _budget() == "quick":
+    if budget == "quick":
         params.update(spec.quick)
     for key, value in overrides.items():
         if key not in params:
@@ -720,12 +713,16 @@ def _params_for(spec: CheckSpec, overrides: dict) -> dict:
     return params
 
 
-def run_check(check_id: str, **overrides) -> CheckReport:
-    """Run one check; overrides replace declared parameters only."""
+def run_check(check_id: str, *, budget: str = "full",
+              **overrides) -> CheckReport:
+    """Run one check at `budget` ("full" or "quick").
+
+    Overrides replace declared parameters only.
+    """
     spec = REGISTRY.get(check_id)
     if spec is None:
         raise KeyError(f"unknown check id {check_id!r}; known: {sorted(REGISTRY)}")
-    params = _params_for(spec, overrides)
+    params = _params_for(spec, budget, overrides)
     start = time.perf_counter()
     try:
         result = spec.fn(**params)
@@ -745,7 +742,7 @@ def run_check(check_id: str, **overrides) -> CheckReport:
                        witness=witness, millis=millis)
 
 
-def run_all(ids=None, tag=None, overrides=None) -> list:
+def run_all(ids=None, tag=None, overrides=None, budget="full") -> list:
     """Run a selection of checks (all by default), in registry order."""
     overrides = overrides or {}
     selected = []
@@ -763,7 +760,7 @@ def run_all(ids=None, tag=None, overrides=None) -> list:
     for check_id in selected:
         spec = REGISTRY[check_id]
         usable = {k: v for k, v in overrides.items() if k in spec.params}
-        reports.append(run_check(check_id, **usable))
+        reports.append(run_check(check_id, budget=budget, **usable))
     return reports
 
 

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per deliverable criterion.
 
-Each test pins its parameters explicitly (ignoring the QCHARSUM_BUDGET
-environment), runs the relevant registered checks at full size, asserts
+Each test pins its parameters explicitly (so the budget's defaults do not
+apply), runs the relevant registered checks at full size, asserts
 they pass, and enforces the runtime budget.  One [PASS]/[FAIL] line is
 printed per criterion; `pytest -v` additionally reports one line per test.
 """

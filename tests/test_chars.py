@@ -22,7 +22,7 @@ from qcharsum.chars import (
 from qcharsum.exact import RatFunc, qpow
 
 
-Q = RatFunc.x("q")
+Q = RatFunc.x()
 
 
 def test_group_orders():

@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from qcharsum.cli import main, parse_ratfunc
 from qcharsum.exact import RatFunc
+from qcharsum.verify import run_check
 
 
-Q = RatFunc.x("q")
+Q = RatFunc.x()
 
 
 def test_parse_ratfunc_values():
@@ -83,6 +85,13 @@ def test_verify_list(capsys):
     assert "thm-even" in out
     assert "oracle-hl-finite" in out
     assert len(out.strip().split("\n")) == 30
+
+
+def test_verify_quick_does_not_leak_into_later_runs(capsys, monkeypatch):
+    monkeypatch.delenv("QCHARSUM_BUDGET", raising=False)
+    assert main(["verify", "--id", "weyl-A", "--quick"]) == 0
+    assert "QCHARSUM_BUDGET" not in os.environ
+    assert run_check("weyl-A").params == {"nmax": 12}
 
 
 def test_verify_unknown_id_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 """Pure-Python vs compiled kernel agreement, and gcd against sympy."""
 
+import os
 import random
 import subprocess
 import sys
@@ -103,7 +104,7 @@ def test_dispatcher_env_var_selects_pure_kernel():
     code = ("import qcharsum; "
             "print(qcharsum.IMPL_NAME, qcharsum.HAVE_COMPILED)")
     out = subprocess.run([sys.executable, "-c", code],
-                         env={"QCHARSUM_PURE": "1", "PATH": "/usr/bin:/bin"},
+                         env={**os.environ, "QCHARSUM_PURE": "1"},
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["pure", "False"]
 

@@ -103,19 +103,19 @@ def test_enumeration_refines_dominance():
 
 
 def test_gaussian_binomial_values():
-    assert gaussian_binomial(4, 2) == QPoly([1, 1, 2, 1, 1], sym="t")
-    assert gaussian_binomial(5, 0) == QPoly([1], sym="t")
-    assert gaussian_binomial(3, 1) == QPoly([1, 1, 1], sym="t")
+    assert gaussian_binomial(4, 2) == QPoly([1, 1, 2, 1, 1])
+    assert gaussian_binomial(5, 0) == QPoly([1])
+    assert gaussian_binomial(3, 1) == QPoly([1, 1, 1])
 
 
 def test_gaussian_binomial_symmetry_and_pascal():
-    t = QPoly.x("t")
+    t = QPoly.x()
     for n in range(1, 8):
         for k in range(n + 1):
             assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
             if 0 < k:
                 # q-Pascal rule: [n,k] = [n-1,k] + t^(n-k) [n-1,k-1]
                 rhs = (gaussian_binomial(n - 1, k) if k <= n - 1 else
-                       QPoly([], sym="t"))
+                       QPoly())
                 rhs = rhs + t ** (n - k) * gaussian_binomial(n - 1, k - 1)
                 assert gaussian_binomial(n, k) == rhs

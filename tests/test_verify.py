@@ -114,13 +114,11 @@ def test_overrides_apply_only_where_declared():
     assert all(r.status == "pass" for r in reports)
 
 
-def test_quick_budget_from_environment(monkeypatch):
-    monkeypatch.setenv("QCHARSUM_BUDGET", "quick")
-    r = run_check("weyl-A")
+def test_quick_budget_argument():
+    r = run_check("weyl-A", budget="quick")
     assert r.params == {"nmax": 8}
-    monkeypatch.setenv("QCHARSUM_BUDGET", "bogus")
     with pytest.raises(ValueError):
-        run_check("weyl-A")
+        run_check("weyl-A", budget="bogus")
 
 
 def test_skip_surfaces_as_skipped(monkeypatch):
