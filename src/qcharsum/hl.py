@@ -11,10 +11,11 @@ Main entry points:
 * hl_principal(lam, z, t): P_lam(1, z, z^2, ...; t) obtained by expanding P
   in Schur functions through the inverse Kostka-Foulkes matrix.
 * hl_finite_oracle(lam, xs, t): an independent check that never touches
-  tableaux: the alternating-sum definition of P_lam in m <= 6 concrete
-  variables.  The t-dependence is kept polynomial until the very end so
-  that specializations where v_lam(t) vanishes (notably t = -1 with
-  repeated parts) are handled exactly.
+  tableaux: P_lam in m <= 6 concrete variables as Macdonald's symmetrization
+  over the cosets S_m / S_m^lam.  Every term is polynomial in t, so no
+  division by v_lam(t) is needed and no t-polynomial is kept: t is
+  substituted at once, even where v_lam(t) vanishes (t = -1 with repeated
+  parts).
 * rogers_szego / rs_multi / rs_homog / pochhammer_cd / c_nu: the small
   q-series ingredients used by the degree-sum formulas.
 """
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .exact import QPoly, RatFunc
+from .exact import QPoly
 from .partitions import Partition, enumerate_partitions, dominates, gaussian_binomial
 
 _KOSTKA_BUDGET = 12
@@ -66,9 +67,7 @@ def _horizontal_extensions(shape, bound, k):
         cap = bound[i] - shape[i]
         if i > 0:
             cap = min(cap, max(0, shape[i - 1] - shape[i]))
-        lo = 0
-        # cells still to place must fit in the remaining rows; cheap prune
-        for add in range(lo, min(cap, left) + 1):
+        for add in range(min(cap, left) + 1):
             acc.append(shape[i] + add)
             rec(i + 1, left - add, acc)
             acc.pop()
@@ -226,82 +225,13 @@ def hl_principal(lam, z, t) -> HLValue:
 # ---------------------------------------------------------------------------
 
 
-def _perm_sign(p) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = p[i]
-        length = 1
-        seen[i] = True
-        while j != i:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _tp_add(a, b, zero):
-    n = max(len(a), len(b))
-    out = [zero] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return out
-
-
-def _tp_divexact_monic(num, den, zero):
-    """Divide coefficient lists exactly by a monic integer polynomial."""
-    if len(num) < len(den):
-        if any(c for c in num):
-            raise AssertionError("inexact division in finite oracle")
-        return [zero]
-    num = list(num)
-    dq = len(den) - 1
-    out = [zero] * (len(num) - dq)
-    for i in range(len(num) - 1, dq - 1, -1):
-        c = num[i]
-        out[i - dq] = c
-        if c:
-            for k in range(dq + 1):
-                num[i - dq + k] = num[i - dq + k] - c * den[k]
-    if any(c for c in num[:dq]):
-        raise AssertionError("inexact division in finite oracle")
-    return out
-
-
-def _int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _v_poly(mults) -> list:
-    """prod over multiplicities k of (1-t)(1-t^2)...(1-t^k) / (1-t)^k,
-    i.e. the product of t-factorials [k]_t!."""
-    out = [1]
-    for k in mults:
-        for j in range(2, k + 1):
-            out = _int_poly_mul(out, [1] * j)
-    return out
-
-
-_FINITE_CACHE = {}
-
-
 def hl_finite_oracle(lam, xs, t):
-    """P_lam(x_1..x_m; t) from the alternating-sum definition (m <= 6).
+    """P_lam(x_1..x_m; t) by symmetrizing over the cosets S_m / S_m^lam (m <= 6).
 
-    The xs must be distinct and nonzero; t may be any scalar, including
-    values where v_lam(t) = 0, because division happens at the polynomial
-    level before t is substituted.
+    Macdonald III (2.2): the sum, over the distinct rearrangements e of lam
+    padded with zeros to m parts, of x^e prod_{e_i > e_j} (x_i - t x_j) /
+    (x_i - x_j).  Each term is polynomial in t, so t may be any scalar,
+    including values where v_lam(t) = 0.  The xs must be distinct.
     """
     lam = _as_partition(lam)
     xs = tuple(Fraction(x) if isinstance(x, int) else x for x in xs)
@@ -312,38 +242,17 @@ def hl_finite_oracle(lam, xs, t):
         raise ValueError("need at least ell(lam) variables")
     if len(set(xs)) != m:
         raise ValueError("variables must be distinct")
-    key = (lam.parts, xs)
-    coeffs = _FINITE_CACHE.get(key)
-    if coeffs is None:
-        zero = xs[0] * 0
-        exps = list(lam.parts) + [0] * (m - lam.ell)
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        total = [zero]
-        for p in permutations(range(m)):
-            scalar = _perm_sign(p) * (xs[0] * 0 + 1)
-            for k in range(m):
-                if exps[k]:
-                    scalar = scalar * xs[p[k]] ** exps[k]
-            poly = [scalar]
-            for (i, j) in pairs:
-                c0, c1 = xs[p[i]], -xs[p[j]]
-                nxt = [zero] * (len(poly) + 1)
-                for idx, c in enumerate(poly):
-                    if c:
-                        nxt[idx] = nxt[idx] + c * c0
-                        nxt[idx + 1] = nxt[idx + 1] + c * c1
-                poly = nxt
-            total = _tp_add(total, poly, zero)
-        vandermonde = xs[0] * 0 + 1
-        for (i, j) in pairs:
-            vandermonde = vandermonde * (xs[i] - xs[j])
-        total = [c / vandermonde for c in total]
-        mults = [m - lam.ell] + [v for v in lam.mults().values()]
-        coeffs = tuple(_tp_divexact_monic(total, _v_poly(mults), zero))
-        _FINITE_CACHE[key] = coeffs
+    ratio = {(i, j): (xs[i] - t * xs[j]) / (xs[i] - xs[j])
+             for i in range(m) for j in range(m) if i != j}
     acc = t * 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
+    for e in set(permutations(lam.parts + (0,) * (m - lam.ell))):
+        term = t * 0 + 1
+        for i in range(m):
+            term = term * xs[i] ** e[i]
+            for j in range(m):
+                if e[i] > e[j]:
+                    term = term * ratio[i, j]
+        acc = acc + term
     return acc
 
 

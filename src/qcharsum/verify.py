@@ -536,11 +536,9 @@ def _run_hl_finite(sizemax: int):
             m = max(1, min(6, lam.ell + 1))
             for z in z_points:
                 xs = tuple(z ** i for i in range(m))
-                principal = None
                 for t in t_points:
-                    a = hl_finite_oracle(lam, xs, t)
-                    b = hl_principal(lam, z, t).value
-                    diff = (a if isinstance(a, RatFunc) else RatFunc.const(a)) - b
+                    diff = (hl_finite_oracle(lam, xs, t)
+                            - hl_principal(lam, z, t).value)
                     if n == 0:
                         if not diff.is_zero:
                             return f"lam={lam}: empty partition mismatch {diff}"

@@ -1,9 +1,12 @@
 """Tests for Hall-Littlewood data: Kostka tables, principal values, q-helpers."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
+from qcharsum import hl
 from qcharsum.exact import QPoly, Rat, RatFunc, SymPoly
 from qcharsum.hl import (
     c_nu,
@@ -244,6 +247,23 @@ def test_finite_oracle_symmetry():
     a = hl_finite_oracle([2, 1], (q, q + 1, q + 2), t)
     b = hl_finite_oracle([2, 1], (q + 2, q, q + 1), t)
     assert a == b
+
+
+def test_finite_oracle_columns_where_v_lam_vanishes(monkeypatch):
+    # P_(1^k) = e_k for every t, including t = -1 where v_(1^k)(t) = 0.
+    # The oracle must get there from its own definition: the tableau route
+    # is made to raise.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite oracle must not use the tableau route")
+
+    for name in ("hl_principal", "kostka_foulkes", "schur_principal"):
+        monkeypatch.setattr(hl, name, forbidden)
+    q = RatFunc.x()
+    xs = (q, q + 1, 1 - q, q + 2)
+    for k in (2, 3):
+        expect = sum(prod(c) for c in combinations(xs, k))
+        for t in (Fraction(-1), Fraction(0), 1 / q):
+            assert hl_finite_oracle([1] * k, xs, t) == expect, (k, t)
 
 
 def test_hl_principal_accepts_partition_objects():

@@ -6,12 +6,14 @@ rank where the two sides disagree.  This guards against checks that compare
 a quantity with itself.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 import qcharsum.chars as chars
 import qcharsum.verify as verify
+from qcharsum.exact import qpow
 from qcharsum.verify import (
     REGISTRY,
     CheckSpec,
@@ -177,6 +179,36 @@ def test_mutation_in_u_order_is_detected(monkeypatch):
     r = run_check("prop-involU-even", nmax=3)
     assert r.status == "fail"
     assert "n=2" in r.witness
+
+
+def test_mutation_in_hl_principal_is_detected(monkeypatch):
+    # Corrupt P_(2,1) on the tableau side; the finite oracle must disagree.
+    real = verify.hl_principal
+
+    def corrupted(lam, z, t):
+        value = real(lam, z, t)
+        if tuple(lam) == (2, 1):
+            return dataclasses.replace(value, value=value.value + qpow(-2))
+        return value
+
+    monkeypatch.setattr(verify, "hl_principal", corrupted)
+    r = run_check("oracle-hl-finite", sizemax=4)
+    assert r.status == "fail"
+    assert r.witness.startswith("lam=[2,1]")
+
+
+def test_mutation_in_hl_finite_oracle_is_detected(monkeypatch):
+    # Corrupt P_(2,1) on the oracle side; the comparison must fail there.
+    real = verify.hl_finite_oracle
+
+    def corrupted(lam, xs, t):
+        value = real(lam, xs, t)
+        return value + qpow(-2) if tuple(lam) == (2, 1) else value
+
+    monkeypatch.setattr(verify, "hl_finite_oracle", corrupted)
+    r = run_check("oracle-hl-finite", sizemax=4)
+    assert r.status == "fail"
+    assert r.witness.startswith("lam=[2,1]")
 
 
 def test_json_report_shape():
