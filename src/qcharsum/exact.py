@@ -21,7 +21,8 @@ SymPoly    polynomials in the auxiliary symbols (a, b, t) whose
            symbols here, so division is restricted to Q(q)-scalars.
 
 Fractions of integers are `fractions.Fraction` (exposed as `Rat`); the
-integer polynomial inner loops live in `qcharsum._kernel`.
+integer polynomial inner loops live in `qcharsum._kernel`, except that gcds
+and exact divisions against a monomial q^k are taken here without it.
 """
 
 from __future__ import annotations
@@ -200,16 +201,16 @@ class QPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return QPoly.zero()
-        ic = tuple(_k.zz_divexact(list(self.ic), list(other.ic)))
-        return QPoly._mk(ic, self.content / other.content)
+        return QPoly._mk(_divexact_ic(self.ic, other.ic),
+                         self.content / other.content)
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic gcd over Q (1 for coprime inputs, 0 only for gcd(0, 0))."""
         other = self._coerce(other)
-        g = _k.zz_gcd(list(self.ic), list(other.ic))
+        g = _gcd_ic(self.ic, other.ic)
         if not g:
             return QPoly.zero()
-        return QPoly._mk(tuple(g), Fraction(1, g[-1]))
+        return QPoly._mk(g, Fraction(1, g[-1]))
 
     # -- maps ---------------------------------------------------------------
 
@@ -442,10 +443,10 @@ def _ratfunc_normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
         raise ZeroDivisionError("rational function with zero denominator")
     if num.is_zero:
         return QPoly.zero(), QPoly.one()
-    g = _k.zz_gcd(list(num.ic), list(den.ic))
+    g = _gcd_ic(num.ic, den.ic)
     if len(g) > 1:
-        nic = tuple(_k.zz_divexact(list(num.ic), g))
-        dic = tuple(_k.zz_divexact(list(den.ic), g))
+        nic = _divexact_ic(num.ic, g)
+        dic = _divexact_ic(den.ic, g)
     else:
         nic, dic = num.ic, den.ic
     lead = dic[-1]
@@ -456,19 +457,57 @@ def _ratfunc_normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
 
 def _monicized(num: QPoly, den: QPoly) -> RatFunc:
     """Build a RatFunc from an already-coprime num/den pair."""
-    lead = den.content * den.ic[-1]
+    c = den.content
+    if c.numerator == 1 and c.denominator == den.ic[-1]:
+        return RatFunc._mk(num, den)  # den is monic already
+    lead = c * den.ic[-1]
     den = QPoly._mk(den.ic, Fraction(1, den.ic[-1]))
     num = QPoly._mk(num.ic, num.content / lead)
     return RatFunc._mk(num, den)
 
 
 def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
-    g = _k.zz_gcd(list(a.ic), list(b.ic))
+    g = _gcd_ic(a.ic, b.ic)
     if len(g) <= 1:
         return a, b
-    a2 = QPoly._mk(tuple(_k.zz_divexact(list(a.ic), g)), a.content)
-    b2 = QPoly._mk(tuple(_k.zz_divexact(list(b.ic), g)), b.content)
-    return a2, b2
+    return (QPoly._mk(_divexact_ic(a.ic, g), a.content),
+            QPoly._mk(_divexact_ic(b.ic, g), b.content))
+
+
+# Every integer-polynomial gcd and exact division of this module goes through
+# the two helpers below.  Most denominators here are a monomial q^k (group
+# orders, Hall-Littlewood values at z = -1/q), and against a monomial the
+# answer needs no remainder sequence, so both take it without the kernel.
+
+
+def _gcd_ic(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd of two integer coefficient tuples, as `zz_gcd` gives it.
+
+    With a monomial c*q^k on either side the gcd is q^min(val a, val b).
+    """
+    if a and b:
+        if b.count(0) == len(b) - 1:
+            a, b = b, a
+        if a.count(0) == len(a) - 1:
+            k = len(a) - 1
+            v = 0
+            while v < k and not b[v]:
+                v += 1
+            return (0,) * v + (1,)
+    return tuple(_k.zz_gcd(list(a), list(b)))
+
+
+def _divexact_ic(a: tuple, b: tuple) -> tuple:
+    """Exact quotient a/b of integer coefficient tuples, as `zz_divexact` gives it.
+
+    Dividing by q^k drops k leading entries, which must all be zero.
+    """
+    if b and b[-1] == 1 and b.count(0) == len(b) - 1:
+        k = len(b) - 1
+        if any(a[:k]):
+            raise ValueError("inexact polynomial division")
+        return a[k:]
+    return tuple(_k.zz_divexact(list(a), list(b)))
 
 
 def qpow(k: int) -> RatFunc:

@@ -2,7 +2,9 @@
 
 Each check has a stable id, runs exact arithmetic only, and either passes,
 fails with a witness (the first differing index and both exact values), or
-is skipped with a reason.  `run_all` executes the registry in order; its
+is skipped with a reason.  A runner returns None to pass, a witness string
+to fail, or ("pass", note) to pass with an observation note that is reported
+apart from any witness.  `run_all` executes the registry in order; its
 `budget` argument ("full" by default, or "quick") selects default parameter
 sizes, and callers may override any parameter a check declares.
 """
@@ -47,6 +49,7 @@ class CheckReport:
     params: dict
     witness: str | None
     millis: int
+    note: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ def _run_igl_table(nmax: int, observe_nmax: int):
         got = chars.involution_count("gl", n, None, "even")
         w = _value_witness(f"n={n}", got, expected)
         if w:
-            return ("fail", w)
+            return w
     # observation (reported, not gating): coefficients stay in {-1, 0, 1}
     first_bad = None
     for n in range(1, observe_nmax + 1):
@@ -721,12 +724,12 @@ def run_check(check_id: str, *, budget: str = "full",
     if spec is None:
         raise KeyError(f"unknown check id {check_id!r}; known: {sorted(REGISTRY)}")
     params = _params_for(spec, budget, overrides)
+    note = None
     start = time.perf_counter()
     try:
         result = spec.fn(**params)
-        if isinstance(result, tuple):
-            status = "pass" if result[0] == "pass" else "fail"
-            witness = result[1]
+        if isinstance(result, tuple) and result[0] == "pass":
+            status, witness, note = "pass", None, result[1]
         elif result is None:
             status, witness = "pass", None
         else:
@@ -737,7 +740,7 @@ def run_check(check_id: str, *, budget: str = "full",
         status, witness = "fail", f"error: {type(exc).__name__}: {exc}"
     millis = int((time.perf_counter() - start) * 1000)
     return CheckReport(id=check_id, status=status, params=params,
-                       witness=witness, millis=millis)
+                       witness=witness, millis=millis, note=note)
 
 
 def run_all(ids=None, tag=None, overrides=None, budget="full") -> list:
@@ -769,15 +772,18 @@ def reports_to_json(reports) -> str:
                "millis": r.millis}
         if r.witness is not None:
             row["witness"] = r.witness
+        if r.note is not None:
+            row["note"] = r.note
         rows.append(row)
     return json.dumps(rows, indent=2, sort_keys=True)
 
 
 def reports_to_tsv(reports) -> str:
-    lines = ["id\tstatus\tmillis\twitness"]
+    lines = ["id\tstatus\tmillis\twitness\tnote"]
     for r in reports:
         witness = "" if r.witness is None else r.witness.replace("\t", " ")
-        lines.append(f"{r.id}\t{r.status}\t{r.millis}\t{witness}")
+        note = "" if r.note is None else r.note.replace("\t", " ")
+        lines.append(f"{r.id}\t{r.status}\t{r.millis}\t{witness}\t{note}")
     return "\n".join(lines) + "\n"
 
 

@@ -74,7 +74,7 @@ def test_verify_single_check(capsys, tmp_path):
     assert all(r["params"] == {"nmax": 4} for r in rows)
 
     tsv = tsv_path.read_text().rstrip("\n").split("\n")
-    assert tsv[0] == "id\tstatus\tmillis\twitness"
+    assert tsv[0] == "id\tstatus\tmillis\twitness\tnote"
     assert len(tsv) == 3
 
 

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcharsum import _kernel_py, exact
 from qcharsum._kernel import zz_gcd
 from qcharsum.exact import QPoly, Rat, RatFunc, Series, SymPoly, qpow
 
@@ -73,6 +74,52 @@ class TestRatFunc:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc.const(1) / RatFunc.const(0)
+
+
+class TestLaurentFastPath:
+    """Against a monomial q^k, gcds and exact divisions skip the kernel."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_gcd_and_divexact_raise(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the kernel was asked for a Laurent gcd or quotient")
+
+        monkeypatch.setattr(exact._k, "zz_gcd", forbidden)
+        monkeypatch.setattr(exact._k, "zz_divexact", forbidden)
+
+    @staticmethod
+    def parts(r: RatFunc):
+        return r.num.coefficients, r.den.coefficients
+
+    def test_laurent_monomial_arithmetic(self):
+        a = 3 * qpow(-2)
+        b = Fraction(-1, 2) * qpow(3)
+        assert self.parts(a + b) == ((3, 0, 0, 0, 0, Fraction(-1, 2)),
+                                     (0, 0, 1))
+        assert self.parts(a - b) == ((3, 0, 0, 0, 0, Fraction(1, 2)),
+                                     (0, 0, 1))
+        assert self.parts(a * b) == ((0, Fraction(-3, 2)), (1,))
+        assert self.parts(a / b) == ((-6,), (0, 0, 0, 0, 0, 1))
+        assert self.parts(b / a) == ((0, 0, 0, 0, 0, Fraction(-1, 6)), (1,))
+        assert self.parts(a ** 3) == ((27,), (0,) * 6 + (1,))
+        assert self.parts(a ** -2) == ((0, 0, 0, 0, Fraction(1, 9)), (1,))
+        assert self.parts(qpow(-2) + qpow(-3)) == ((1, 1), (0, 0, 0, 1))
+        assert self.parts((qpow(-2) + qpow(-3)) * qpow(2)) == ((1, 1), (0, 1))
+        assert self.parts(qpow(-2) - qpow(-2)) == ((), (1,))
+
+    def test_normalization_over_a_monomial(self):
+        r = RatFunc(QPoly([0, 0, 2, 4]), QPoly.monomial(3, 5))
+        assert self.parts(r) == ((Fraction(2, 5), Fraction(4, 5)), (0, 1))
+        r = RatFunc(QPoly([1, 1]), QPoly.monomial(2, -1))
+        assert self.parts(r) == ((-1, -1), (0, 0, 1))
+
+    def test_gcd_and_division_against_a_monomial(self):
+        assert QPoly([0, 0, 3, 6]).gcd(QPoly.monomial(5)) == QPoly.monomial(2)
+        assert QPoly.monomial(1, 7).gcd(QPoly([0, 0, 3, 6])) == QPoly.x()
+        assert QPoly([1, 2]).gcd(QPoly.monomial(3)) == QPoly.one()
+        assert QPoly([0, 0, 3, 6]).div_exact(QPoly.monomial(2, 3)) == QPoly([1, 2])
+        with pytest.raises(ValueError):
+            QPoly([1, 1]).div_exact(QPoly.x())
 
 
 class TestSeries:
@@ -183,7 +230,11 @@ props = settings(deadline=None, max_examples=40)
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(small_fracs, max_size=4).map(QPoly)
 nonzero_polys = polys.filter(bool)
-ratfuncs = st.builds(RatFunc, polys, nonzero_polys)
+# a share of the denominators carries a factor q^k, so that the Laurent fast
+# path of the exact layer runs under every property below
+laurent_dens = st.builds(lambda p, k: p * QPoly.monomial(k),
+                         nonzero_polys, st.integers(0, 3))
+ratfuncs = st.builds(RatFunc, polys, st.one_of(nonzero_polys, laurent_dens))
 nonzero_ratfuncs = ratfuncs.filter(bool)
 
 
@@ -262,6 +313,41 @@ class TestRatFuncProperties:
                     QPoly([int(c) for c in reversed(pd.all_coeffs())]))
         assert r.num == monic_scaled(n)
         assert r.den == monic_scaled(d)
+
+
+# Primitive integer coefficient tuples with a q^j factor, and monomials q^k.
+prim_tuples = st.builds(
+    lambda j, co: (0,) * j + QPoly(co).ic, st.integers(0, 3),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any))
+monomials = st.integers(0, 4).map(lambda k: (0,) * k + (1,))
+
+
+def quotient_or_error(fn, a, b):
+    try:
+        return tuple(fn(a, b))
+    except ValueError:
+        return ValueError
+
+
+class TestLaurentFastPathMatchesKernel:
+    @props
+    @given(prim_tuples, monomials)
+    def test_gcd(self, a, m):
+        assert exact._gcd_ic(a, m) == tuple(_kernel_py.zz_gcd(list(a), list(m)))
+        assert exact._gcd_ic(m, a) == tuple(_kernel_py.zz_gcd(list(m), list(a)))
+
+    @props
+    @given(prim_tuples, monomials)
+    def test_divexact(self, a, m):
+        for x, y in ((a, m), (m, a), (m, m)):
+            assert (quotient_or_error(exact._divexact_ic, x, y)
+                    == quotient_or_error(_kernel_py.zz_divexact, list(x), list(y)))
+
+    def test_inexact_division_raises_on_both_routes(self):
+        with pytest.raises(ValueError):
+            exact._divexact_ic((1, 1), (0, 1))
+        with pytest.raises(ValueError):
+            _kernel_py.zz_divexact([1, 1], [0, 1])
 
 
 series_orders = st.integers(0, 6)

@@ -236,11 +236,11 @@ def test_tsv_report_shape():
     reports = run_all(tag="weyl", overrides={"nmax": 3})
     text = reports_to_tsv(reports)
     lines = text.rstrip("\n").split("\n")
-    assert lines[0] == "id\tstatus\tmillis\twitness"
+    assert lines[0] == "id\tstatus\tmillis\twitness\tnote"
     assert len(lines) == 4
     for line in lines[1:]:
         fields = line.split("\t")
-        assert len(fields) == 4
+        assert len(fields) == 5
         assert fields[1] == "pass"
 
 
@@ -256,4 +256,10 @@ def test_igl_observation_note_is_attached():
     # table as a note on a passing check.
     r = run_check("remark-igl-table", nmax=4, observe_nmax=8)
     assert r.status == "pass"
-    assert r.witness is not None and "rank 8" in r.witness
+    assert r.witness is None
+    assert r.note is not None and "rank 8" in r.note
+    row, = json.loads(reports_to_json([r]))
+    assert "witness" not in row and row["note"] == r.note
+    fields = reports_to_tsv([r]).rstrip("\n").split("\n")[1].split("\t")
+    assert fields[3:] == ["", r.note]
+    assert list(summary_lines([r])) == [f"[PASS] remark-igl-table ({r.millis} ms)"]
