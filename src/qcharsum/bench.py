@@ -28,6 +28,14 @@ def _random_poly(rng: random.Random, degree: int, bound: int):
     return co
 
 
+def _cyclotomic_product(hs):
+    """prod_{h in hs} (q^h - 1) as an integer coefficient list."""
+    acc = [1]
+    for h in hs:
+        acc = _kernel_py.zz_mul(acc, [-1] + [0] * (h - 1) + [1])
+    return acc
+
+
 def _cases():
     rng = random.Random(20260825)
     a = _random_poly(rng, 120, 10 ** 6)
@@ -35,15 +43,17 @@ def _cases():
     big_a = _random_poly(rng, 400, 10 ** 9)
     big_b = _random_poly(rng, 400, 10 ** 9)
     f = _random_poly(rng, 18, 40)
-    g = _random_poly(rng, 18, 40)
     h = _random_poly(rng, 12, 40)
-    fg = _kernel_py.zz_mul(f, h)
-    gg = _kernel_py.zz_mul(g, h)
+    fh = _kernel_py.zz_mul(f, h)
+    # The gcds that still reach the kernel are mostly between group-order
+    # factors prod (q^h - 1) that share some cyclotomic factors; gcds with
+    # a monomial q^k never get there.
+    orders = (_cyclotomic_product(range(1, 9)), _cyclotomic_product(range(2, 11, 2)))
     return [
         ("zz_mul", "degree 120 x 120", "zz_mul", (a, b), 40),
         ("zz_mul", "degree 400 x 400", "zz_mul", (big_a, big_b), 4),
-        ("zz_gcd", "degree 30, common degree-12 factor", "zz_gcd", (fg, gg), 10),
-        ("zz_divexact", "degree 30 / degree 12", "zz_divexact", (fg, h), 40),
+        ("zz_gcd", "prod(q^h-1), h<=8 vs even h<=10", "zz_gcd", orders, 100),
+        ("zz_divexact", "degree 30 / degree 12", "zz_divexact", (fh, h), 40),
     ]
 
 

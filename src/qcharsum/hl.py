@@ -3,7 +3,11 @@
 Main entry points:
 
 * schur_principal(lam, z): s_lam(1, z, z^2, ...) as the classical hook
-  product z^{n(lam)} / prod_b (1 - z^{h(b)}).
+  product z^{n(lam)} / prod_b (1 - z^{h(b)}).  With z = a/b the product is
+  a^{n(lam)} b^{sum h - n(lam)} / prod_b (b^h - a^h): numerator and
+  denominator are built as integer-polynomial products with no gcd, and
+  the quotient is normalized once.  For z = +-1/q the numerator is a
+  monomial, so that normalization takes the exact layer's Laurent fast path.
 * kostka_foulkes(n): the full transition matrix K_{lam,mu}(t) between Schur
   and Hall-Littlewood bases at size n, computed from tableaux via the
   charge statistic, together with its inverse (both are unitriangular in
@@ -18,16 +22,23 @@ Main entry points:
   parts).
 * rogers_szego / rs_multi / rs_homog / pochhammer_cd / c_nu: the small
   q-series ingredients used by the degree-sum formulas.
+
+The checks ask for the same few hundred values over and over, so s_lam(z)
+is memoized by (lam, z), and P_lam(z; t) by (lam, z, t) whenever z and t are
+hashable (a SymPoly t is not; it still reuses the memoized s_mu).  The memos
+sit behind schur_principal and hl_principal, which stay the only routes to
+them, so patching either public name still intercepts every call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .exact import QPoly
+from .exact import QPoly, RatFunc
 from .partitions import Partition, enumerate_partitions, dominates, gaussian_binomial
 
 _KOSTKA_BUDGET = 12
@@ -37,15 +48,25 @@ def _as_partition(lam) -> Partition:
     return lam if isinstance(lam, Partition) else Partition(lam)
 
 
-def schur_principal(lam, z):
-    """s_lam at x_i = z^(i-1) for i >= 1: z^n(lam) / prod_b (1 - z^h(b))."""
-    lam = _as_partition(lam)
-    one = z * 0 + 1
-    num = one * z ** lam.n_stat() if lam.size else one
-    den = one
-    for h in lam.hooks():
-        den = den * (one - z ** h)
-    return num / den
+def schur_principal(lam, z) -> RatFunc:
+    """s_lam at x_i = z^(i-1) for i >= 1: z^n(lam) / prod_b (1 - z^h(b)).
+
+    z is taken as a RatFunc; the result is memoized, so equal arguments
+    return the same object.
+    """
+    return _schur_principal(_as_partition(lam).parts, RatFunc(z))
+
+
+@lru_cache(maxsize=None)
+def _schur_principal(parts: tuple, z: RatFunc) -> RatFunc:
+    lam = Partition(parts)
+    a, b = z.num, z.den
+    hooks = lam.hooks()
+    n = lam.n_stat()
+    den = QPoly.one()
+    for h in hooks:
+        den = den * (b ** h - a ** h)
+    return RatFunc(a ** n * b ** (sum(hooks) - n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +228,30 @@ class HLValue:
 
 
 def hl_principal(lam, z, t) -> HLValue:
-    """P_lam(1, z, z^2, ...; t), via the inverse Kostka-Foulkes expansion."""
+    """P_lam(1, z, z^2, ...; t), via the inverse Kostka-Foulkes expansion.
+
+    The value is memoized when z and t are hashable; the HLValue returned
+    always carries the caller's own z and t.
+    """
     lam = _as_partition(lam)
-    table = kostka_foulkes(lam.size)
+    if isinstance(z, Hashable) and isinstance(t, Hashable):
+        value = _hl_value(lam.parts, z, t)
+    else:
+        value = _hl_value.__wrapped__(lam.parts, z, t)
+    return HLValue(lam=lam, z=z, t=t, value=value)
+
+
+@lru_cache(maxsize=None)
+def _hl_value(parts: tuple, z, t):
+    table = kostka_foulkes(sum(parts))
     acc = None
     for mu in table.order:
-        c = table.K_inv.get((lam.parts, mu.parts))
+        c = table.K_inv.get((parts, mu.parts))
         if c is None:
             continue
         term = c.eval(t) * schur_principal(mu, z)
         acc = term if acc is None else acc + term
-    return HLValue(lam=lam, z=z, t=t, value=acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------

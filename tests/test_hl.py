@@ -7,7 +7,8 @@ from math import prod
 import pytest
 
 from qcharsum import hl
-from qcharsum.exact import QPoly, Rat, RatFunc, SymPoly
+from qcharsum import exact
+from qcharsum.exact import QPoly, Rat, RatFunc, SymPoly, qpow
 from qcharsum.hl import (
     c_nu,
     hl_finite_oracle,
@@ -271,3 +272,97 @@ def test_hl_principal_accepts_partition_objects():
     t = RatFunc.const(Rat(1, 2))
     lam = Partition([2, 1])
     assert hl_principal(lam, z, t).value == hl_principal([2, 1], z, t).value
+
+
+# ---------------------------------------------------------------------------
+# The one-normalization s_lam(z) and the memos behind the public names.
+# ---------------------------------------------------------------------------
+
+
+def _hook_product(lam, z):
+    """z^n(lam) / prod_b (1 - z^h(b)) in plain RatFunc arithmetic."""
+    lam = Partition(lam)
+    den = RatFunc.const(1)
+    for h in lam.hooks():
+        den = den * (1 - z**h)
+    return z ** lam.n_stat() / den
+
+
+def _hl_expansion(lam, z, t):
+    """sum_mu K_inv(lam, mu)(t) s_mu(z), with the s_mu from _hook_product."""
+    lam = Partition(lam)
+    table = kostka_foulkes(lam.size)
+    return sum(
+        c.eval(t) * _hook_product(mu, z)
+        for mu in table.order
+        if (c := table.K_inv.get((lam.parts, mu.parts))) is not None
+    )
+
+
+def _all_partitions(nmax):
+    return [lam for n in range(nmax + 1) for lam in enumerate_partitions(n)]
+
+
+def test_schur_principal_matches_hook_product():
+    q = RatFunc.x()
+    zs = (1 / q, -1 / q, q / (q + 2), q**2 - 1, RatFunc.const(Rat(1, 3)))
+    for z in zs:
+        for lam in _all_partitions(8):
+            got = schur_principal(lam, z)
+            want = _hook_product(lam, z)
+            assert isinstance(got, RatFunc)
+            assert (got.num.ic, got.num.content, got.den.ic, got.den.content) == (
+                want.num.ic, want.num.content, want.den.ic, want.den.content
+            ), (lam, z)
+
+
+def test_schur_principal_is_memoized_and_coerces_scalars():
+    z = qpow(-1)
+    assert schur_principal([3, 1], z) is schur_principal(Partition([3, 1]), qpow(-1))
+    third = schur_principal([2, 1], Fraction(1, 3))
+    assert third is schur_principal([2, 1], RatFunc.const(Rat(1, 3)))
+    assert third == _hook_product([2, 1], RatFunc.const(Rat(1, 3)))
+    assert schur_principal([2], 2) == _hook_product([2], RatFunc.const(2))
+
+
+def test_schur_principal_at_plus_minus_inverse_q_needs_no_ratfunc_products(monkeypatch):
+    zs = (qpow(-1), -qpow(-1))
+    lams = _all_partitions(6)
+    want = {(lam.parts, z): _hook_product(lam, z) for lam in lams for z in zs}
+
+    def forbidden(*args):
+        raise AssertionError("s_lam(+-1/q) must be normalized once, not multiplied out")
+
+    hl._schur_principal.cache_clear()
+    monkeypatch.setattr(exact.RatFunc, "__mul__", forbidden)
+    monkeypatch.setattr(exact.RatFunc, "__truediv__", forbidden)
+    got = {(lam.parts, z): schur_principal(lam, z) for lam in lams for z in zs}
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_hl_principal_with_unhashable_t():
+    t = SymPoly.gen("t")
+    for z in (qpow(-1), -qpow(-1)):
+        for lam in _all_partitions(4):
+            assert hl_principal(lam, z, t).value == _hl_expansion(lam, z, t), (lam, z)
+
+
+def test_hl_memo_returns_the_callers_t():
+    z = -qpow(-1)
+    ts = (1, Fraction(1), RatFunc.const(1))
+    for lam in ([2, 1], [1, 1], [3]):
+        values = []
+        for t in ts:
+            r = hl_principal(lam, z, t)
+            assert r.t is t and r.z is z
+            values.append(r.value)
+        assert values[0] == values[1] == values[2] == _hl_expansion(lam, z, RatFunc.const(1))
+
+
+def test_hl_memo_keeps_z_and_minus_z_apart():
+    plus, minus = qpow(-1), -qpow(-1)
+    for t in (qpow(-1), Fraction(-1)):
+        for lam in _all_partitions(4):
+            for z in (plus, minus, plus, minus):
+                assert hl_principal(lam, z, t).value == _hl_expansion(lam, z, t), (lam, z, t)

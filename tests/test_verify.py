@@ -181,8 +181,7 @@ def test_mutation_in_u_order_is_detected(monkeypatch):
     assert "n=2" in r.witness
 
 
-def test_mutation_in_hl_principal_is_detected(monkeypatch):
-    # Corrupt P_(2,1) on the tableau side; the finite oracle must disagree.
+def _corrupt_hl_principal(monkeypatch):
     real = verify.hl_principal
 
     def corrupted(lam, z, t):
@@ -192,6 +191,21 @@ def test_mutation_in_hl_principal_is_detected(monkeypatch):
         return value
 
     monkeypatch.setattr(verify, "hl_principal", corrupted)
+
+
+def test_mutation_in_hl_principal_is_detected(monkeypatch):
+    # Corrupt P_(2,1) on the tableau side; the finite oracle must disagree.
+    _corrupt_hl_principal(monkeypatch)
+    r = run_check("oracle-hl-finite", sizemax=4)
+    assert r.status == "fail"
+    assert r.witness.startswith("lam=[2,1]")
+
+
+def test_mutation_in_hl_principal_is_detected_with_warm_memo(monkeypatch):
+    # The memos sit behind hl_principal, so with every value already cached
+    # the corrupted public name still reaches the check.
+    assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
+    _corrupt_hl_principal(monkeypatch)
     r = run_check("oracle-hl-finite", sizemax=4)
     assert r.status == "fail"
     assert r.witness.startswith("lam=[2,1]")
