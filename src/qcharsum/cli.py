@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``verify``            -- run named checks, print a summary, optionally
-  write JSON/TSV reports; exits nonzero when any check fails.
+  write JSON/TSV reports or cProfile stats; exits nonzero when any check
+  fails.
 * ``census``            -- polynomial class-count table (TSV).
 * ``hl-value``          -- one exact Hall-Littlewood principal value.
 * ``degree-sum``        -- real character degree sum for a group family.
@@ -170,8 +171,16 @@ def _cmd_verify(args) -> int:
     ids = None
     if args.id:
         ids = [part for chunk in args.id for part in chunk.split(",") if part]
-    reports = verify.run_all(ids=ids, tag=args.tag, overrides=overrides,
-                             budget="quick" if args.quick else "full")
+    run = dict(ids=ids, tag=args.tag, overrides=overrides,
+               budget="quick" if args.quick else "full")
+    if args.profile:
+        import cProfile  # only here, so a run without --profile never loads it
+
+        profiler = cProfile.Profile()
+        reports = profiler.runcall(verify.run_all, **run)
+        profiler.dump_stats(args.profile)
+    else:
+        reports = verify.run_all(**run)
     for line in verify.summary_lines(reports):
         print(line)
     passed = sum(r.status == "pass" for r in reports)
@@ -319,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the quick parameter budget")
     p.add_argument("--list", action="store_true",
                    help="list check ids and descriptions, then exit")
+    p.add_argument("--profile", default=None, metavar="PATH",
+                   help="write cProfile stats of the checks run (read with pstats)")
     p.set_defaults(func=lambda a: _cmd_verify(a))
 
     p = subs.add_parser("census", help="polynomial class-count table")

@@ -336,17 +336,22 @@ class RatFunc:
         if other.is_zero:
             return self
         d1, d2 = self.den, other.den
-        g = d1.gcd(d2)
-        if g.degree() == 0:
-            num = self.num * d2 + other.num * d1
-            den = d1 * d2
-            if num.is_zero:
-                return RatFunc.const(0)
-            return _monicized(num, den)
-        d1r = d1.div_exact(g)
-        d2r = d2.div_exact(g)
-        num = self.num * d2r + other.num * d1r
-        den = d1 * d2r
+        if d1.ic == d2.ic:
+            # both are monic, so equal tuples are equal denominators
+            g = den = d1
+            num = self.num + other.num
+        else:
+            g = d1.gcd(d2)
+            if g.degree() == 0:
+                num = self.num * d2 + other.num * d1
+                den = d1 * d2
+                if num.is_zero:
+                    return RatFunc.const(0)
+                return _monicized(num, den)
+            d1r = d1.div_exact(g)
+            d2r = d2.div_exact(g)
+            num = self.num * d2r + other.num * d1r
+            den = d1 * d2r
         if num.is_zero:
             return RatFunc.const(0)
         h = num.gcd(g)

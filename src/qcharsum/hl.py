@@ -14,6 +14,13 @@ Main entry points:
   dominance order, hence in the reverse-lexicographic enumeration order).
 * hl_principal(lam, z, t): P_lam(1, z, z^2, ...; t) obtained by expanding P
   in Schur functions through the inverse Kostka-Foulkes matrix.
+* hl_principal_poly(lam): the same expansion cleared of denominators,
+  F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t) with n = |lam|, as a map
+  {(t-exponent, z-exponent): int}.  It has integer coefficients because
+  (z;z)_n s_mu(1, z, ...) = z^n(mu) (z;z)_n / prod_b (1 - z^h(b)) is the
+  major-index generating function of the standard tableaux of shape mu
+  (Stanley, EC2, Cor. 7.21.5) and K_inv(lam, mu) lies in Z[t].  It is built
+  by exact synthetic division, with no rational arithmetic at all.
 * hl_finite_oracle(lam, xs, t): an independent check that never touches
   tableaux: P_lam in m <= 6 concrete variables as Macdonald's symmetrization
   over the cosets S_m / S_m^lam.  Every term is polynomial in t, so no
@@ -25,9 +32,11 @@ Main entry points:
 
 The checks ask for the same few hundred values over and over, so s_lam(z)
 is memoized by (lam, z), and P_lam(z; t) by (lam, z, t) whenever z and t are
-hashable (a SymPoly t is not; it still reuses the memoized s_mu).  The memos
-sit behind schur_principal and hl_principal, which stay the only routes to
-them, so patching either public name still intercepts every call.
+hashable (a SymPoly t is not; it still reuses the memoized s_mu), and F_lam
+by lam.  The memos sit behind schur_principal, hl_principal and
+hl_principal_poly, which stay the only routes to them, so patching a public
+name still intercepts every call.  hl_principal does not use F_lam, and the
+finite oracle uses neither.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from types import MappingProxyType
 
 from .exact import QPoly, RatFunc
 from .partitions import Partition, enumerate_partitions, dominates, gaussian_binomial
@@ -252,6 +262,82 @@ def _hl_value(parts: tuple, z, t):
         term = c.eval(t) * schur_principal(mu, z)
         acc = term if acc is None else acc + term
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Integer principal specializations, cleared of (z;z)_n.
+# ---------------------------------------------------------------------------
+
+
+def _times_one_minus_zpow(co: list, h: int) -> list:
+    """Coefficients of (1 - z^h) * co."""
+    out = co + [0] * h
+    for k, c in enumerate(co):
+        out[k + h] -= c
+    return out
+
+
+def _over_one_minus_zpow(co: list, h: int) -> list:
+    """Coefficients of co / (1 - z^h); ValueError unless the division is exact."""
+    deg = len(co) - 1 - h
+    out = []
+    for k in range(deg + 1):
+        out.append(co[k] + (out[k - h] if k >= h else 0))
+    for k in range(max(deg + 1, 0), len(co)):
+        if co[k] + (out[k - h] if 0 <= k - h <= deg else 0):
+            raise ValueError("inexact division by 1 - z^h")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _fake_degree(parts: tuple) -> tuple:
+    """f_mu(z) = z^n(mu) (z;z)_n / prod_b (1 - z^h(b)), n = |mu|, as integers.
+
+    This is (z;z)_n s_mu(1, z, z^2, ...), the major-index generating
+    function of the standard tableaux of shape mu, so every division by a
+    hook factor is exact.
+    """
+    mu = Partition(parts)
+    co = [0] * mu.n_stat() + [1]
+    for i in range(1, mu.size + 1):
+        co = _times_one_minus_zpow(co, i)
+    for h in mu.hooks():
+        co = _over_one_minus_zpow(co, h)
+    return tuple(co)
+
+
+def _int_coefficients(p: QPoly) -> list:
+    if p.content.denominator != 1:
+        raise ValueError(f"not an integer polynomial: {p}")
+    return [p.content.numerator * c for c in p.ic]
+
+
+def hl_principal_poly(lam) -> MappingProxyType:
+    """F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t), n = |lam|, over the integers.
+
+    A read-only map {(t-exponent, z-exponent): nonzero int}, built as
+    sum_mu K_inv(lam, mu)(t) f_mu(z) with no rational arithmetic.  It is
+    memoized, so a second call returns the same object.
+    """
+    return _hl_principal_poly(_as_partition(lam).parts)
+
+
+@lru_cache(maxsize=None)
+def _hl_principal_poly(parts: tuple) -> MappingProxyType:
+    table = kostka_foulkes(sum(parts))
+    acc: dict = {}
+    for mu in table.order:
+        c = table.K_inv.get((parts, mu.parts))
+        if c is None:
+            continue
+        f = _fake_degree(mu.parts)
+        for k, ck in enumerate(_int_coefficients(c)):
+            if not ck:
+                continue
+            for e, fe in enumerate(f):
+                if fe:
+                    acc[k, e] = acc.get((k, e), 0) + ck * fe
+    return MappingProxyType({key: c for key, c in acc.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pstats
 
 import pytest
 
@@ -76,6 +77,17 @@ def test_verify_single_check(capsys, tmp_path):
     tsv = tsv_path.read_text().rstrip("\n").split("\n")
     assert tsv[0] == "id\tstatus\tmillis\twitness\tnote"
     assert len(tsv) == 3
+
+
+def test_verify_profile_writes_pstats(capsys, tmp_path):
+    path = tmp_path / "warcor.prof"
+    rc = main(["verify", "--id", "cor-warcor", "--order", "4",
+               "--profile", str(path)])
+    assert rc == 0
+    assert "[PASS] cor-warcor" in capsys.readouterr().out
+    functions = {name for _, _, name in pstats.Stats(str(path)).stats}
+    assert "_warnaar_lhs" in functions
+    assert "run_check" in functions
 
 
 def test_verify_list(capsys):

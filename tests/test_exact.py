@@ -122,6 +122,37 @@ class TestLaurentFastPath:
             QPoly([1, 1]).div_exact(QPoly.x())
 
 
+class TestEqualDenominators:
+    """a/d + b/d takes no gcd to bring d and d together, only the final one."""
+
+    @staticmethod
+    def fields(r: RatFunc):
+        return r.num.ic, r.num.content, r.den.ic, r.den.content
+
+    @pytest.mark.parametrize("a, b", [
+        (QPoly([1]), QPoly([0, 1])),        # (1 + q)/d cancels the factor q + 1
+        (QPoly([2, 0, 1]), QPoly([0, 3])),  # q^2 + 3q + 2 = (q + 1)(q + 2)
+        (QPoly([1, 0, 1]), QPoly([5])),     # q^2 + 6 is coprime to d
+    ])
+    def test_one_kernel_gcd_and_the_general_canonical_form(self, monkeypatch, a, b):
+        d = QPoly([-1, 0, 1]) * QPoly([2, 1])  # (q^2 - 1)(q + 2), not a monomial
+        x, y = RatFunc(a, d), RatFunc(b, d)
+        assert x.den.ic == y.den.ic
+        calls = []
+
+        def counting(u, v):
+            calls.append((tuple(u), tuple(v)))
+            return _kernel_py.zz_gcd(u, v)
+
+        monkeypatch.setattr(exact._k, "zz_gcd", counting)
+        got = x + y
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the same value normalized from scratch: num/den = (a d + b d)/d^2
+        want = RatFunc(a * d + b * d, d * d)
+        assert self.fields(got) == self.fields(want)
+
+
 class TestSeries:
     def test_geometric_inverse(self):
         one = Fraction(1)

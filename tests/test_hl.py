@@ -13,6 +13,7 @@ from qcharsum.hl import (
     c_nu,
     hl_finite_oracle,
     hl_principal,
+    hl_principal_poly,
     kostka_foulkes,
     pochhammer_cd,
     rogers_szego,
@@ -366,3 +367,67 @@ def test_hl_memo_keeps_z_and_minus_z_apart():
         for lam in _all_partitions(4):
             for z in (plus, minus, plus, minus):
                 assert hl_principal(lam, z, t).value == _hl_expansion(lam, z, t), (lam, z, t)
+
+
+# ---------------------------------------------------------------------------
+# The integer polynomials F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t).
+# ---------------------------------------------------------------------------
+
+
+def _horner(co, x):
+    """sum_e co[e] x^e for a dense list of ring elements or ints."""
+    acc = RatFunc.const(0)
+    for c in reversed(co):
+        acc = acc * x + c
+    return acc
+
+
+def _eval_principal_poly(f, z, t):
+    """F(z, t) from {(k, e): c}, with the t-polynomial of each z^e summed first."""
+    top = max(e for _, e in f)
+    by_e = [RatFunc.const(0)] * (top + 1)
+    for (k, e), c in f.items():
+        by_e[e] = by_e[e] + c * t**k
+    return _horner(by_e, z)
+
+
+_POLY_ZS = (qpow(-1), -qpow(-1), RatFunc.x() / (RatFunc.x() + 2))
+_POLY_TS = (qpow(-1), RatFunc.const(-1), RatFunc.const(0), RatFunc.const(Rat(1, 3)))
+
+
+def test_hl_principal_poly_has_int_coefficients_and_is_memoized():
+    for lam in _all_partitions(8):
+        f = hl_principal_poly(lam)
+        assert f, lam
+        for (k, e), c in f.items():
+            assert type(k) is int and type(e) is int and k >= 0 and e >= 0
+            assert type(c) is int and c != 0, (lam, k, e)
+        assert hl_principal_poly(lam) is f
+        assert hl_principal_poly(Partition(lam)) is f
+        with pytest.raises(TypeError):
+            f[0, 0] = 1
+
+
+def test_hl_principal_poly_over_z_pochhammer_is_hl_principal():
+    for z in _POLY_ZS:
+        for lam in _all_partitions(7):
+            poch = pochhammer_cd(z, z, lam.size)
+            for t in _POLY_TS:
+                got = _eval_principal_poly(hl_principal_poly(lam), z, t) / poch
+                assert got == hl_principal(lam, z, t).value, (lam, z, t)
+
+
+def test_fake_degree_is_the_cleared_hook_product():
+    for z in _POLY_ZS:
+        for mu in _all_partitions(7):
+            want = pochhammer_cd(z, z, mu.size) * schur_principal(mu, z)
+            assert _horner(hl._fake_degree(mu.parts), z) == want, (mu, z)
+
+
+def test_fake_degree_division_is_checked():
+    with pytest.raises(ValueError):
+        hl._over_one_minus_zpow([1, 1], 2)
+    with pytest.raises(ValueError):
+        hl._over_one_minus_zpow([1, 0, 0, 1], 2)
+    assert hl._over_one_minus_zpow([1, 0, 0, -1], 3) == [1]
+    assert hl._over_one_minus_zpow([1, 1, -1, -1], 2) == [1, 1]

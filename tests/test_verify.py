@@ -12,6 +12,7 @@ import json
 import pytest
 
 import qcharsum.chars as chars
+import qcharsum.hl as hl
 import qcharsum.verify as verify
 from qcharsum.exact import qpow
 from qcharsum.verify import (
@@ -223,6 +224,37 @@ def test_mutation_in_hl_finite_oracle_is_detected(monkeypatch):
     r = run_check("oracle-hl-finite", sizemax=4)
     assert r.status == "fail"
     assert r.witness.startswith("lam=[2,1]")
+
+
+@pytest.mark.parametrize("check_id", ["thm-warid", "cor-warcor"])
+def test_mutation_in_hl_principal_poly_is_detected(monkeypatch, check_id):
+    # One integer coefficient of F_(2,1) off by one: the scaled left side of
+    # the summation differs from the right side first at u^3.
+    real = verify.hl_principal_poly
+
+    def corrupted(lam):
+        f = real(lam)
+        if tuple(lam) != (2, 1):
+            return f
+        f = dict(f)
+        f[0, 1] += 1
+        return f
+
+    monkeypatch.setattr(verify, "hl_principal_poly", corrupted)
+    r = run_check(check_id, order=4)
+    assert r.status == "fail"
+    assert r.witness.startswith("u^3: ")
+
+
+def test_hl_finite_oracle_check_never_reaches_hl_principal_poly(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("oracle-hl-finite must not use the integer F_lam")
+
+    monkeypatch.setattr(hl, "hl_principal_poly", forbidden)
+    monkeypatch.setattr(hl, "_hl_principal_poly", forbidden)
+    monkeypatch.setattr(verify, "hl_principal_poly", forbidden)
+    hl._hl_value.cache_clear()
+    assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
 
 
 def test_json_report_shape():
