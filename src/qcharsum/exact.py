@@ -593,8 +593,6 @@ class Series:
         return Series([-c for c in self.co], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 
 def _prime_power(q: int):
@@ -147,6 +148,22 @@ def _mat_mul(F: FiniteField, A, B):
     return tuple(out)
 
 
+def _squares_to_identity(F: FiniteField, g) -> bool:
+    """g*g == I, computed entry by entry and stopped at the first entry
+    that differs from the identity matrix."""
+    n = len(g)
+    add, mul = F.add, F.mul
+    for i in range(n):
+        row = g[i]
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = add[acc][mul[row[k]][g[k][j]]]
+            if acc != (1 if i == j else 0):
+                return False
+    return True
+
+
 def _identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -214,7 +231,7 @@ _SCAN_BUDGET = 10 ** 5
 
 def _theoretical_order(flavor: str, n: int, q: int) -> int:
     if flavor == "gl":
-        return __import__("math").prod(q ** n - q ** i for i in range(n))
+        return prod(q ** n - q ** i for i in range(n))
     out = q ** (n * (n - 1) // 2)
     for i in range(1, n + 1):
         out *= q ** i - (-1) ** i
@@ -236,12 +253,11 @@ def _enumerate_stats(flavor: str, n: int, q: int):
     _check_budget(flavor, n, q)
     gen = gl_matrices(n, q) if flavor == "gl" else u_matrices(n, q)
     F = FiniteField(q if flavor == "gl" else q * q)
-    ident = _identity(n)
     order = 0
     sqrts = 0
     for g in gen:
         order += 1
-        if _mat_mul(F, g, g) == ident:
+        if _squares_to_identity(F, g):
             sqrts += 1
     return order, sqrts
 

@@ -13,12 +13,22 @@ Two product shapes cover everything needed here:
 The ratio r (resp. base x) must vanish as q grows so the coefficient sums
 are honest rational functions.  Coefficient scalars may come from Q(q) or
 from the SymPoly ring when the expansion carries the auxiliary symbols.
+
+The named generating functions are expanded once per process and parity.
+Coefficient k of each expansion depends only on input coefficients <= k
+(Euler's closed forms, log -> exp, and series products all truncate that
+way), so a memo keyed by builder and e keeps only the highest-order series
+built so far and answers a lower order by truncating it; a higher order
+expands afresh and replaces the entry.  The four unitary names share one
+`_u_real_gf` and one `_u_invol_gf` expansion per parity.  The memo holds
+at most six series; `_GF_MEMO.clear()` empties it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .exact import RatFunc, Series, qpow
 from .polycount import parity_e
@@ -158,6 +168,26 @@ GF_NAMES = (
 )
 
 
+_GF_MEMO: dict = {}
+
+
+def _truncating_memo(build):
+    """Memoize build(e, order) by (build, e), keeping the highest order."""
+
+    @wraps(build)
+    def memoized(e: int, order: int) -> Series:
+        key = (build, e)
+        cached = _GF_MEMO.get(key)
+        if cached is None or cached.order < order:
+            cached = _GF_MEMO[key] = build(e, order)
+        if cached.order == order:
+            return cached
+        return Series(cached.co[:order + 1], order)
+
+    return memoized
+
+
+@_truncating_memo
 def _gl_gf(e: int, order: int) -> Series:
     invq = qpow(-1)
     up = euler_expand(GeometricFactorSpec(1, 1, invq, invq, 1), order) ** e
@@ -165,6 +195,7 @@ def _gl_gf(e: int, order: int) -> Series:
     return up * down
 
 
+@_truncating_memo
 def _u_invol_gf(e: int, order: int) -> Series:
     x = -qpow(-1)
     up = euler_expand(GeometricFactorSpec(1, 1, x, x, 1), order) ** e
@@ -172,6 +203,7 @@ def _u_invol_gf(e: int, order: int) -> Series:
     return up * down
 
 
+@_truncating_memo
 def _u_real_gf(e: int, order: int) -> Series:
     x = -qpow(-1)
     xinv = x.reciprocal()

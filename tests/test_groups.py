@@ -11,7 +11,9 @@ from qcharsum.groups import (
     gl_matrices,
     group_order,
     u_matrices,
+    _identity,
     _mat_mul,
+    _squares_to_identity,
 )
 
 
@@ -124,6 +126,21 @@ def test_square_root_count_is_conjugation_stable():
     ident = ((1, 0), (0, 1))
     brute = sum(1 for A in mats if _mat_mul(F, A, A) == ident)
     assert brute == count_square_roots_of_identity("gl", 2, 2)
+
+
+@pytest.mark.parametrize("flavor,n,q", [("gl", 2, 3), ("gl", 3, 2), ("u", 2, 3)])
+def test_early_exit_square_test_matches_full_product(flavor, n, q):
+    # the enumeration's g^2 = I test stops at the first wrong entry; it must
+    # agree with the full product on every element
+    F = FiniteField(q if flavor == "gl" else q * q)
+    mats = gl_matrices(n, q) if flavor == "gl" else u_matrices(n, q)
+    ident = _identity(n)
+    hits = 0
+    for g in mats:
+        full = _mat_mul(F, g, g) == ident
+        assert _squares_to_identity(F, g) == full
+        hits += full
+    assert hits == count_square_roots_of_identity(flavor, n, q)
 
 
 def test_enumeration_budget_guards():

@@ -4,9 +4,10 @@ theorem — all independent of the expansion code paths."""
 
 import pytest
 
+import qcharsum.qseries as qseries
 from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.partitions import gaussian_binomial
-from qcharsum.qseries import (GF_NAMES, GeometricFactorSpec, PairProductSpec,
+from qcharsum.qseries import (_GF_MEMO, GF_NAMES, GeometricFactorSpec, PairProductSpec,
                               euler_expand, named_gf, pair_expand, product_of)
 
 ONE = RatFunc.const(1)
@@ -164,3 +165,41 @@ class TestNamedGF:
             for n in range(9):
                 expected = invol.coefficient(n) * (-1) ** (n * (n - 1) // 2)
                 assert (plus - minus).coefficient(n) == expected
+
+
+class TestNamedGFMemo:
+    def test_lower_orders_are_truncations_of_the_memo(self):
+        _GF_MEMO.clear()
+        for name in GF_NAMES:
+            for parity in ("even", "odd"):
+                named_gf(name, parity, 9)
+        truncated = {(name, parity, n): named_gf(name, parity, n)
+                     for name in GF_NAMES for parity in ("even", "odd") for n in range(9)}
+        for parity in ("even", "odd"):
+            for n in range(9):
+                _GF_MEMO.clear()
+                for name in GF_NAMES:
+                    s = truncated[name, parity, n]
+                    assert s.order == n
+                    assert s == named_gf(name, parity, n)
+
+    def test_repeated_order_returns_the_memoized_series(self):
+        for name in ("gl_real_gf", "gl_invol_gf", "u_real_gf", "u_invol_gf"):
+            for parity in ("even", "odd"):
+                assert named_gf(name, parity, 9) is named_gf(name, parity, 9)
+
+    def test_unitary_names_share_one_expansion_per_parity(self, monkeypatch):
+        for parity in ("even", "odd"):
+            named_gf("u_real_gf", parity, 6)
+            named_gf("u_invol_gf", parity, 6)
+
+        def forbidden(*args):
+            raise AssertionError("a warm memo must not expand again")
+
+        monkeypatch.setattr(qseries, "euler_expand", forbidden)
+        monkeypatch.setattr(qseries, "pair_expand", forbidden)
+        for parity in ("even", "odd"):
+            for n in range(7):
+                plus = named_gf("u_eps_plus_gf", parity, n)
+                minus = named_gf("u_eps_minus_gf", parity, n)
+                assert plus.order == minus.order == n

@@ -14,7 +14,7 @@ import pytest
 import qcharsum.chars as chars
 import qcharsum.hl as hl
 import qcharsum.verify as verify
-from qcharsum.exact import qpow
+from qcharsum.exact import Series, qpow
 from qcharsum.verify import (
     REGISTRY,
     CheckSpec,
@@ -150,10 +150,7 @@ def test_crash_surfaces_as_failure():
     assert r.witness.startswith("error:")
 
 
-def test_mutation_is_detected(monkeypatch):
-    # Corrupt the rank-3 group order.  The closed-form involution count uses
-    # it; the generating-function side does not.  The comparison must now
-    # fail exactly at n=3.
+def _corrupt_gl_order(monkeypatch):
     real = chars.gl_group_order
 
     def corrupted(n, q=None):
@@ -161,6 +158,23 @@ def test_mutation_is_detected(monkeypatch):
         return value + 1 if n == 3 else value
 
     monkeypatch.setattr(chars, "gl_group_order", corrupted)
+
+
+def _corrupt_u_order(monkeypatch):
+    real = chars.u_group_order
+
+    def corrupted(n, q=None):
+        value = real(n, q)
+        return value + 1 if n == 2 else value
+
+    monkeypatch.setattr(chars, "u_group_order", corrupted)
+
+
+def test_mutation_is_detected(monkeypatch):
+    # Corrupt the rank-3 group order.  The closed-form involution count uses
+    # it; the generating-function side does not.  The comparison must now
+    # fail exactly at n=3.
+    _corrupt_gl_order(monkeypatch)
     r = run_check("thm-even", nmax=4)
     assert r.status == "fail"
     assert "n=3" in r.witness
@@ -169,17 +183,54 @@ def test_mutation_is_detected(monkeypatch):
     assert "n=3" in r.witness
 
 
+def test_mutation_is_detected_with_warm_memo(monkeypatch):
+    # The generating-function memo holds series only, so with every
+    # expansion already cached the corrupted group order still shows.
+    for check_id in ("thm-even", "thm-odd"):
+        assert run_check(check_id, nmax=4).status == "pass"
+    _corrupt_gl_order(monkeypatch)
+    for check_id in ("thm-even", "thm-odd"):
+        r = run_check(check_id, nmax=4)
+        assert r.status == "fail"
+        assert "n=3" in r.witness
+
+
 def test_mutation_in_u_order_is_detected(monkeypatch):
-    real = chars.u_group_order
-
-    def corrupted(n, q=None):
-        value = real(n, q)
-        return value + 1 if n == 2 else value
-
-    monkeypatch.setattr(chars, "u_group_order", corrupted)
+    _corrupt_u_order(monkeypatch)
     r = run_check("prop-involU-even", nmax=3)
     assert r.status == "fail"
     assert "n=2" in r.witness
+
+
+def test_mutation_in_u_order_is_detected_with_warm_memo(monkeypatch):
+    assert run_check("prop-involU-even", nmax=3).status == "pass"
+    _corrupt_u_order(monkeypatch)
+    r = run_check("prop-involU-even", nmax=3)
+    assert r.status == "fail"
+    assert "n=2" in r.witness
+
+
+def test_mutation_in_named_gf_is_detected_with_warm_memo(monkeypatch):
+    # The u^3 coefficient of the even linear-flavor series off by one, wrapped
+    # around the public binding, outside the memo: the series side of
+    # thm-even must disagree first at n=3, and the memo must stay clean.
+    assert run_check("thm-even", nmax=4).status == "pass"
+    real = chars.named_gf
+
+    def corrupted(name, parity, order):
+        s = real(name, parity, order)
+        if name != "gl_real_gf" or parity != "even" or order < 3:
+            return s
+        co = list(s.co)
+        co[3] = co[3] + 1
+        return Series(co, order)
+
+    monkeypatch.setattr(chars, "named_gf", corrupted)
+    r = run_check("thm-even", nmax=4)
+    assert r.status == "fail"
+    assert "n=3" in r.witness
+    monkeypatch.undo()
+    assert run_check("thm-even", nmax=4).status == "pass"
 
 
 def _corrupt_hl_principal(monkeypatch):
