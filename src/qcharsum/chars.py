@@ -10,7 +10,12 @@ unitary one):
 Characters are parametrized by assigning a partition to each polynomial
 class (polycount module); a character is real iff conjugate classes carry
 equal partitions, so real-degree sums factor over self-conjugate classes
-and pairs.  Everything is exact: integers at numeric q, RatFunc values
+and pairs.  The per-class blocks of that product are built from the
+fake-degree polynomials of the hl module, f_mu(y) = (y;y)_n s_mu(1, y, ...)
+at y = +-q^d, as one integer-polynomial ratio per coefficient; they do not
+depend on the parity of q and are memoized (assignment_block_gf), while the
+class counts come through the count_selfdual_and_pairs binding on every
+call.  Everything is exact: integers at numeric q, RatFunc values
 symbolically (q=None).  Closed-form involution sums call the module-level
 group-order functions dynamically, so tests can perturb those and watch
 the downstream identity checks fail.
@@ -20,12 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exact import RatFunc, Series, qpow
+from . import _kernel as _k
+from .exact import QPoly, RatFunc, Series, qpow
 from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .polycount import (brute_poly_census, count_selfdual_and_pairs, parity_e,
                         to_int)
-from .hl import hl_principal, rs_multi, rs_homog, rogers_szego, pochhammer_cd
+from .hl import (_fake_degree, _times_one_minus_zpow, hl_principal, rs_multi,
+                 rs_homog, rogers_szego, pochhammer_cd)
 from .qseries import named_gf, series_pow_general
 
 
@@ -184,21 +192,59 @@ def assignment_block_gf(flavor: str, d: int, order: int, q=None):
 
     T_d = sum_lam u^(d|lam|) f(d,lam) for one self-conjugate class,
     G_d = sum_lam u^(2d|lam|) f(d,lam)^2 for one conjugate pair,
-    where f is the class factor entering the degree formula.
+    where f is the class factor entering the degree formula (_class_factor).
+
+    Put y = eps*q^d, with eps = -1 for u at odd d and +1 otherwise.  Since
+    lam and lam' have the same hooks, f(d,lam) = sigma_lam f_lam'(y)/(y;y)_m
+    for |lam| = m, with the fake degree f_mu(y) = (y;y)_m s_mu(1, y, y^2, ...)
+    of hl._fake_degree (Stanley, EC2, Cor. 7.21.5) and sigma_lam = (-1)^m, or
+    (-1)^n(lam) for u at odd d.  So the u^(dm) coefficient of T_d is the
+    integer polynomial sum_lam sigma_lam f_lam'(y) over (y;y)_m, and the
+    u^(2dm) coefficient of G_d is sum_lam f_lam'(y)^2 over (y;y)_m^2: one
+    normalization, or one exact evaluation at numeric q, per coefficient.
+
+    The blocks do not depend on the parity of q.  They are memoized per
+    (flavor, d, order, q), so a second call returns the same pair.
     """
-    qq = _qval(q)
-    one = qq ** 0
-    t_co = [one * 0] * (order + 1)
-    g_co = [one * 0] * (order + 1)
-    t_co[0] = one
-    g_co[0] = one
+    if flavor not in ("gl", "u"):
+        raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
+    _qval(q)
+    return _assignment_blocks(flavor, d, order, q)
+
+
+@lru_cache(maxsize=None)
+def _assignment_blocks(flavor: str, d: int, order: int, q):
+    one = _qval(q) ** 0
+    eps = -1 if flavor == "u" and d % 2 else 1
+    t_co = [one] + [one * 0] * order
+    g_co = list(t_co)
+    den = [1]  # (y;y)_m
     for m in range(1, order // d + 1):
+        paired = 2 * d * m <= order
+        t_sum, g_sum = [], []
         for lam in enumerate_partitions(m):
-            f = _class_factor(flavor, d, lam, qq)
-            t_co[d * m] = t_co[d * m] + f
-            if 2 * d * m <= order:
-                g_co[2 * d * m] = g_co[2 * d * m] + f * f
+            f = _fake_degree(lam.conjugate().parts)
+            sign = (-1) ** (lam.n_stat() if eps < 0 else m)
+            t_sum = _k.zz_add(t_sum, _k.zz_mul_scalar(f, sign))
+            if paired:
+                g_sum = _k.zz_add(g_sum, _k.zz_mul(f, f))
+        den = _times_one_minus_zpow(den, m)
+        t_co[d * m] = _at_y(t_sum, den, d, eps, q)
+        if paired:
+            g_co[2 * d * m] = _at_y(g_sum, _k.zz_mul(den, den), d, eps, q)
     return Series(t_co, order), Series(g_co, order)
+
+
+def _at_y(num: list, den: list, d: int, eps: int, q):
+    """num(y)/den(y) at y = eps*q^d, for integer coefficient lists in y."""
+    def in_q(co):
+        out = [0] * (d * (len(co) - 1) + 1)
+        for k, c in enumerate(co):
+            out[d * k] = -c if eps < 0 and k % 2 else c
+        return QPoly(out)
+
+    num_q, den_q = in_q(num), in_q(den)
+    return RatFunc(num_q, den_q) if q is None else num_q.eval(q) / den_q.eval(q)
 
 
 def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None,

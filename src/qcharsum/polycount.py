@@ -76,10 +76,12 @@ def to_int(x) -> int:
     return int(f)
 
 
+@lru_cache(maxsize=None)
 def count_irreducible(d: int, q=None):
     """Number of monic irreducible polynomials of degree d over F_q.
 
-    Integer for integer q, a RatFunc in q when q is None.
+    Integer for integer q, a RatFunc in q when q is None.  Memoized: the
+    values are immutable, so a repeat call returns the same object.
     """
     qq, numeric = _as_scalar(q)
     total = (qq - qq) if not numeric else 0
@@ -92,8 +94,9 @@ def count_irreducible(d: int, q=None):
     return total / d
 
 
+@lru_cache(maxsize=None)
 def count_u_irreducible(d: int, q=None):
-    """Number of twisted-orbit classes of degree d (unitary flavor)."""
+    """Number of twisted-orbit classes of degree d (unitary flavor); memoized."""
     qq, numeric = _as_scalar(q)
     total = (qq - qq) if not numeric else 0
     for r in divisors(d):
@@ -164,9 +167,17 @@ def _nstar_even(flavor: str, m: int, qkey, e: int):
 
 
 def count_selfdual_and_pairs(d: int, q=None, flavor: str = "gl", parity=None) -> ClassCounts:
-    """ClassCounts at degree d; symbolic when q is None (parity required)."""
+    """ClassCounts at degree d; symbolic when q is None (parity required).
+
+    Memoized by (d, q, flavor, e) with e from parity_e, so a repeat call,
+    with parity given by keyword or by position, returns the same object.
+    """
     _check_flavor(flavor)
-    e = parity_e(q, parity)
+    return _class_counts(d, q, flavor, parity_e(q, parity))
+
+
+@lru_cache(maxsize=None)
+def _class_counts(d: int, q, flavor: str, e: int) -> ClassCounts:
     plain = count_irreducible(d, q) if flavor == "gl" else count_u_irreducible(d, q)
     if d % 2 == 1:
         nstar = e if d == 1 else 0

@@ -72,12 +72,11 @@ def _value_witness(tag: str, lhs, rhs):
 
 
 def _binom_factor_log(sign: int, d: int, order: int, one) -> Series:
-    """log(1 + sign*w^d) as a series over the ring of `one`."""
+    """log(1 + sign*w^d) = sum_k -(-sign)^k w^(dk)/k over the ring of `one`."""
     co = [one * 0] * (order + 1)
-    co[0] = one
-    if d <= order:
-        co[d] = one * sign
-    return Series(co, order).log()
+    for k in range(1, order // d + 1):
+        co[d * k] = one * Fraction(-(-sign) ** k, k)
+    return Series(co, order)
 
 
 def _geom_inv(c, order: int, one) -> Series:

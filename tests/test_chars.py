@@ -6,6 +6,9 @@ import pytest
 
 from qcharsum.chars import (
     CharParam,
+    _class_factor,
+    _qval,
+    assignment_block_gf,
     char_degree,
     gl_group_order,
     involution_count,
@@ -19,7 +22,8 @@ from qcharsum.chars import (
     u_unsumodd_exprs,
     weyl_sums,
 )
-from qcharsum.exact import RatFunc, qpow
+from qcharsum.exact import RatFunc, Series, qpow
+from qcharsum.partitions import enumerate_partitions
 
 
 Q = RatFunc.x()
@@ -218,3 +222,30 @@ def test_qpow_helper():
     assert qpow(3) == Q**3
     assert qpow(0) == 1 + Q * 0
     assert qpow(-2) == 1 / Q**2
+
+
+def _blocks_from_class_factors(flavor, d, order, q):
+    """(T_d, G_d) summed term by term from the hook-product class factor."""
+    qq = _qval(q)
+    t_co = [qq ** 0] + [qq * 0] * order
+    g_co = list(t_co)
+    for m in range(1, order // d + 1):
+        for lam in enumerate_partitions(m):
+            f = _class_factor(flavor, d, lam, qq)
+            t_co[d * m] = t_co[d * m] + f
+            if 2 * d * m <= order:
+                g_co[2 * d * m] = g_co[2 * d * m] + f * f
+    return Series(t_co, order), Series(g_co, order)
+
+
+@pytest.mark.parametrize("q", [None, 2, 3, 4, 5])
+@pytest.mark.parametrize("flavor", ["gl", "u"])
+def test_assignment_blocks_match_class_factor_sums(flavor, q):
+    # The fake-degree route against the hook-product definition, coefficient
+    # for coefficient; the memo returns the same pair on a second call.
+    for d in range(1, 9):
+        blocks = assignment_block_gf(flavor, d, 8, q)
+        for got, want in zip(blocks, _blocks_from_class_factors(flavor, d, 8, q)):
+            assert got.order == want.order == 8
+            assert got.co == want.co, (flavor, d, q)
+        assert assignment_block_gf(flavor, d, 8, q) is blocks

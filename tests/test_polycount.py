@@ -89,3 +89,19 @@ def test_selfdual_symbolic_matches_numeric():
                     num = count_selfdual_and_pairs(d, q, flavor)
                     assert sym.n_selfdual.eval(q) == num.n_selfdual, (flavor, d, q)
                     assert sym.m_pairs.eval(q) == num.m_pairs, (flavor, d, q)
+
+
+def test_counts_are_memoized():
+    # A repeat call returns the same object; for the starred counts the
+    # parity may come by keyword or by position.
+    for q in (None, 3):
+        assert count_irreducible(4, q) is count_irreducible(4, q)
+        assert count_u_irreducible(4, q) is count_u_irreducible(4, q)
+    for flavor in ("gl", "u"):
+        for d in range(1, 5):
+            by_keyword = count_selfdual_and_pairs(d, None, flavor, parity="odd")
+            assert count_selfdual_and_pairs(d, None, flavor, "odd") is by_keyword
+            assert count_selfdual_and_pairs(d, None, flavor, parity="odd") is by_keyword
+            numeric = count_selfdual_and_pairs(d, 4, flavor)
+            assert count_selfdual_and_pairs(d, 4, flavor, "even") is numeric
+            assert count_selfdual_and_pairs(d, 4, flavor, parity="even") is numeric

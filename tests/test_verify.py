@@ -8,17 +8,19 @@ a quantity with itself.
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
 import qcharsum.chars as chars
 import qcharsum.hl as hl
 import qcharsum.verify as verify
-from qcharsum.exact import Series, qpow
+from qcharsum.exact import RatFunc, Series, qpow
 from qcharsum.verify import (
     REGISTRY,
     CheckSpec,
     SkipCheck,
+    _binom_factor_log,
     reports_to_json,
     reports_to_tsv,
     run_all,
@@ -231,6 +233,44 @@ def test_mutation_in_named_gf_is_detected_with_warm_memo(monkeypatch):
     assert "n=3" in r.witness
     monkeypatch.undo()
     assert run_check("thm-even", nmax=4).status == "pass"
+
+
+def test_mutation_in_class_counts_is_detected_with_warm_memo(monkeypatch):
+    # The blocks and the class counts are memoized behind the binding, so
+    # with both warm a pair count off by one at d = 2 still shows, first at
+    # u^4 (the u^(2d) term of G_2), and the memos stay clean.
+    ids = ("thm-genfnGL", "thm-degreesU")
+    for check_id in ids:
+        assert run_check(check_id, order=6).status == "pass"
+    real = chars.count_selfdual_and_pairs
+
+    def corrupted(*args, **kwargs):
+        counts = real(*args, **kwargs)
+        if counts.d != 2:
+            return counts
+        return dataclasses.replace(counts, m_pairs=counts.m_pairs + 1)
+
+    monkeypatch.setattr(chars, "count_selfdual_and_pairs", corrupted)
+    for check_id in ids:
+        r = run_check(check_id, order=6)
+        assert r.status == "fail"
+        assert r.witness.startswith("parity even: u^4:")
+    monkeypatch.undo()
+    for check_id in ids:
+        assert run_check(check_id, order=6).status == "pass"
+
+
+@pytest.mark.parametrize("one", [RatFunc.const(1), Fraction(1)])
+def test_binom_factor_log_matches_series_log(one):
+    # The Mercator coefficients against the generic series logarithm.
+    for order in range(1, 11):
+        for d in range(1, order + 1):
+            for sign in (1, -1):
+                co = [one * 0] * (order + 1)
+                co[0] = one
+                co[d] = one * sign
+                want = Series(co, order).log()
+                assert _binom_factor_log(sign, d, order, one) == want
 
 
 def _corrupt_hl_principal(monkeypatch):
