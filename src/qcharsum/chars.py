@@ -1,7 +1,7 @@
 """Real character degree sums and involution counts.
 
 Conventions used throughout (gamma for the linear flavor, omega for the
-unitary one):
+unitary one), all four built from one memoized integer product (_order_ic):
 
 * gamma_n = |GL(n,q)| = q^binom(n,2) * prod_{i=1..n} (q^i - 1)
 * omega_n = |U(n,q)|  = q^binom(n,2) * prod_{i=1..n} (q^i - (-1)^i)
@@ -11,14 +11,13 @@ Characters are parametrized by assigning a partition to each polynomial
 class (polycount module); a character is real iff conjugate classes carry
 equal partitions, so real-degree sums factor over self-conjugate classes
 and pairs.  The per-class blocks of that product are built from the
-fake-degree polynomials of the hl module, f_mu(y) = (y;y)_n s_mu(1, y, ...)
-at y = +-q^d, as one integer-polynomial ratio per coefficient; they do not
-depend on the parity of q and are memoized (assignment_block_gf), while the
-class counts come through the count_selfdual_and_pairs binding on every
-call.  Everything is exact: integers at numeric q, RatFunc values
-symbolically (q=None).  Closed-form involution sums call the module-level
-group-order functions dynamically, so tests can perturb those and watch
-the downstream identity checks fail.
+fake-degree polynomials f_mu(y) = (y;y)_n s_mu(1, y, ...) of the hl module
+at y = +-q^d, one integer-polynomial ratio per coefficient, memoized since
+they do not depend on the parity of q; the class counts come through the
+count_selfdual_and_pairs binding on every call.  Everything is exact:
+integers at numeric q, RatFunc values symbolically (q=None).  Closed-form
+involution sums call the module-level group-order functions dynamically,
+so tests can perturb those (or _order_ic) and watch the checks fail.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .polycount import (brute_poly_census, count_selfdual_and_pairs, parity_e,
                         to_int)
 from .hl import (_fake_degree, _times_one_minus_zpow, hl_principal, rs_multi,
                  rs_homog, rogers_szego, pochhammer_cd)
-from .qseries import named_gf, series_pow_general
+from .qseries import named_gf
 
 
 def _binom2(n: int) -> int:
@@ -62,40 +61,42 @@ def _eval_sym(x: RatFunc, q):
     return x if q is None else x.eval(q)
 
 
+@lru_cache(maxsize=None)
+def _order_ic(eps: int, n: int) -> tuple:
+    """Integer coefficient tuple of prod_{i=1..n} (q^i - eps^i), eps = +-1."""
+    out = (1,)
+    for i in range(1, n + 1):  # times q^i - eps^i: shift by i, subtract
+        out = tuple(a - eps ** i * b for a, b in zip((0,) * i + out, out + (0,) * i))
+    return out
+
+
+def _order_value(eps: int, n: int, shift: int, q):
+    """q^shift * prod_{i=1..n} (q^i - eps^i): an int, or a RatFunc at q=None."""
+    _qval(q)
+    ic = (0,) * shift + _order_ic(eps, n)
+    if q is None:
+        return RatFunc._mk(QPoly._mk(ic, Fraction(1)), QPoly.one())
+    return sum(c * q ** k for k, c in enumerate(ic) if c)
+
+
 def gl_group_order(n: int, q=None):
     """gamma_n; an int for integer q, a RatFunc for q=None."""
-    qq = _qval(q)
-    out = qq ** _binom2(n)
-    for i in range(1, n + 1):
-        out = out * (qq ** i - 1)
-    return _finish(out, q)
+    return _order_value(1, n, _binom2(n), q)
 
 
 def u_group_order(n: int, q=None):
     """omega_n; an int for integer q, a RatFunc for q=None."""
-    qq = _qval(q)
-    out = qq ** _binom2(n)
-    for i in range(1, n + 1):
-        out = out * (qq ** i - (-1) ** i)
-    return _finish(out, q)
+    return _order_value(-1, n, _binom2(n), q)
 
 
 def gl_prefactor(n: int, q=None):
     """(q^n - 1)(q^(n-1) - 1)...(q - 1)."""
-    qq = _qval(q)
-    out = qq ** 0
-    for i in range(1, n + 1):
-        out = out * (qq ** i - 1)
-    return _finish(out, q)
+    return _order_value(1, n, 0, q)
 
 
 def u_prefactor_abs(n: int, q=None):
     """(q^n - (-1)^n)(q^(n-1) - (-1)^(n-1))...(q + 1), without sign."""
-    qq = _qval(q)
-    out = qq ** 0
-    for i in range(1, n + 1):
-        out = out * (qq ** i - (-1) ** i)
-    return _finish(out, q)
+    return _order_value(-1, n, 0, q)
 
 
 def involution_count(flavor: str, n: int, q=None, parity=None):
@@ -259,23 +260,22 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None,
         raise ValueError("counts must be 'formula' or 'census'")
     if counts == "census" and q is None:
         raise ValueError("census counts need numeric q")
-    e = parity_e(q, parity)
+    par = {1: "even", 2: "odd"}[parity_e(q, parity)]
     qq = _qval(q)
     out = Series.constant(qq ** 0, order)
+    log_sum = out * 0  # sum of count * log(block) over the non-integer counts
     for d in range(1, order + 1):
         if counts == "census":
             cc = brute_poly_census(d, q, flavor)
         else:
-            cc = count_selfdual_and_pairs(d, q, flavor,
-                                          parity={1: "even", 2: "odd"}[e])
+            cc = count_selfdual_and_pairs(d, q, flavor, parity=par)
         t_d, g_d = assignment_block_gf(flavor, d, order, q)
         for block, count in ((t_d, cc.n_selfdual), (g_d, cc.m_pairs)):
-            if isinstance(count, int):
-                if count:
-                    out = out * block ** count
-            else:
-                out = out * series_pow_general(block, count)
-    return out
+            if not isinstance(count, int):
+                log_sum = log_sum + block.log() * count
+            elif count:
+                out = out * block ** count
+    return out * log_sum.exp()
 
 
 def real_degree_sum_oracle(flavor: str, n: int, q: int) -> int:

@@ -502,17 +502,25 @@ def _gcd_ic(a: tuple, b: tuple) -> tuple:
     return tuple(_k.zz_gcd(list(a), list(b)))
 
 
+# Divisors here often carry a large factor q^v (a quotient of group orders
+# divides by q^(binom(r,2) + binom(n-r,2))), and the kernel's long division
+# would spend its passes on those zeros.  So the division splits q^v off
+# first: the v low entries of a must be zero, and a/b = (a/q^v)/(b/q^v).
+
+
 def _divexact_ic(a: tuple, b: tuple) -> tuple:
     """Exact quotient a/b of integer coefficient tuples, as `zz_divexact` gives it.
 
     Dividing by q^k drops k leading entries, which must all be zero.
     """
-    if b and b[-1] == 1 and b.count(0) == len(b) - 1:
-        k = len(b) - 1
-        if any(a[:k]):
-            raise ValueError("inexact polynomial division")
-        return a[k:]
-    return tuple(_k.zz_divexact(list(a), list(b)))
+    v = 0
+    while v < len(b) - 1 and not b[v]:
+        v += 1
+    if any(a[:v]):
+        raise ValueError("inexact polynomial division")
+    if b[v:] == (1,):
+        return a[v:]
+    return tuple(_k.zz_divexact(list(a[v:]), list(b[v:])))
 
 
 def qpow(k: int) -> RatFunc:

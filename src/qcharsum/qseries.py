@@ -136,13 +136,6 @@ def pair_expand(spec: PairProductSpec, order: int) -> Series:
     return Series(log_co, order).exp()
 
 
-def series_pow_general(s: Series, exponent) -> Series:
-    """s**exponent for an arbitrary scalar exponent, via exp(exponent*log(s))."""
-    if isinstance(exponent, int):
-        return s ** exponent
-    return (s.log() * exponent).exp()
-
-
 def product_of(factors) -> Series:
     out = None
     for f in factors:

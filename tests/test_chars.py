@@ -1,29 +1,35 @@
 """Tests for character degrees, degree sums, and involution counts."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from qcharsum.chars import (
     CharParam,
     _class_factor,
+    _order_ic,
     _qval,
     assignment_block_gf,
     char_degree,
     gl_group_order,
+    gl_prefactor,
     involution_count,
     involution_count_gf,
     real_degree_sum_gf,
     real_degree_sum_oracle,
+    real_sum_gf_from_classes,
     u_eps_sum_closed,
     u_eps_sum_gf,
     u_group_order,
+    u_prefactor_abs,
     u_real_sum_closed,
     u_unsumodd_exprs,
     weyl_sums,
 )
 from qcharsum.exact import RatFunc, Series, qpow
 from qcharsum.partitions import enumerate_partitions
+from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs
 
 
 Q = RatFunc.x()
@@ -41,6 +47,50 @@ def test_group_orders():
         for q in (2, 3, 4):
             assert gl_group_order(n, None).eval(q) == gl_group_order(n, q)
             assert u_group_order(n, None).eval(q) == u_group_order(n, q)
+
+
+def _order_by_factors(eps, n, shift, q):
+    """q^shift * prod (q^i - eps^i) as a product of RatFunc or Fraction factors."""
+    qq = _qval(q)
+    out = qq ** shift
+    for i in range(1, n + 1):
+        out = out * (qq ** i - eps ** i)
+    return out
+
+
+ORDER_FUNCTIONS = [
+    (gl_group_order, 1, True), (u_group_order, -1, True),
+    (gl_prefactor, 1, False), (u_prefactor_abs, -1, False),
+]
+
+
+@pytest.mark.parametrize("fn, eps, shifted", ORDER_FUNCTIONS)
+def test_group_orders_match_the_factor_product(fn, eps, shifted):
+    # The memoized integer product against the product of its factors:
+    # every canonical field symbolically, the same int at numeric q.
+    for n in range(13):
+        shift = n * (n - 1) // 2 if shifted else 0
+        got, want = fn(n, None), _order_by_factors(eps, n, shift, None)
+        assert ((got.num.ic, got.num.content, got.den.ic, got.den.content)
+                == (want.num.ic, want.num.content, want.den.ic, want.den.content))
+        for q in (2, 3, 5):
+            value = fn(n, q)
+            assert type(value) is int
+            assert value == _order_by_factors(eps, n, shift, q)
+
+
+@pytest.mark.parametrize("fn, eps, shifted", ORDER_FUNCTIONS)
+@pytest.mark.parametrize("q", [1, 0, 2.5, Fraction(3)])
+def test_group_orders_reject_bad_q(fn, eps, shifted, q):
+    with pytest.raises(ValueError):
+        fn(3, q)
+
+
+def test_order_ic_is_memoized():
+    for eps in (1, -1):
+        assert _order_ic(eps, 7) is _order_ic(eps, 7)
+    assert _order_ic(1, 2) == (1, -1, -1, 1)   # (q - 1)(q^2 - 1)
+    assert _order_ic(-1, 2) == (-1, -1, 1, 1)  # (q + 1)(q^2 - 1)
 
 
 def test_char_degree_rank_two():
@@ -249,3 +299,35 @@ def test_assignment_blocks_match_class_factor_sums(flavor, q):
             assert got.order == want.order == 8
             assert got.co == want.co, (flavor, d, q)
         assert assignment_block_gf(flavor, d, 8, q) is blocks
+
+
+def _gf_block_by_block(flavor, order, q, parity, counts):
+    """The class product with each block raised to its own class count."""
+    qq = _qval(q)
+    out = Series.constant(qq ** 0, order)
+    for d in range(1, order + 1):
+        cc = (brute_poly_census(d, q, flavor) if counts == "census"
+              else count_selfdual_and_pairs(d, q, flavor, parity=parity))
+        for block, count in zip(assignment_block_gf(flavor, d, order, q),
+                                (cc.n_selfdual, cc.m_pairs)):
+            if isinstance(count, int):
+                out = out * block ** count
+            else:
+                out = out * (block.log() * count).exp()
+    return out
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("flavor", ["gl", "u"])
+def test_class_product_takes_one_exp_of_the_summed_logs(flavor, parity):
+    # exp(sum count*log(block)) against the per-block powers, coefficient for
+    # coefficient at symbolic q.
+    got = real_sum_gf_from_classes(flavor, 8, None, parity)
+    assert got == _gf_block_by_block(flavor, 8, None, parity, "formula")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("flavor", ["gl", "u"])
+def test_class_product_on_the_census_path(flavor, q):
+    got = real_sum_gf_from_classes(flavor, 4, q, counts="census")
+    assert got == _gf_block_by_block(flavor, 4, q, None, "census")

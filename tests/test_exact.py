@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcharsum import _kernel_py, exact
 from qcharsum._kernel import zz_gcd
+from qcharsum.chars import involution_count
 from qcharsum.exact import QPoly, Rat, RatFunc, Series, SymPoly, qpow
 
 
@@ -379,6 +380,51 @@ class TestLaurentFastPathMatchesKernel:
             exact._divexact_ic((1, 1), (0, 1))
         with pytest.raises(ValueError):
             _kernel_py.zz_divexact([1, 1], [0, 1])
+
+
+# Integer polynomials with a nonzero top entry, and powers q^v to put on them.
+int_tuples = st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(
+    lambda co: co[-1]).map(tuple)
+valuations = st.integers(0, 4)
+
+
+class TestValuationSplit:
+    """_divexact_ic splits the divisor's q^v off before the kernel divides."""
+
+    @props
+    @given(valuations, int_tuples, valuations, int_tuples, st.booleans())
+    def test_matches_kernel(self, vb, bb, va, aa, exact_case):
+        # a = q^va * b * aa when exact_case, else q^va * aa (mostly inexact)
+        b = (0,) * vb + bb
+        a = (0,) * va + (tuple(_kernel_py.zz_mul(list(b), list(aa)))
+                         if exact_case else aa)
+        assert (quotient_or_error(exact._divexact_ic, a, b)
+                == quotient_or_error(_kernel_py.zz_divexact, list(a), list(b)))
+
+    @pytest.mark.parametrize("a, b", [
+        ((0, 0, 1, 1), (0, 0, 0, 2, 1)),  # q^2 (q + 1) / q^3 (q + 2): low entry
+        ((0, 0, 0, 1, 1), (0, 0, 0, 2, 1)),  # q^3 (q + 1) / q^3 (q + 2)
+        ((0, 0, 3), (0, 0, 2)),  # 3 q^2 / 2 q^2
+    ])
+    def test_inexact_division_raises_on_both_routes(self, a, b):
+        with pytest.raises(ValueError):
+            exact._divexact_ic(a, b)
+        with pytest.raises(ValueError):
+            _kernel_py.zz_divexact(list(a), list(b))
+
+    def test_kernel_divisors_have_a_nonzero_constant_term(self, monkeypatch):
+        divisors = []
+
+        def recording(a, b):
+            divisors.append(tuple(b))
+            return _kernel_py.zz_divexact(a, b)
+
+        monkeypatch.setattr(exact._k, "zz_divexact", recording)
+        for flavor in ("gl", "u"):
+            involution_count(flavor, 6, None, "odd")
+            involution_count(flavor, 6, None, "even")
+        assert divisors
+        assert all(b[0] for b in divisors)
 
 
 series_orders = st.integers(0, 6)

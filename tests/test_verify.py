@@ -212,6 +212,37 @@ def test_mutation_in_u_order_is_detected_with_warm_memo(monkeypatch):
     assert "n=2" in r.witness
 
 
+def _corrupt_order_ic(monkeypatch, key):
+    # Add 1 to the constant term of the memoized integer product at `key`,
+    # around the binding, so the memo itself stays clean.
+    real = chars._order_ic
+
+    def corrupted(eps, n):
+        ic = real(eps, n)
+        return (ic[0] + 1,) + ic[1:] if (eps, n) == key else ic
+
+    monkeypatch.setattr(chars, "_order_ic", corrupted)
+
+
+def test_mutation_in_order_product_is_detected(monkeypatch):
+    # The rank-3 product reaches both sides of thm-even/thm-odd (group order
+    # and prefactor) but in different ways, so they part exactly at n=3.
+    _corrupt_order_ic(monkeypatch, (1, 3))
+    for check_id in ("thm-even", "thm-odd"):
+        r = run_check(check_id, nmax=4)
+        assert r.status == "fail"
+        assert "n=3" in r.witness
+    monkeypatch.undo()
+    _corrupt_order_ic(monkeypatch, (-1, 2))
+    r = run_check("prop-involU-even", nmax=3)
+    assert r.status == "fail"
+    assert "n=2" in r.witness
+    monkeypatch.undo()
+    for check_id in ("thm-even", "thm-odd"):
+        assert run_check(check_id, nmax=4).status == "pass"
+    assert run_check("prop-involU-even", nmax=3).status == "pass"
+
+
 def test_mutation_in_named_gf_is_detected_with_warm_memo(monkeypatch):
     # The u^3 coefficient of the even linear-flavor series off by one, wrapped
     # around the public binding, outside the memo: the series side of
