@@ -4,9 +4,8 @@ Layers, bottom to top:
 
 * :mod:`qcharsum.exact`      -- integer polynomials, rational functions in q,
   truncated power series, and small multivariate polynomials; all arithmetic
-  exact.  A compiled kernel accelerates the polynomial core when available
-  (``IMPL_NAME`` says which one is active; set ``QCHARSUM_PURE=1`` to force
-  the pure-Python kernel).
+  exact.  A compiled kernel accelerates the polynomial core whenever it is
+  built (``IMPL_NAME`` says which one is active).
 * :mod:`qcharsum.partitions` -- integer partitions and their statistics.
 * :mod:`qcharsum.qseries`    -- named infinite-product generating functions
   expanded as exact truncated series.
@@ -23,7 +22,7 @@ Layers, bottom to top:
 * :mod:`qcharsum.cli`        -- the ``qcharsum`` command.
 """
 
-from ._kernel import HAVE_COMPILED, IMPL_NAME
+from ._kernel import IMPL_NAME
 from .exact import QPoly, Rat, RatFunc, Series, SymPoly, qpow
 from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .verify import CheckReport, CheckSpec, REGISTRY, run_all, run_check
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport",
     "CheckSpec",
-    "HAVE_COMPILED",
     "IMPL_NAME",
     "Partition",
     "QPoly",

@@ -1,26 +1,17 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""Kernel dispatch: compiled extension when built, pure Python otherwise.
 
-Set QCHARSUM_PURE=1 to force the pure-Python kernel (useful for timing
-comparisons and for debugging the extension).
+Each ``zz_*`` name here is the chosen implementation's own function object.
+``IMPL_NAME`` says which one is active (``"compiled"`` or ``"pure"``).
 """
 
-import os
+try:
+    from . import _kernel_cy as impl  # type: ignore[attr-defined]
 
-if os.environ.get("QCHARSUM_PURE"):
+    IMPL_NAME = "compiled"
+except ImportError:
     from . import _kernel_py as impl
 
-    HAVE_COMPILED = False
-else:
-    try:
-        from . import _kernel_cy as impl  # type: ignore[attr-defined]
-
-        HAVE_COMPILED = True
-    except ImportError:
-        from . import _kernel_py as impl
-
-        HAVE_COMPILED = False
-
-IMPL_NAME = "compiled" if HAVE_COMPILED else "pure"
+    IMPL_NAME = "pure"
 
 zz_strip = impl.zz_strip
 zz_add = impl.zz_add

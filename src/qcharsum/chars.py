@@ -32,7 +32,7 @@ from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .polycount import (brute_poly_census, count_selfdual_and_pairs, parity_e,
                         to_int)
 from .hl import (_fake_degree, _times_one_minus_zpow, hl_principal, rs_multi,
-                 rs_homog, rogers_szego, pochhammer_cd)
+                 pochhammer_cd)
 from .qseries import named_gf
 
 
@@ -113,13 +113,14 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
     order = gl_group_order if flavor == "gl" else u_group_order
     qq = _qval(q)
     g = [order(j, q) for j in range(n + 1)]
+    top = g[n] if q is None else Fraction(g[n])  # int / int would be a float
     total = qq * 0
     if e == 1:
         for r in range(n // 2 + 1):
-            total = total + Fraction(1) * g[n] / (qq ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
+            total = total + top / (qq ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
     else:
         for r in range(n + 1):
-            total = total + Fraction(1) * g[n] / (g[r] * g[n - r])
+            total = total + top / (g[r] * g[n - r])
     return _finish(total, q)
 
 

@@ -11,7 +11,6 @@ Subcommands:
 * ``involutions``       -- involution count for a group family.
 * ``eps-split``         -- the two indicator-refined degree sums.
 * ``brute-involutions`` -- enumerate a small group directly.
-* ``bench``             -- compare the pure and compiled kernels.
 
 Exact values print as integers (numeric q) or rational functions in q
 (symbolic mode).
@@ -280,11 +279,6 @@ def _cmd_brute_involutions(args) -> int:
     return 0 if brute == closed else 1
 
 
-def _cmd_bench(args) -> int:
-    from . import bench
-    return bench.run(end_to_end=args.end_to_end)
-
-
 # ---------------------------------------------------------------------------
 # Parser assembly.
 # ---------------------------------------------------------------------------
@@ -375,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=lambda a: _cmd_brute_involutions(a))
-
-    p = subs.add_parser("bench", help="compare pure and compiled kernels")
-    p.add_argument("--end-to-end", action="store_true",
-                   help="also time a full check in a subprocess per kernel")
-    p.set_defaults(func=lambda a: _cmd_bench(a))
 
     return parser
 

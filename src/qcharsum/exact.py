@@ -275,7 +275,8 @@ class RatFunc:
             denq = QPoly._coerce(den)
             if denq is None:
                 raise TypeError(f"cannot build RatFunc from {type(den).__name__}")
-        self.num, self.den = _ratfunc_normalize(numq, denq)
+        r = _ratfunc_normalize(numq, denq)
+        self.num, self.den = r.num, r.den
 
     @classmethod
     def _mk(cls, num: QPoly, den: QPoly) -> "RatFunc":
@@ -443,21 +444,12 @@ class RatFunc:
         return f"RatFunc({self!s})"
 
 
-def _ratfunc_normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+def _ratfunc_normalize(num: QPoly, den: QPoly) -> RatFunc:
     if den.is_zero:
         raise ZeroDivisionError("rational function with zero denominator")
     if num.is_zero:
-        return QPoly.zero(), QPoly.one()
-    g = _gcd_ic(num.ic, den.ic)
-    if len(g) > 1:
-        nic = _divexact_ic(num.ic, g)
-        dic = _divexact_ic(den.ic, g)
-    else:
-        nic, dic = num.ic, den.ic
-    lead = dic[-1]
-    new_den = QPoly._mk(dic, Fraction(1, lead))
-    new_num = QPoly._mk(nic, num.content / (den.content * lead))
-    return new_num, new_den
+        return RatFunc._mk(QPoly.zero(), QPoly.one())
+    return _monicized(*_cancel(num, den))
 
 
 def _monicized(num: QPoly, den: QPoly) -> RatFunc:

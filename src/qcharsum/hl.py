@@ -31,17 +31,15 @@ Main entry points:
   q-series ingredients used by the degree-sum formulas.
 
 The checks ask for the same few hundred values over and over, so s_lam(z)
-is memoized by (lam, z), and P_lam(z; t) by (lam, z, t) whenever z and t are
-hashable (a SymPoly t is not; it still reuses the memoized s_mu), and F_lam
-by lam.  The memos sit behind schur_principal, hl_principal and
-hl_principal_poly, which stay the only routes to them, so patching a public
-name still intercepts every call.  hl_principal does not use F_lam, and the
+is memoized by (lam, z), P_lam(z; t) by (lam, z, t), and F_lam by lam.
+The memos sit behind schur_principal, hl_principal and hl_principal_poly,
+which stay the only routes to them, so patching a public name still
+intercepts every call.  hl_principal does not use F_lam, and the
 finite oracle uses neither.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -240,15 +238,11 @@ class HLValue:
 def hl_principal(lam, z, t) -> HLValue:
     """P_lam(1, z, z^2, ...; t), via the inverse Kostka-Foulkes expansion.
 
-    The value is memoized when z and t are hashable; the HLValue returned
-    always carries the caller's own z and t.
+    The value is memoized by (lam, z, t), so z and t must be hashable; the
+    HLValue returned always carries the caller's own z and t.
     """
     lam = _as_partition(lam)
-    if isinstance(z, Hashable) and isinstance(t, Hashable):
-        value = _hl_value(lam.parts, z, t)
-    else:
-        value = _hl_value.__wrapped__(lam.parts, z, t)
-    return HLValue(lam=lam, z=z, t=t, value=value)
+    return HLValue(lam=lam, z=z, t=t, value=_hl_value(lam.parts, z, t))
 
 
 @lru_cache(maxsize=None)

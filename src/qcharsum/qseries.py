@@ -5,10 +5,10 @@ Two product shapes cover everything needed here:
 * single-index geometric products  prod_{i>=0} (1 + sign*c*r^i*u^a)^(+-1),
   expanded by Euler's two q-exponential identities, giving one closed
   rational-function coefficient per power of u;
-* products over index pairs  prod_{i<j} (1 + sign*v*x^(i+j))^E  (and the
-  full-grid variant over all i, j >= 1), expanded through log -> geometric
-  power sums -> exp, which is exact at every truncation order (truncating
-  the index range instead would give wrong coefficients at every order).
+* products over index pairs  prod_{1<=i<j} (1 + sign*v*x^(i+j))^E,
+  expanded through log -> geometric power sums -> exp, which is exact at
+  every truncation order (truncating the index range instead would give
+  wrong coefficients at every order).
 
 The ratio r (resp. base x) must vanish as q grows so the coefficient sums
 are honest rational functions.  Coefficient scalars may come from Q(q) or
@@ -66,25 +66,19 @@ class GeometricFactorSpec:
 
 @dataclass(frozen=True)
 class PairProductSpec:
-    """prod over pairs of (1 + sign*v_coeff*base^(i+j)*u^u_power)^exponent.
-
-    region "i<j" takes 1 <= i < j; region "i,j" takes all i, j >= 1.
-    """
+    """prod over 1 <= i < j of (1 + sign*v_coeff*base^(i+j)*u^u_power)^exponent."""
 
     sign: int
     v_coeff: object  # RatFunc or SymPoly scalar; may have negative valuation
     u_power: int
     base: RatFunc
     exponent: int
-    region: str = "i<j"
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.u_power < 1:
             raise ValueError("u_power must be a positive integer")
-        if self.region not in ("i<j", "i,j"):
-            raise ValueError("region must be 'i<j' or 'i,j'")
         _check_small(self.base, "base")
 
 
@@ -126,12 +120,8 @@ def pair_expand(spec: PairProductSpec, order: int) -> Series:
     for m in range(1, order // a + 1):
         vm = vm * v
         xm = xm * spec.base
-        if spec.region == "i<j":
-            # sum over 1 <= i < j of x^(m(i+j)) = x^3m / ((1-x^m)(1-x^2m))
-            tail = (xm ** 3) / ((one - xm) * (one - xm * xm))
-        else:
-            # sum over all i, j >= 1 of x^(m(i+j)) = x^2m / (1-x^m)^2
-            tail = (xm * xm) / ((one - xm) ** 2)
+        # sum over 1 <= i < j of x^(m(i+j)) = x^3m / ((1-x^m)(1-x^2m))
+        tail = (xm ** 3) / ((one - xm) * (one - xm * xm))
         log_co[a * m] = vm * tail * Fraction(spec.exponent * (-1) ** (m + 1), m)
     return Series(log_co, order).exp()
 

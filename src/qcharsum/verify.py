@@ -342,7 +342,6 @@ _IGL_TABLE = {
 
 
 def _run_igl_table(nmax: int, observe_nmax: int):
-    from .exact import QPoly
     for n in range(1, nmax + 1):
         shift, coeffs = _IGL_TABLE[n]
         expected = RatFunc.const(1) * QPoly(list(coeffs)) * qpow(shift)

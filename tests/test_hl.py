@@ -342,13 +342,6 @@ def test_schur_principal_at_plus_minus_inverse_q_needs_no_ratfunc_products(monke
     assert got == want
 
 
-def test_hl_principal_with_unhashable_t():
-    t = SymPoly.gen("t")
-    for z in (qpow(-1), -qpow(-1)):
-        for lam in _all_partitions(4):
-            assert hl_principal(lam, z, t).value == _hl_expansion(lam, z, t), (lam, z)
-
-
 def test_hl_memo_returns_the_callers_t():
     z = -qpow(-1)
     ts = (1, Fraction(1), RatFunc.const(1))

@@ -1,18 +1,23 @@
-"""Pure-Python vs compiled kernel agreement, and gcd against sympy."""
+"""Pure-Python vs compiled kernel agreement, and gcd against sympy.
 
+When the extension is not built, the agreement tests compile the committed
+``_kernel_cy.c`` into a temporary directory and test that build.
+"""
+
+import importlib.util
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+import qcharsum
 from qcharsum import _kernel_py
-
-try:
-    from qcharsum import _kernel_cy
-except ImportError:
-    _kernel_cy = None
 
 OPS_BINARY = ("zz_add", "zz_sub", "zz_mul", "zz_gcd")
 OPS_UNARY = ("zz_strip", "zz_neg", "zz_content", "zz_primitive")
@@ -27,19 +32,47 @@ def _rand_poly(rng, max_deg=40, bound=10 ** 6, allow_zero=True):
     return co
 
 
-needs_compiled = pytest.mark.skipif(_kernel_cy is None,
-                                    reason="compiled kernel not built")
+@pytest.fixture(scope="module")
+def kernel_cy(tmp_path_factory):
+    """The built extension, or else one compiled from the committed C source."""
+    try:
+        from qcharsum import _kernel_cy
+    except ImportError:
+        pass
+    else:
+        yield _kernel_cy
+        return
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    include = sysconfig.get_paths()["include"]
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler to build the compiled kernel")
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no Python.h to build the compiled kernel")
+    source = Path(qcharsum.__file__).with_name("_kernel_cy.c")
+    target = tmp_path_factory.mktemp("kernel_cy") / (
+        "_kernel_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run([*cc, "-O0", "-shared", "-fPIC", "-I", include,
+                    str(source), "-o", str(target)],
+                   check=True, capture_output=True, timeout=300)
+    name = "qcharsum._kernel_cy"
+    spec = importlib.util.spec_from_file_location(name, target)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
 
 
-@needs_compiled
-def test_kernels_agree_on_random_inputs():
+def test_kernels_agree_on_random_inputs(kernel_cy):
     rng = random.Random(7)
     for _ in range(60):
         a = _rand_poly(rng, max_deg=18, bound=10 ** 4)
         b = _rand_poly(rng, max_deg=18, bound=10 ** 4)
         for op in OPS_UNARY:
             left = getattr(_kernel_py, op)(a)
-            right = getattr(_kernel_cy, op)(a)
+            right = getattr(kernel_cy, op)(a)
             if op == "zz_primitive":
                 left, right = (left[0], tuple(left[1])), (right[0], tuple(right[1]))
             elif op not in ("zz_content",):
@@ -49,21 +82,20 @@ def test_kernels_agree_on_random_inputs():
             if op == "zz_gcd" and (not a or not b):
                 continue
             assert tuple(getattr(_kernel_py, op)(a, b)) == \
-                tuple(getattr(_kernel_cy, op)(a, b)), op
+                tuple(getattr(kernel_cy, op)(a, b)), op
 
 
-@needs_compiled
-def test_kernels_agree_on_division_and_prem():
+def test_kernels_agree_on_division_and_prem(kernel_cy):
     rng = random.Random(11)
     for _ in range(60):
         a = _rand_poly(rng, max_deg=14, bound=10 ** 4, allow_zero=False)
         b = _rand_poly(rng, max_deg=7, bound=10 ** 4, allow_zero=False)
         product = _kernel_py.zz_mul(a, b)
         assert tuple(_kernel_py.zz_divexact(product, b)) == \
-            tuple(_kernel_cy.zz_divexact(product, b))
+            tuple(kernel_cy.zz_divexact(product, b))
         if len(a) >= len(b):
             assert tuple(_kernel_py.zz_prem(a, b)) == \
-                tuple(_kernel_cy.zz_prem(a, b))
+                tuple(kernel_cy.zz_prem(a, b))
 
 
 def test_gcd_against_sympy():
@@ -98,15 +130,6 @@ def test_gcd_divides_both_inputs():
             _, prim = _kernel_py.zz_primitive(poly)
             quotient = _kernel_py.zz_divexact(prim, g)
             assert tuple(_kernel_py.zz_mul(quotient, g)) == tuple(prim)
-
-
-def test_dispatcher_env_var_selects_pure_kernel():
-    code = ("import qcharsum; "
-            "print(qcharsum.IMPL_NAME, qcharsum.HAVE_COMPILED)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "QCHARSUM_PURE": "1"},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["pure", "False"]
 
 
 def test_dispatcher_exports_all_kernel_functions():

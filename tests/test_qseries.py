@@ -82,11 +82,6 @@ class TestPairExpand:
         p2 = X ** 6 / ((1 - X ** 2) * (1 - X ** 4))
         assert s.coefficient(4) == (p1 ** 2 - p2) / 2
 
-    def test_full_grid_power_sum(self):
-        # region "i,j": p_1 = x^2/(1-x)^2
-        s = pair_expand(PairProductSpec(-1, ONE, 2, X, 1, region="i,j"), 2)
-        assert s.coefficient(2) == -(X ** 2) / ((1 - X) * (1 - X))
-
     @pytest.mark.parametrize("expo", [1, -1])
     def test_functional_equation_triangular(self, expo):
         # split off i=1: pair_v = euler(v*x^3) * pair_(v*x^2)
@@ -94,17 +89,6 @@ class TestPairExpand:
         lhs = pair_expand(PairProductSpec(-1, v, 2, X, expo), 8)
         rhs = (euler_expand(GeometricFactorSpec(-1, 2, v * X ** 3, X, expo), 8)
                * pair_expand(PairProductSpec(-1, v * X ** 2, 2, X, expo), 8))
-        assert lhs.first_difference(rhs) is None
-
-    @pytest.mark.parametrize("expo", [1, -1])
-    def test_functional_equation_full_grid(self, expo):
-        # split off i=1 and j=1: two geometric rows plus the shifted grid
-        v = ONE
-        lhs = pair_expand(PairProductSpec(-1, v, 2, X, expo, region="i,j"), 8)
-        rhs = (euler_expand(GeometricFactorSpec(-1, 2, v * X ** 2, X, expo), 8)
-               * euler_expand(GeometricFactorSpec(-1, 2, v * X ** 3, X, expo), 8)
-               * pair_expand(PairProductSpec(-1, v * X ** 2, 2, X, expo,
-                                             region="i,j"), 8))
         assert lhs.first_difference(rhs) is None
 
     def test_shifted_quotient_collapses_to_single_product(self):
