@@ -12,12 +12,13 @@ class (polycount module); a character is real iff conjugate classes carry
 equal partitions, so real-degree sums factor over self-conjugate classes
 and pairs.  The per-class blocks of that product are built from the
 fake-degree polynomials f_mu(y) = (y;y)_n s_mu(1, y, ...) of the hl module
-at y = +-q^d, one integer-polynomial ratio per coefficient, memoized since
-they do not depend on the parity of q; the class counts come through the
-count_selfdual_and_pairs binding on every call.  Everything is exact:
-integers at numeric q, RatFunc values symbolically (q=None).  Closed-form
-involution sums call the module-level group-order functions dynamically,
-so tests can perturb those (or _order_ic) and watch the checks fail.
+at y = +-q^d, one integer-polynomial ratio per coefficient.  They and their
+logarithms are memoized, since they do not depend on the parity of q; the
+class counts come through the count_selfdual_and_pairs binding on every
+call.  Everything is exact: integers at numeric q, RatFunc values
+symbolically (q=None).  Closed-form involution sums call the module-level
+group-order functions dynamically, so tests can perturb those (or
+_order_ic) and watch the checks fail.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 from . import _kernel as _k
 from .exact import QPoly, RatFunc, Series, qpow
@@ -237,6 +239,13 @@ def _assignment_blocks(flavor: str, d: int, order: int, q):
     return Series(t_co, order), Series(g_co, order)
 
 
+@lru_cache(maxsize=None)
+def _assignment_block_logs(flavor: str, d: int, order: int, q) -> tuple:
+    """(log T_d, log G_d), memoized like the blocks: they too do not depend
+    on the parity of q."""
+    return tuple(block.log() for block in _assignment_blocks(flavor, d, order, q))
+
+
 def _at_y(num: list, den: list, d: int, eps: int, q):
     """num(y)/den(y) at y = eps*q^d, for integer coefficient lists in y."""
     def in_q(co):
@@ -270,12 +279,13 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None,
             cc = brute_poly_census(d, q, flavor)
         else:
             cc = count_selfdual_and_pairs(d, q, flavor, parity=par)
-        t_d, g_d = assignment_block_gf(flavor, d, order, q)
-        for block, count in ((t_d, cc.n_selfdual), (g_d, cc.m_pairs)):
+        blocks = assignment_block_gf(flavor, d, order, q)
+        for k, count in enumerate((cc.n_selfdual, cc.m_pairs)):
             if not isinstance(count, int):
-                log_sum = log_sum + block.log() * count
+                log = _assignment_block_logs(flavor, d, order, q)[k]
+                log_sum = log_sum + log * count
             elif count:
-                out = out * block ** count
+                out = out * blocks[k] ** count
     return out * log_sum.exp()
 
 
@@ -470,45 +480,48 @@ def _hook_product(lam: Partition) -> int:
     return out
 
 
-def _factorials(n: int):
-    out = [1]
-    for i in range(1, n + 1):
-        out.append(out[-1] * i)
-    return out
+@lru_cache(maxsize=None)
+def _sym_degrees(m: int) -> tuple:
+    """The irreducible character degrees m!/H(lam) of S_m, over lam |- m."""
+    fact = factorial(m)
+    return tuple(fact // _hook_product(lam) for lam in enumerate_partitions(m))
+
+
+def _b_degree_sum(n: int) -> int:
+    return sum(comb(n, k) * sum(_sym_degrees(k)) * sum(_sym_degrees(n - k))
+               for k in range(n + 1))
 
 
 def _egf_coeff_times_factorial(log_co, n: int) -> int:
     """n! * [u^n] exp(series with given low-order coefficients)."""
     s = Series([Fraction(c) for c in log_co] + [Fraction(0)] * (n + 1), n)
-    return to_int(s.exp().coefficient(n) * _factorials(n)[n])
+    return to_int(s.exp().coefficient(n) * factorial(n))
 
 
 def weyl_sums(family: str, n: int) -> dict:
     """Character degree sum and involution count for the classical Weyl
     families: A (symmetric group S_n), B (hyperoctahedral group), D (its
     index-two rotation subgroup), each verified against exponential
-    generating functions elsewhere."""
-    fact = _factorials(n)
+    generating functions elsewhere.
 
-    def sym_degree_sum(m: int) -> int:
-        return sum(fact[m] // _hook_product(lam) for lam in enumerate_partitions(m))
-
+    The degree sums come from the hook-length degrees of S_m alone.  The
+    irreducibles of B_n are labelled by pairs (lam, tau) with
+    |lam| + |tau| = n and have degree C(n, |lam|) f_lam f_tau, so the B sum is
+    sum_k C(n, k) S(k) S(n - k), with S(m) the degree sum of S_m.  Those of
+    D_n are the pairs up to swapping, a pair (lam, lam) splitting in two, so
+    the D sum is (B sum + C(n, n/2) sum_{lam |- n/2} f_lam^2) / 2.
+    """
     if family == "A":
-        degree_sum = sym_degree_sum(n)
+        degree_sum = sum(_sym_degrees(n))
         involutions = _egf_coeff_times_factorial([0, 1, Fraction(1, 2)], n)
     elif family == "B":
-        degree_sum = 0
-        for k in range(n + 1):
-            for lam in enumerate_partitions(k):
-                for tau in enumerate_partitions(n - k):
-                    degree_sum += fact[n] // (_hook_product(lam) * _hook_product(tau))
+        degree_sum = _b_degree_sum(n)
         involutions = _egf_coeff_times_factorial([0, 2, 1], n)
     elif family == "D":
-        b_sum = weyl_sums("B", n)["degree_sum"]
+        b_sum = _b_degree_sum(n)
         diag = 0
         if n % 2 == 0:
-            for lam in enumerate_partitions(n // 2):
-                diag += fact[n] // (_hook_product(lam) ** 2)
+            diag = comb(n, n // 2) * sum(f * f for f in _sym_degrees(n // 2))
         degree_sum = (b_sum + diag) // 2
         if (b_sum + diag) % 2:
             raise AssertionError("degree sum halving failed")
@@ -516,7 +529,7 @@ def weyl_sums(family: str, n: int) -> dict:
         e_u2 = Series([Fraction(0), Fraction(0), Fraction(1)], n).exp()
         e_2u = Series([Fraction(0), Fraction(2)], n).exp()
         coeff = (e_u2 * (e_2u + 1)).coefficient(n)
-        involutions = to_int(coeff * fact[n] / 2)
+        involutions = to_int(coeff * factorial(n) / 2)
     else:
         raise ValueError(f"family must be 'A', 'B', or 'D', got {family!r}")
     return {"degree_sum": degree_sum, "involutions": involutions}

@@ -9,9 +9,13 @@ Main entry points:
   the quotient is normalized once.  For z = +-1/q the numerator is a
   monomial, so that normalization takes the exact layer's Laurent fast path.
 * kostka_foulkes(n): the full transition matrix K_{lam,mu}(t) between Schur
-  and Hall-Littlewood bases at size n, computed from tableaux via the
-  charge statistic, together with its inverse (both are unitriangular in
-  dominance order, hence in the reverse-lexicographic enumeration order).
+  and Hall-Littlewood bases at size n, together with its inverse (both are
+  unitriangular in dominance order, hence in the reverse-lexicographic
+  enumeration order).  Column mu of K comes from one walk over chains of
+  horizontal strips, which meets every semistandard tableau of content mu,
+  of every shape, exactly once; its charge (Lascoux-Schutzenberger) goes
+  into the bucket of its shape.  Entries are integer coefficient tuples in
+  t, and the inverse is solved in integers.
 * hl_principal(lam, z, t): P_lam(1, z, z^2, ...; t) obtained by expanding P
   in Schur functions through the inverse Kostka-Foulkes matrix.
 * hl_principal_poly(lam): the same expansion cleared of denominators,
@@ -40,14 +44,16 @@ finite oracle uses neither.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
 
+from . import _kernel as _k
 from .exact import QPoly, RatFunc
-from .partitions import Partition, enumerate_partitions, dominates, gaussian_binomial
+from .partitions import Partition, enumerate_partitions, gaussian_binomial
 
 _KOSTKA_BUDGET = 12
 
@@ -78,104 +84,99 @@ def _schur_principal(parts: tuple, z: RatFunc) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Tableaux, charge, Kostka-Foulkes.
+# Charge and the Kostka-Foulkes table.
 # ---------------------------------------------------------------------------
 
 
-def _horizontal_extensions(shape, bound, k):
-    """All ways to add k cells to `shape` (row lengths), no two in a column,
-    staying inside row bounds `bound`."""
-    rows = len(bound)
-    out = []
-
-    def rec(i, left, acc):
-        if i == rows:
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        cap = bound[i] - shape[i]
-        if i > 0:
-            cap = min(cap, max(0, shape[i - 1] - shape[i]))
-        for add in range(min(cap, left) + 1):
-            acc.append(shape[i] + add)
-            rec(i + 1, left - add, acc)
-            acc.pop()
-
-    rec(0, k, [])
-    return out
-
-
-def _ssyt_words(lam: Partition, mu: Partition):
-    """Reading words (bottom row first, each row left to right) of all
-    semistandard tableaux of shape lam and content mu."""
-    rows = lam.ell
-    target = tuple(lam.parts)
-    words = []
-    fill = [[] for _ in range(rows)]
-
-    def rec(v, shape):
-        if v > mu.ell:
-            if shape == target:
-                word = []
-                for r in range(rows - 1, -1, -1):
-                    word.extend(fill[r])
-                words.append(tuple(word))
-            return
-        k = mu[v - 1]
-        for newshape in _horizontal_extensions(shape, target, k):
-            for r in range(rows):
-                fill[r].extend([v] * (newshape[r] - shape[r]))
-            rec(v + 1, newshape)
-            for r in range(rows):
-                del fill[r][len(fill[r]) - (newshape[r] - shape[r]):]
-
-    rec(1, (0,) * rows)
-    return words
-
-
 def charge(word) -> int:
-    """Charge of a word with partition content, by repeated extraction of
-    standard subwords scanning right-to-left cyclically."""
-    remaining = list(word)
+    """Charge of a word with partition content (Lascoux-Schutzenberger).
+
+    Standard subwords are extracted one after another: the rightmost 1,
+    then, scanning leftward cyclically, the next 2, 3, ...  A letter's
+    index is its predecessor's, plus one when the scan wraps past the start
+    of the word; the charge is the sum of the indices.  Each value keeps the
+    sorted positions of its letters, so each step of the scan is a bisection.
+    """
+    where = [[] for _ in range(max(word, default=0) + 2)]
+    for i, a in enumerate(word):
+        where[a].append(i)
     total = 0
-    while remaining:
-        n = len(remaining)
-        # pick the rightmost 1, then cyclically leftward the next value
-        pos = max(i for i, a in enumerate(remaining) if a == 1)
-        chosen = {1: pos}
-        need = 2
-        cur = pos
-        present = set(remaining)
-        while need in present:
-            found = None
-            for step in range(1, n):
-                j = (cur - step) % n
-                if remaining[j] == need and j not in chosen.values():
-                    found = j
-                    break
-            if found is None:
-                break
-            chosen[need] = found
-            cur = found
-            need += 1
-        # index statistic on the extracted subword, in original word order
+    while where[1]:
+        cur = where[1].pop()
         idx = 0
-        for v in range(2, need):
-            if chosen[v] > chosen[v - 1]:
+        v = 2
+        while where[v]:
+            ps = where[v]
+            k = bisect_left(ps, cur)
+            if not k:
+                k = len(ps)
                 idx += 1
+            cur = ps.pop(k - 1)
             total += idx
-        for j in sorted(chosen.values(), reverse=True):
-            del remaining[j]
+            v += 1
     return total
+
+
+def _charge_column(mu: tuple) -> dict:
+    """{lam: counts} over the semistandard tableaux of content mu, where
+    counts[c] is the number of tableaux of shape lam with charge c.
+
+    One walk covers every shape.  The values v = 1, 2, ... are placed in
+    turn, each as a horizontal strip of mu[v-1] cells: row i > 0 gains at
+    most shape[i-1] - shape[i] cells (the first empty row at most the last
+    row's length) and row 0 takes whatever the rows below it leave.  So
+    every chain of strips is a tableau and no branch is abandoned.
+    """
+    rows = len(mu)
+    if not rows:
+        return {(): [1]}
+    shape = [0] * rows
+    fill = [[] for _ in range(rows)]
+    column = {}
+
+    def place(v, i, left):
+        # put `left` more cells of value v + 1 into rows i, i - 1, ..., 0,
+        # passing over the rows that can take none
+        while i and (not left or shape[i - 1] == shape[i]):
+            i -= 1
+        if i:
+            row, base = fill[i], shape[i]
+            top = min(shape[i - 1] - base, left)
+            for add in range(top + 1):
+                if add:
+                    row.append(v + 1)
+                    shape[i] = base + add
+                place(v, i - 1, left - add)
+            shape[i] = base
+            del row[base:]
+            return
+        shape[0] += left
+        fill[0].extend([v + 1] * left)
+        if v + 1 < rows:
+            place(v + 1, shape.index(0) if not shape[-1] else rows - 1, mu[v + 1])
+        else:
+            c = charge([a for row in reversed(fill) for a in row])
+            counts = column.setdefault(tuple(p for p in shape if p), [])
+            if c >= len(counts):
+                counts.extend([0] * (c + 1 - len(counts)))
+            counts[c] += 1
+        shape[0] -= left
+        del fill[0][shape[0]:]
+
+    place(0, 0, mu[0])
+    return column
 
 
 @dataclass(frozen=True)
 class KostkaTable:
     """Kostka-Foulkes matrix at size n and its inverse.
 
-    Both maps send a pair of part-tuples (lam, mu) to a polynomial in t.
-    Rows are indexed by the Schur label: s_lam = sum_mu K[lam, mu] P_mu and
-    P_lam = sum_mu K_inv[lam, mu] s_mu.
+    Both maps send a pair of part-tuples (lam, mu) to a polynomial in t with
+    integer coefficients, stored as a tuple (index = power of t, last entry
+    nonzero); pairs whose polynomial is 0 are absent.  Rows are indexed by
+    the Schur label: s_lam = sum_mu K[lam, mu] P_mu and
+    P_lam = sum_mu K_inv[lam, mu] s_mu.  `order` lists the partitions of n
+    reverse-lexicographically, in which both matrices are upper unitriangular.
     """
 
     n: int
@@ -184,47 +185,44 @@ class KostkaTable:
     K_inv: dict
 
 
-def _kostka_poly(lam: Partition, mu: Partition) -> QPoly:
-    co = {}
-    for w in _ssyt_words(lam, mu):
-        c = charge(w)
-        co[c] = co.get(c, 0) + 1
-    if not co:
-        return QPoly()
-    return QPoly([co.get(i, 0) for i in range(max(co) + 1)])
-
-
 @lru_cache(maxsize=None)
 def kostka_foulkes(n: int) -> KostkaTable:
-    """Kostka-Foulkes transition data for partitions of n (n <= 12)."""
+    """Kostka-Foulkes transition data for partitions of n (n <= 12).
+
+    Column mu of K is the charge generating function of the tableaux of
+    content mu, bucketed by shape (Macdonald III.6); K_inv is solved by
+    back-substitution in integer coefficient lists.
+    """
     if not (0 <= n <= _KOSTKA_BUDGET):
         raise ValueError(f"kostka_foulkes supports 0 <= n <= {_KOSTKA_BUDGET}")
     order = tuple(enumerate_partitions(n))
-    m = len(order)
-    one = QPoly([1])
+    labels = [p.parts for p in order]
     K = {}
-    for i, lam in enumerate(order):
-        for j, mu in enumerate(order):
-            if i == j:
-                K[(lam.parts, mu.parts)] = one
-            elif j > i and dominates(lam, mu):
-                p = _kostka_poly(lam, mu)
-                if p:
-                    K[(lam.parts, mu.parts)] = p
-    # invert the unit upper-triangular matrix by back-substitution
+    for mu in labels:
+        for lam, counts in _charge_column(mu).items():
+            K[lam, mu] = tuple(counts)
     K_inv = {}
-    for i in range(m):
-        K_inv[(order[i].parts, order[i].parts)] = one
-        for j in range(i + 1, m):
-            acc = QPoly()
-            for k in range(i, j):
-                a = K_inv.get((order[i].parts, order[k].parts))
-                b = K.get((order[k].parts, order[j].parts))
-                if a is not None and b is not None:
-                    acc = acc + a * b
+    for i, lam in enumerate(labels):
+        row = {i: [1]}
+        for j in range(i + 1, len(labels)):
+            acc = []
+            for k, co in row.items():
+                b = K.get((labels[k], labels[j]))
+                if b is not None:
+                    acc = _k.zz_sub(acc, _k.zz_mul(co, b))
             if acc:
-                K_inv[(order[i].parts, order[j].parts)] = -acc
+                row[j] = acc
+        for j, co in row.items():
+            K_inv[lam, labels[j]] = tuple(co)
     return KostkaTable(n=n, order=order, K=K, K_inv=K_inv)
+
+
+def _at(co: tuple, t):
+    """sum_k co[k] t^k by Horner; t may be any ring element or scalar."""
+    acc = t * 0
+    for c in reversed(co):
+        acc = acc * t + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,7 @@ def _hl_value(parts: tuple, z, t):
         c = table.K_inv.get((parts, mu.parts))
         if c is None:
             continue
-        term = c.eval(t) * schur_principal(mu, z)
+        term = _at(c, t) * schur_principal(mu, z)
         acc = term if acc is None else acc + term
     return acc
 
@@ -300,12 +298,6 @@ def _fake_degree(parts: tuple) -> tuple:
     return tuple(co)
 
 
-def _int_coefficients(p: QPoly) -> list:
-    if p.content.denominator != 1:
-        raise ValueError(f"not an integer polynomial: {p}")
-    return [p.content.numerator * c for c in p.ic]
-
-
 def hl_principal_poly(lam) -> MappingProxyType:
     """F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t), n = |lam|, over the integers.
 
@@ -325,7 +317,7 @@ def _hl_principal_poly(parts: tuple) -> MappingProxyType:
         if c is None:
             continue
         f = _fake_degree(mu.parts)
-        for k, ck in enumerate(_int_coefficients(c)):
+        for k, ck in enumerate(c):
             if not ck:
                 continue
             for e, fe in enumerate(f):

@@ -1,10 +1,12 @@
 """Tests for character degrees, degree sums, and involution counts."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+import qcharsum.chars as chars
 from qcharsum.chars import (
     CharParam,
     _class_factor,
@@ -252,6 +254,36 @@ def test_weyl_sums_match_brute_force():
         assert ws["degree_sum"] == ws["involutions"] == _brute_signed_involutions(n, True)
 
 
+def _hooks(lam):
+    out = 1
+    for h in lam.hooks():
+        out *= h
+    return out
+
+
+def _bipartition_degree_sums(n):
+    """The B and D degree sums as n!/(H(lam) H(tau)) over every bipartition
+    (lam, tau) of n, and the diagonal pairs (lam, lam) for D."""
+    fact = math.factorial(n)
+    b_sum = 0
+    for k in range(n + 1):
+        for lam in enumerate_partitions(k):
+            for tau in enumerate_partitions(n - k):
+                b_sum += fact // (_hooks(lam) * _hooks(tau))
+    diag = 0
+    if n % 2 == 0:
+        for lam in enumerate_partitions(n // 2):
+            diag += fact // (_hooks(lam) ** 2)
+    return b_sum, (b_sum + diag) // 2
+
+
+def test_weyl_degree_sums_match_bipartition_hook_products():
+    for n in range(11):
+        b_sum, d_sum = _bipartition_degree_sums(n)
+        assert weyl_sums("B", n)["degree_sum"] == b_sum, n
+        assert weyl_sums("D", n)["degree_sum"] == d_sum, n
+
+
 def test_weyl_known_values():
     assert [weyl_sums("A", n)["involutions"] for n in range(1, 9)] == [
         1, 2, 4, 10, 26, 76, 232, 764,
@@ -324,6 +356,27 @@ def test_class_product_takes_one_exp_of_the_summed_logs(flavor, parity):
     # coefficient at symbolic q.
     got = real_sum_gf_from_classes(flavor, 8, None, parity)
     assert got == _gf_block_by_block(flavor, 8, None, parity, "formula")
+
+
+def test_block_logs_are_taken_once_per_block(monkeypatch):
+    # Both parities at symbolic q read the same memoized logs: one
+    # Series.log per block, T_d and G_d for d = 1..6, and none the second time.
+    calls = []
+    real_log = Series.log
+
+    def counting(self):
+        calls.append(self)
+        return real_log(self)
+
+    chars._assignment_block_logs.cache_clear()
+    monkeypatch.setattr(Series, "log", counting)
+    even = real_sum_gf_from_classes("u", 6, None, "even")
+    assert len(calls) == 2 * 6
+    odd = real_sum_gf_from_classes("u", 6, None, "odd")
+    assert len(calls) == 2 * 6
+    monkeypatch.undo()
+    assert even == _gf_block_by_block("u", 6, None, "even", "formula")
+    assert odd == _gf_block_by_block("u", 6, None, "odd", "formula")
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

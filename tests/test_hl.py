@@ -1,5 +1,6 @@
 """Tests for Hall-Littlewood data: Kostka tables, principal values, q-helpers."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -74,11 +75,11 @@ def test_schur_principal_hook_form():
 
 
 def test_kostka_small_values():
+    # Entries are integer coefficient tuples, index = power of t.
     kt = kostka_foulkes(3)
-    t = QPoly.x()
-    assert kt.K[((2, 1), (1, 1, 1))] == t + t**2
-    assert kt.K[((3,), (3,))] == t * 0 + 1
-    assert kt.K[((3,), (2, 1))] == t
+    assert kt.K[((2, 1), (1, 1, 1))] == (0, 1, 1)  # t + t^2
+    assert kt.K[((3,), (3,))] == (1,)
+    assert kt.K[((3,), (2, 1))] == (0, 1)  # t
 
 
 def test_kostka_triangular_and_diagonal():
@@ -90,7 +91,7 @@ def test_kostka_triangular_and_diagonal():
                 if key in kt.K:
                     assert dominates(lam, mu), key
                     if lam.parts == mu.parts:
-                        assert kt.K[key].is_one
+                        assert kt.K[key] == (1,)
                 else:
                     assert not dominates(lam, mu), key
 
@@ -100,9 +101,30 @@ def test_kostka_at_one_counts_tableaux():
         kt = kostka_foulkes(n)
         for lam in kt.order:
             for mu in kt.order:
-                val = kt.K.get((lam.parts, mu.parts))
-                got = 0 if val is None else val.eval(1)
+                got = sum(kt.K.get((lam.parts, mu.parts), ()))
                 assert got == _count_ssyt(lam.parts, mu.parts), (lam, mu)
+
+
+def _poly_sum_of_products(pairs):
+    """sum of a(t) b(t) over the pairs of coefficient tuples, as a trimmed tuple."""
+    total = {}
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                total[i + j] = total.get(i + j, 0) + x * y
+    co = [total.get(k, 0) for k in range(max(total, default=-1) + 1)]
+    while co and not co[-1]:
+        co.pop()
+    return tuple(co)
+
+
+def test_kostka_entries_are_trimmed_int_tuples():
+    for n in range(9):
+        kt = kostka_foulkes(n)
+        for table in (kt.K, kt.K_inv):
+            for key, co in table.items():
+                assert type(co) is tuple and co and co[-1] != 0, (n, key)
+                assert all(type(c) is int for c in co), (n, key)
 
 
 def test_kostka_inverse_is_inverse():
@@ -111,13 +133,128 @@ def test_kostka_inverse_is_inverse():
         order = [p.parts for p in kt.order]
         for a in order:
             for c in order:
-                total = sum(
-                    kt.K.get((a, b), QPoly.x() * 0)
-                    * kt.K_inv.get((b, c), QPoly.x() * 0)
-                    for b in order
+                total = _poly_sum_of_products(
+                    (kt.K.get((a, b), ()), kt.K_inv.get((b, c), ())) for b in order
                 )
-                expect = 1 if a == c else 0
-                assert total == QPoly.x() * 0 + expect, (a, c)
+                expect = (1,) if a == c else ()
+                assert total == expect, (a, c)
+
+
+def test_kostka_standard_column_is_the_hook_formula():
+    # K_{lam,(1^n)}(t) = t^n(lam') (t;t)_n / prod_x (1 - t^h(x)) (Macdonald
+    # III.6, Ex. 2), in RatFunc arithmetic.
+    t = RatFunc.x()
+    for n in range(1, 9):
+        kt = kostka_foulkes(n)
+        col = (1,) * n
+        poch = pochhammer_cd(t, t, n)
+        for lam in kt.order:
+            want = t ** lam.conjugate().n_stat() * poch
+            for h in lam.hooks():
+                want = want / (1 - t**h)
+            got = RatFunc(QPoly(list(kt.K[lam.parts, col])))
+            assert got == want, lam
+
+
+def test_kostka_top_row_is_t_to_the_n():
+    # K_{(n),mu}(t) = t^n(mu).
+    for n in range(1, 9):
+        kt = kostka_foulkes(n)
+        for mu in kt.order:
+            assert kt.K[(n,), mu.parts] == (0,) * mu.n_stat() + (1,), mu
+
+
+def _charge_reference(word):
+    """Charge by repeated extraction of standard subwords, rescanning the
+    remaining letters cyclically leftward for each value."""
+    remaining = list(word)
+    total = 0
+    while remaining:
+        n = len(remaining)
+        pos = max(i for i, a in enumerate(remaining) if a == 1)
+        chosen = {1: pos}
+        need = 2
+        cur = pos
+        present = set(remaining)
+        while need in present:
+            found = None
+            for step in range(1, n):
+                j = (cur - step) % n
+                if remaining[j] == need and j not in chosen.values():
+                    found = j
+                    break
+            if found is None:
+                break
+            chosen[need] = found
+            cur = found
+            need += 1
+        idx = 0
+        for v in range(2, need):
+            if chosen[v] > chosen[v - 1]:
+                idx += 1
+            total += idx
+        for j in sorted(chosen.values(), reverse=True):
+            del remaining[j]
+    return total
+
+
+def _ssyt_fillings(lam, mu):
+    """All semistandard tableaux of shape lam and content mu, as lists of
+    rows, filled cell by cell in row-major order."""
+    cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
+    left = {v + 1: m for v, m in enumerate(mu)}
+    grid = [[0] * length for length in lam]
+    out = []
+
+    def rec(k):
+        if k == len(cells):
+            out.append([list(row) for row in grid])
+            return
+        r, c = cells[k]
+        for v in left:
+            if not left[v]:
+                continue
+            if c and v < grid[r][c - 1]:
+                continue
+            if r and v <= grid[r - 1][c]:
+                continue
+            left[v] -= 1
+            grid[r][c] = v
+            rec(k + 1)
+            left[v] += 1
+        grid[r][c] = 0
+
+    rec(0)
+    return out
+
+
+def test_kostka_matches_brute_force_charge_table():
+    # Every filling of every shape, read bottom row first, each row left to
+    # right, with the charge of the reference extraction.
+    for n in range(8):
+        kt = kostka_foulkes(n)
+        want = {}
+        for lam in kt.order:
+            for mu in kt.order:
+                counts = {}
+                for rows in _ssyt_fillings(lam.parts, mu.parts):
+                    c = _charge_reference([a for row in reversed(rows) for a in row])
+                    counts[c] = counts.get(c, 0) + 1
+                if counts:
+                    want[lam.parts, mu.parts] = tuple(
+                        counts.get(i, 0) for i in range(max(counts) + 1))
+        assert kt.K == want, n
+
+
+def test_charge_matches_the_reference_on_shuffled_words():
+    # Words that are no tableau's reading word, with partition content.
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for mu in enumerate_partitions(n):
+            word = [v + 1 for v, m in enumerate(mu.parts) for _ in range(m)]
+            for _ in range(5):
+                rng.shuffle(word)
+                assert hl.charge(word) == _charge_reference(word), word
 
 
 def test_hl_at_t_zero_is_schur():
@@ -294,7 +431,7 @@ def _hl_expansion(lam, z, t):
     lam = Partition(lam)
     table = kostka_foulkes(lam.size)
     return sum(
-        c.eval(t) * _hook_product(mu, z)
+        _horner(c, t) * _hook_product(mu, z)
         for mu in table.order
         if (c := table.K_inv.get((lam.parts, mu.parts))) is not None
     )

@@ -368,6 +368,42 @@ def test_mutation_in_hl_principal_poly_is_detected(monkeypatch, check_id):
     assert r.witness.startswith("u^3: ")
 
 
+def _clear_kostka_memos():
+    for memo in (hl._hl_value, hl._hl_principal_poly):
+        memo.cache_clear()
+
+
+def test_mutation_in_kostka_inverse_is_detected(monkeypatch):
+    # K_inv((3,1), (2,2)) at n = 4 moved from -t to -2t, around the binding
+    # so the table's own memo stays clean.  The memos that read the table are
+    # cleared, so both P_lam (oracle-hl-finite) and F_lam (thm-warid) are
+    # rebuilt from the corrupted entry.
+    real = hl.kostka_foulkes
+    key = ((3, 1), (2, 2))
+
+    def corrupted(n):
+        table = real(n)
+        if n != 4:
+            return table
+        assert table.K_inv[key] == (0, -1)
+        return dataclasses.replace(table, K_inv={**table.K_inv, key: (0, -2)})
+
+    _clear_kostka_memos()
+    monkeypatch.setattr(hl, "kostka_foulkes", corrupted)
+    try:
+        r = run_check("oracle-hl-finite", sizemax=4)
+        assert r.status == "fail"
+        assert r.witness.startswith("lam=[3,1]")
+        r = run_check("thm-warid", order=4)
+        assert r.status == "fail"
+        assert r.witness.startswith("u^4: ")
+    finally:
+        monkeypatch.undo()
+        _clear_kostka_memos()
+    assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
+    assert run_check("thm-warid", order=4).status == "pass"
+
+
 def test_hl_finite_oracle_check_never_reaches_hl_principal_poly(monkeypatch):
     def forbidden(*args):
         raise AssertionError("oracle-hl-finite must not use the integer F_lam")
