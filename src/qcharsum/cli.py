@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_value_flags(argv))
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

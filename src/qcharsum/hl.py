@@ -1,13 +1,7 @@
-"""Principal specializations of Schur and Hall-Littlewood polynomials.
+"""Principal specializations of Hall-Littlewood polynomials.
 
 Main entry points:
 
-* schur_principal(lam, z): s_lam(1, z, z^2, ...) as the classical hook
-  product z^{n(lam)} / prod_b (1 - z^{h(b)}).  With z = a/b the product is
-  a^{n(lam)} b^{sum h - n(lam)} / prod_b (b^h - a^h): numerator and
-  denominator are built as integer-polynomial products with no gcd, and
-  the quotient is normalized once.  For z = +-1/q the numerator is a
-  monomial, so that normalization takes the exact layer's Laurent fast path.
 * kostka_foulkes(n): the full transition matrix K_{lam,mu}(t) between Schur
   and Hall-Littlewood bases at size n, together with its inverse (both are
   unitriangular in dominance order, hence in the reverse-lexicographic
@@ -16,30 +10,33 @@ Main entry points:
   of every shape, exactly once; its charge (Lascoux-Schutzenberger) goes
   into the bucket of its shape.  Entries are integer coefficient tuples in
   t, and the inverse is solved in integers.
-* hl_principal(lam, z, t): P_lam(1, z, z^2, ...; t) obtained by expanding P
-  in Schur functions through the inverse Kostka-Foulkes matrix.
-* hl_principal_poly(lam): the same expansion cleared of denominators,
+* hl_principal_poly(lam): P_lam(1, z, z^2, ...; t) cleared of denominators,
   F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t) with n = |lam|, as a map
-  {(t-exponent, z-exponent): int}.  It has integer coefficients because
-  (z;z)_n s_mu(1, z, ...) = z^n(mu) (z;z)_n / prod_b (1 - z^h(b)) is the
-  major-index generating function of the standard tableaux of shape mu
-  (Stanley, EC2, Cor. 7.21.5) and K_inv(lam, mu) lies in Z[t].  It is built
-  by exact synthetic division, with no rational arithmetic at all.
+  {(t-exponent, z-exponent): int}.  It is sum_mu K_inv(lam, mu)(t) f_mu(z),
+  where f_mu(z) = (z;z)_n s_mu(1, z, ...) = z^n(mu) (z;z)_n / prod_b
+  (1 - z^h(b)) is the major-index generating function of the standard
+  tableaux of shape mu (Stanley, EC2, Cor. 7.21.5), so it has integer
+  coefficients.  It is built by exact synthetic division, with no rational
+  arithmetic at all.
+* hl_principal(lam, z, t): P_lam(1, z, z^2, ...; t) = F_lam(z, t) / (z;z)_n
+  at any z and t in Q(q).  With z = a/b and t = c/d over Z[q], numerator
+  and denominator are integer polynomials built with no gcd, and the
+  quotient is normalized once.
 * hl_finite_oracle(lam, xs, t): an independent check that never touches
   tableaux: P_lam in m <= 6 concrete variables as Macdonald's symmetrization
   over the cosets S_m / S_m^lam.  Every term is polynomial in t, so no
   division by v_lam(t) is needed and no t-polynomial is kept: t is
   substituted at once, even where v_lam(t) vanishes (t = -1 with repeated
-  parts).
-* rogers_szego / rs_multi / rs_homog / pochhammer_cd / c_nu: the small
-  q-series ingredients used by the degree-sum formulas.
+  parts).  The `oracle-hl-finite` check compares it with hl_principal, and
+  so checks F_lam and the Kostka-Foulkes table behind it.
+* rogers_szego / rs_multi / pochhammer_cd: the small q-series ingredients
+  used by the degree-sum formulas.
 
-The checks ask for the same few hundred values over and over, so s_lam(z)
-is memoized by (lam, z), P_lam(z; t) by (lam, z, t), and F_lam by lam.
-The memos sit behind schur_principal, hl_principal and hl_principal_poly,
-which stay the only routes to them, so patching a public name still
-intercepts every call.  hl_principal does not use F_lam, and the
-finite oracle uses neither.
+The checks ask for the same few hundred values over and over, so the
+table is memoized by n, F_lam by lam and P_lam(z; t) by (lam, z, t), with
+z and t taken as RatFuncs.  Outside this module the memos are reached only
+through kostka_foulkes, hl_principal_poly and hl_principal, so patching one
+of those names in a caller's namespace intercepts every call it makes.
 """
 
 from __future__ import annotations
@@ -60,27 +57,6 @@ _KOSTKA_BUDGET = 12
 
 def _as_partition(lam) -> Partition:
     return lam if isinstance(lam, Partition) else Partition(lam)
-
-
-def schur_principal(lam, z) -> RatFunc:
-    """s_lam at x_i = z^(i-1) for i >= 1: z^n(lam) / prod_b (1 - z^h(b)).
-
-    z is taken as a RatFunc; the result is memoized, so equal arguments
-    return the same object.
-    """
-    return _schur_principal(_as_partition(lam).parts, RatFunc(z))
-
-
-@lru_cache(maxsize=None)
-def _schur_principal(parts: tuple, z: RatFunc) -> RatFunc:
-    lam = Partition(parts)
-    a, b = z.num, z.den
-    hooks = lam.hooks()
-    n = lam.n_stat()
-    den = QPoly.one()
-    for h in hooks:
-        den = den * (b ** h - a ** h)
-    return RatFunc(a ** n * b ** (sum(hooks) - n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -217,45 +193,6 @@ def kostka_foulkes(n: int) -> KostkaTable:
     return KostkaTable(n=n, order=order, K=K, K_inv=K_inv)
 
 
-def _at(co: tuple, t):
-    """sum_k co[k] t^k by Horner; t may be any ring element or scalar."""
-    acc = t * 0
-    for c in reversed(co):
-        acc = acc * t + c
-    return acc
-
-
-@dataclass(frozen=True)
-class HLValue:
-    lam: Partition
-    z: object
-    t: object
-    value: object
-
-
-def hl_principal(lam, z, t) -> HLValue:
-    """P_lam(1, z, z^2, ...; t), via the inverse Kostka-Foulkes expansion.
-
-    The value is memoized by (lam, z, t), so z and t must be hashable; the
-    HLValue returned always carries the caller's own z and t.
-    """
-    lam = _as_partition(lam)
-    return HLValue(lam=lam, z=z, t=t, value=_hl_value(lam.parts, z, t))
-
-
-@lru_cache(maxsize=None)
-def _hl_value(parts: tuple, z, t):
-    table = kostka_foulkes(sum(parts))
-    acc = None
-    for mu in table.order:
-        c = table.K_inv.get((parts, mu.parts))
-        if c is None:
-            continue
-        term = _at(c, t) * schur_principal(mu, z)
-        acc = term if acc is None else acc + term
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Integer principal specializations, cleared of (z;z)_n.
 # ---------------------------------------------------------------------------
@@ -327,6 +264,72 @@ def _hl_principal_poly(parts: tuple) -> MappingProxyType:
 
 
 # ---------------------------------------------------------------------------
+# Principal values P_lam = F_lam / (z;z)_n.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HLValue:
+    lam: Partition
+    z: object
+    t: object
+    value: object
+
+
+def hl_principal(lam, z, t) -> HLValue:
+    """P_lam(1, z, z^2, ...; t) = F_lam(z, t) / (z;z)_n, n = |lam|.
+
+    z and t are taken as RatFuncs, and the value is memoized by
+    (lam, z, t); the HLValue returned always carries the caller's own z
+    and t.
+    """
+    lam = _as_partition(lam)
+    return HLValue(lam=lam, z=z, t=t,
+                   value=_hl_value(lam.parts, RatFunc(z), RatFunc(t)))
+
+
+def _scaled_ic(r: RatFunc) -> tuple:
+    """Integer lists (a, b) with r = a/b: each content is folded into a and b."""
+    ratio = r.num.content / r.den.content
+    return (_k.zz_mul_scalar(list(r.num.ic), ratio.numerator),
+            _k.zz_mul_scalar(list(r.den.ic), ratio.denominator))
+
+
+def _powers(x: list, m: int) -> list:
+    """[x^0, x^1, ..., x^m] as integer lists."""
+    out = [[1]]
+    for _ in range(m):
+        out.append(_k.zz_mul(out[-1], x))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
+    # With z = a/b, t = c/d, N = n(n+1)/2 >= deg_z F and K = deg_t F:
+    # F(z, t) / (z;z)_n = sum F[k, e] c^k d^(K-k) a^e b^(N-e)
+    #                     / (d^K prod_{i<=n} (b^i - a^i)).
+    f = _hl_principal_poly(parts)
+    n = sum(parts)
+    big_n = n * (n + 1) // 2
+    big_k = max(k for k, _ in f)
+    a, b = _scaled_ic(z)
+    c, d = _scaled_ic(t)
+    apow, bpow = _powers(a, big_n), _powers(b, big_n)
+    cpow, dpow = _powers(c, big_k), _powers(d, big_k)
+    ab = [_k.zz_mul(apow[e], bpow[big_n - e]) for e in range(big_n + 1)]
+    by_k = {}
+    for (k, e), co in f.items():
+        by_k[k] = _k.zz_add(by_k.get(k, []), _k.zz_mul_scalar(ab[e], co))
+    num = []
+    for k, row in by_k.items():
+        num = _k.zz_add(num, _k.zz_mul(_k.zz_mul(cpow[k], dpow[big_k - k]), row))
+    den = dpow[big_k]
+    for i in range(1, n + 1):
+        den = _k.zz_mul(den, _k.zz_sub(bpow[i], apow[i]))
+    return RatFunc(QPoly(num), QPoly(den))
+
+
+# ---------------------------------------------------------------------------
 # Finite-variable oracle.
 # ---------------------------------------------------------------------------
 
@@ -376,15 +379,6 @@ def rogers_szego(m: int, z, t):
     return acc
 
 
-def rs_homog(m: int, a, b, t):
-    """sum_j [m choose j]_t a^(m-j) b^j, i.e. a^m H_m(b/a; t) cleared of a."""
-    acc = None
-    for j in range(m + 1):
-        term = gaussian_binomial(m, j).eval(t) * a ** (m - j) * b ** j
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def rs_multi(lam, z, t):
     """prod over distinct part sizes of H_{multiplicity}(z; t)."""
     lam = _as_partition(lam)
@@ -404,17 +398,4 @@ def pochhammer_cd(c, d, m: int):
     for _ in range(m):
         acc = acc * (one - c * power)
         power = power * d
-    return acc
-
-
-def c_nu(nu, t):
-    """prod over part sizes of (1-t)(1-t^3)...(1-t^(m_i-1)), odd exponents."""
-    nu = _as_partition(nu)
-    one = t * 0 + 1
-    acc = one
-    for mult in nu.mults().values():
-        k = 1
-        while k <= mult - 1:
-            acc = acc * (one - t ** k)
-            k += 2
     return acc

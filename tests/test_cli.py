@@ -47,6 +47,16 @@ def test_hl_value_lambda_alias(capsys):
     assert capsys.readouterr().out.strip()
 
 
+@pytest.mark.parametrize("lam, z", [("1", "1/0"), ("2,1", "1")])
+def test_hl_value_division_by_zero_is_usage_error(capsys, lam, z):
+    # 1/0 fails while parsing z; at z = 1 the factor (z;z)_n vanishes.
+    rc = main(["hl-value", "--lam", lam, "--z", z, "--t", "1/q"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_single_check(capsys, tmp_path):
     json_path = tmp_path / "out.json"
     tsv_path = tmp_path / "out.tsv"

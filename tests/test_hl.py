@@ -2,25 +2,24 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcharsum import hl
 from qcharsum import exact
 from qcharsum.exact import QPoly, Rat, RatFunc, SymPoly, qpow
 from qcharsum.hl import (
-    c_nu,
     hl_finite_oracle,
     hl_principal,
     hl_principal_poly,
     kostka_foulkes,
     pochhammer_cd,
     rogers_szego,
-    rs_homog,
     rs_multi,
-    schur_principal,
 )
 from qcharsum.partitions import Partition, dominates, enumerate_partitions
 
@@ -53,8 +52,6 @@ def _count_ssyt(lam, mu):
         rec(0, size, [])
         return out
 
-    from functools import lru_cache
-
     @lru_cache(maxsize=None)
     def f(shape, j):
         if j == 0:
@@ -65,12 +62,13 @@ def _count_ssyt(lam, mu):
 
 
 def test_schur_principal_hook_form():
+    # s_lam(1, z, z^2, ...) = P_lam(1, z, z^2, ...; 0)
     z = RatFunc.x()
     # shape (2,1): weight 1, hooks {3, 1, 1}
     expect = z / ((1 - z) ** 2 * (1 - z**3))
-    assert schur_principal([2, 1], z) == expect
+    assert hl_principal([2, 1], z, 0).value == expect
     # single row (n): weight 0, hooks 1..n
-    got = schur_principal([3], z)
+    got = hl_principal([3], z, 0).value
     assert got == 1 / ((1 - z) * (1 - z**2) * (1 - z**3))
 
 
@@ -257,14 +255,6 @@ def test_charge_matches_the_reference_on_shuffled_words():
                 assert hl.charge(word) == _charge_reference(word), word
 
 
-def test_hl_at_t_zero_is_schur():
-    z = RatFunc.x()
-    t0 = RatFunc.const(Rat(0))
-    for n in range(1, 7):
-        for lam in enumerate_partitions(n):
-            assert hl_principal(lam, z, t0).value == schur_principal(lam, z)
-
-
 def test_hl_column_is_elementary():
     # One-column shapes give elementary symmetric functions: the principal
     # value is z^(m(m-1)/2) / prod_{j<=m} (1 - z^j), independent of t.
@@ -314,9 +304,7 @@ def test_rogers_szego_recurrence():
 
 def test_rs_homog_and_multi():
     a = SymPoly.gen("a")
-    b = SymPoly.gen("b")
     t = SymPoly.gen("t")
-    assert rs_homog(2, a, b, t) == a**2 + a * b + t * a * b + b**2
     assert rs_multi([2, 1], a, t) == (1 + a) * (1 + a)
     assert rs_multi([2, 2], a, t) == rogers_szego(2, a, t)
 
@@ -326,24 +314,6 @@ def test_pochhammer():
     d = SymPoly.gen("t")
     assert pochhammer_cd(c, d, 0) == SymPoly.const(1)
     assert pochhammer_cd(c, d, 2) == (1 - c) * (1 - c * d)
-
-
-def test_c_nu_values():
-    t = QPoly.x()
-    one = t * 0 + 1
-    assert c_nu([2, 2], t) == 1 - t
-    assert c_nu([1, 1, 1, 1], t) == (1 - t) * (1 - t**3)
-    assert c_nu([2, 2, 1, 1], t) == (1 - t) * (1 - t)
-    assert c_nu([3], t) == one
-
-
-def test_c_nu_at_minus_one():
-    # For shapes whose conjugate is even (all multiplicities even), the
-    # normalizer at t = -1 is 2^(length/2).
-    for n in range(2, 9, 2):
-        for nu in enumerate_partitions(n):
-            if all(m % 2 == 0 for m in nu.mults().values()):
-                assert c_nu(nu, Fraction(-1)) == 2 ** (nu.ell // 2)
 
 
 def test_finite_oracle_small_shapes():
@@ -395,7 +365,7 @@ def test_finite_oracle_columns_where_v_lam_vanishes(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("finite oracle must not use the tableau route")
 
-    for name in ("hl_principal", "kostka_foulkes", "schur_principal"):
+    for name in ("hl_principal", "kostka_foulkes", "_hl_principal_poly"):
         monkeypatch.setattr(hl, name, forbidden)
     q = RatFunc.x()
     xs = (q, q + 1, 1 - q, q + 2)
@@ -413,13 +383,18 @@ def test_hl_principal_accepts_partition_objects():
 
 
 # ---------------------------------------------------------------------------
-# The one-normalization s_lam(z) and the memos behind the public names.
+# P_lam(z; t) against the Schur expansion, and the memo behind hl_principal.
 # ---------------------------------------------------------------------------
 
 
 def _hook_product(lam, z):
     """z^n(lam) / prod_b (1 - z^h(b)) in plain RatFunc arithmetic."""
-    lam = Partition(lam)
+    return _hook_product_memo(Partition(lam).parts, z)
+
+
+@lru_cache(maxsize=None)
+def _hook_product_memo(parts, z):
+    lam = Partition(parts)
     den = RatFunc.const(1)
     for h in lam.hooks():
         den = den * (1 - z**h)
@@ -441,42 +416,54 @@ def _all_partitions(nmax):
     return [lam for n in range(nmax + 1) for lam in enumerate_partitions(n)]
 
 
-def test_schur_principal_matches_hook_product():
+def _fields(r):
+    return (r.num.ic, r.num.content, r.den.ic, r.den.content)
+
+
+def test_hl_at_t_zero_is_schur():
     q = RatFunc.x()
-    zs = (1 / q, -1 / q, q / (q + 2), q**2 - 1, RatFunc.const(Rat(1, 3)))
+    zs = (q, 1 / q, -1 / q, q / (q + 2), q**2 - 1, RatFunc.const(Rat(1, 3)))
     for z in zs:
         for lam in _all_partitions(8):
-            got = schur_principal(lam, z)
-            want = _hook_product(lam, z)
+            got = hl_principal(lam, z, RatFunc.const(0)).value
             assert isinstance(got, RatFunc)
-            assert (got.num.ic, got.num.content, got.den.ic, got.den.content) == (
-                want.num.ic, want.num.content, want.den.ic, want.den.content
-            ), (lam, z)
+            assert _fields(got) == _fields(_hook_product(lam, z)), (lam, z)
 
 
-def test_schur_principal_is_memoized_and_coerces_scalars():
-    z = qpow(-1)
-    assert schur_principal([3, 1], z) is schur_principal(Partition([3, 1]), qpow(-1))
-    third = schur_principal([2, 1], Fraction(1, 3))
-    assert third is schur_principal([2, 1], RatFunc.const(Rat(1, 3)))
-    assert third == _hook_product([2, 1], RatFunc.const(Rat(1, 3)))
-    assert schur_principal([2], 2) == _hook_product([2], RatFunc.const(2))
-
-
-def test_schur_principal_at_plus_minus_inverse_q_needs_no_ratfunc_products(monkeypatch):
+def test_hl_principal_is_normalized_once(monkeypatch):
+    # F_lam / (z;z)_n is built in integer polynomials and normalized by one
+    # RatFunc construction: no field operation runs on the way.
     zs = (qpow(-1), -qpow(-1))
+    ts = (qpow(-1), Fraction(-1))
     lams = _all_partitions(6)
-    want = {(lam.parts, z): _hook_product(lam, z) for lam in lams for z in zs}
 
     def forbidden(*args):
-        raise AssertionError("s_lam(+-1/q) must be normalized once, not multiplied out")
+        raise AssertionError("P_lam must be normalized once, not built by field operations")
 
-    hl._schur_principal.cache_clear()
-    monkeypatch.setattr(exact.RatFunc, "__mul__", forbidden)
-    monkeypatch.setattr(exact.RatFunc, "__truediv__", forbidden)
-    got = {(lam.parts, z): schur_principal(lam, z) for lam in lams for z in zs}
+    hl._hl_value.cache_clear()
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(exact.RatFunc, name, forbidden)
+    got = {(lam.parts, z, t): hl_principal(lam, z, t).value
+           for lam in lams for z in zs for t in ts}
     monkeypatch.undo()
-    assert got == want
+    for (parts, z, t), value in got.items():
+        assert value == _hl_expansion(parts, z, t), (parts, z, t)
+
+
+_nonzero_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(_all_partitions(4)), _nonzero_fracs, st.integers(-3, 3),
+       st.sampled_from([-3, -2, -1, 1, 2, 3]), _nonzero_fracs)
+def test_hl_principal_matches_the_schur_expansion(lam, r, s, m, r_t):
+    # z = r q^s / (q + m) and t = r_t carry negative and fractional
+    # contents, which the integer route folds into its numerators.
+    q = RatFunc.x()
+    z = r * q**s / (q + m)
+    t = RatFunc.const(r_t)
+    got = hl_principal(lam, z, t).value
+    assert _fields(got) == _fields(_hl_expansion(lam, z, t))
 
 
 def test_hl_memo_returns_the_callers_t():
@@ -543,14 +530,16 @@ def test_hl_principal_poly_over_z_pochhammer_is_hl_principal():
         for lam in _all_partitions(7):
             poch = pochhammer_cd(z, z, lam.size)
             for t in _POLY_TS:
+                want = _hl_expansion(lam, z, t)
                 got = _eval_principal_poly(hl_principal_poly(lam), z, t) / poch
-                assert got == hl_principal(lam, z, t).value, (lam, z, t)
+                assert got == want, (lam, z, t)
+                assert hl_principal(lam, z, t).value == want, (lam, z, t)
 
 
 def test_fake_degree_is_the_cleared_hook_product():
     for z in _POLY_ZS:
         for mu in _all_partitions(7):
-            want = pochhammer_cd(z, z, mu.size) * schur_principal(mu, z)
+            want = pochhammer_cd(z, z, mu.size) * _hook_product(mu, z)
             assert _horner(hl._fake_degree(mu.parts), z) == want, (mu, z)
 
 

@@ -405,13 +405,28 @@ def test_mutation_in_kostka_inverse_is_detected(monkeypatch):
 
 
 def test_hl_finite_oracle_check_never_reaches_hl_principal_poly(monkeypatch):
+    # The check reads P_lam only through verify.hl_principal.  With those
+    # values served from a dict and the F_lam and Kostka route made to
+    # raise, the oracle side must still get there from its own definition.
+    real = verify.hl_principal
+    seen = {}
+
+    def record(lam, z, t):
+        r = real(lam, z, t)
+        seen[tuple(lam), z, t] = r
+        return r
+
+    monkeypatch.setattr(verify, "hl_principal", record)
+    assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
+
     def forbidden(*args):
         raise AssertionError("oracle-hl-finite must not use the integer F_lam")
 
-    monkeypatch.setattr(hl, "hl_principal_poly", forbidden)
-    monkeypatch.setattr(hl, "_hl_principal_poly", forbidden)
+    monkeypatch.setattr(verify, "hl_principal", lambda lam, z, t: seen[tuple(lam), z, t])
+    for name in ("hl_principal", "_hl_value", "hl_principal_poly",
+                 "_hl_principal_poly", "kostka_foulkes"):
+        monkeypatch.setattr(hl, name, forbidden)
     monkeypatch.setattr(verify, "hl_principal_poly", forbidden)
-    hl._hl_value.cache_clear()
     assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
 
 
