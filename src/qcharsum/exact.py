@@ -230,6 +230,9 @@ class QPoly:
         return self.ic == other.ic and self.content == other.content
 
     def __hash__(self):
+        # a constant equals its Fraction (and int), so it hashes as one
+        if len(self.ic) <= 1:
+            return hash(self.content * (self.ic[0] if self.ic else 0))
         return hash((self.ic, self.content))
 
     def __str__(self):
@@ -427,6 +430,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial equals its numerator QPoly, so it hashes as one
+        if self.den.is_one:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __str__(self):

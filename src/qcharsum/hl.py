@@ -27,8 +27,11 @@ Main entry points:
   over the cosets S_m / S_m^lam.  Every term is polynomial in t, so no
   division by v_lam(t) is needed and no t-polynomial is kept: t is
   substituted at once, even where v_lam(t) vanishes (t = -1 with repeated
-  parts).  The `oracle-hl-finite` check compares it with hl_principal, and
-  so checks F_lam and the Kostka-Foulkes table behind it.
+  parts).  Times the Vandermonde product prod_{i<j} (x_i - x_j), every
+  term is an integer polynomial over one common denominator, so the sum is
+  taken in integers and normalized once; the value is always a RatFunc.
+  The `oracle-hl-finite` check compares it with hl_principal, and so checks
+  F_lam and the Kostka-Foulkes table behind it.
 * rogers_szego / rs_multi / pochhammer_cd: the small q-series ingredients
   used by the degree-sum formulas.
 
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
@@ -334,16 +336,25 @@ def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-def hl_finite_oracle(lam, xs, t):
+def hl_finite_oracle(lam, xs, t) -> RatFunc:
     """P_lam(x_1..x_m; t) by symmetrizing over the cosets S_m / S_m^lam (m <= 6).
 
     Macdonald III (2.2): the sum, over the distinct rearrangements e of lam
     padded with zeros to m parts, of x^e prod_{e_i > e_j} (x_i - t x_j) /
-    (x_i - x_j).  Each term is polynomial in t, so t may be any scalar,
-    including values where v_lam(t) = 0.  The xs must be distinct.
+    (x_i - x_j).  Each term is polynomial in t, so t may be any element of
+    Q(q), including values where v_lam(t) = 0.  The xs must be distinct.
+
+    Times V = prod_{i<j} (x_i - x_j), a term is x^e prod_{e_i > e_j}
+    +-(x_i - t x_j) prod_{i<j, e_i = e_j} (x_i - x_j), with -1 where i > j.
+    With x_i = a_i/b_i and t = c/d over Z[q], every such term is an integer
+    polynomial over the one denominator prod_i b_i^lam_1 d^P prod_{i<j}
+    (a_i b_j - a_j b_i), P the number of pairs with e_i != e_j.  The terms
+    are summed in integers and the quotient is normalized once, so the value
+    is always a RatFunc.
     """
     lam = _as_partition(lam)
-    xs = tuple(Fraction(x) if isinstance(x, int) else x for x in xs)
+    xs = tuple(RatFunc(x) for x in xs)
+    t = RatFunc(t)
     m = len(xs)
     if m > 6:
         raise ValueError("finite oracle supports at most 6 variables")
@@ -351,18 +362,44 @@ def hl_finite_oracle(lam, xs, t):
         raise ValueError("need at least ell(lam) variables")
     if len(set(xs)) != m:
         raise ValueError("variables must be distinct")
-    ratio = {(i, j): (xs[i] - t * xs[j]) / (xs[i] - xs[j])
+    # r = a/b with the content ratio folded into the integer lists a and b
+    a, b = [], []
+    for r in xs + (t,):
+        ratio = r.num.content / r.den.content
+        a.append(_k.zz_mul_scalar(list(r.num.ic), ratio.numerator))
+        b.append(_k.zz_mul_scalar(list(r.den.ic), ratio.denominator))
+    c, d = a.pop(), b.pop()
+    top = lam.parts[0] if lam.parts else 0
+    padded = lam.parts + (0,) * (m - lam.ell)
+    unequal = sum(padded[i] != padded[j] for i in range(m) for j in range(i))
+    den = _powers(d, unequal)[-1]
+    mono = []  # x_i^k, cleared to a_i^k b_i^(lam_1 - k)
+    for i in range(m):
+        apow, bpow = _powers(a[i], top), _powers(b[i], top)
+        mono.append({k: _k.zz_mul(apow[k], bpow[top - k]) for k in set(padded)})
+        den = _k.zz_mul(den, bpow[top])
+    cross = {(i, j): _k.zz_mul(a[i], b[j])
              for i in range(m) for j in range(m) if i != j}
-    acc = t * 0
-    for e in set(permutations(lam.parts + (0,) * (m - lam.ell))):
-        term = t * 0 + 1
+    moved = {}  # V (x_i - t x_j) / (x_i - x_j), cleared, for e_i > e_j
+    for (i, j), ab in cross.items():
+        f = _k.zz_sub(_k.zz_mul(ab, d), _k.zz_mul(c, cross[j, i]))
+        moved[i, j] = _k.zz_neg(f) if i > j else f
+    still = {(i, j): _k.zz_sub(ab, cross[j, i])  # x_i - x_j, cleared
+             for (i, j), ab in cross.items() if i < j}
+    num = []
+    for e in set(permutations(padded)):
+        term = [1]
         for i in range(m):
-            term = term * xs[i] ** e[i]
+            term = _k.zz_mul(term, mono[i][e[i]])
             for j in range(m):
                 if e[i] > e[j]:
-                    term = term * ratio[i, j]
-        acc = acc + term
-    return acc
+                    term = _k.zz_mul(term, moved[i, j])
+                elif i < j and e[i] == e[j]:
+                    term = _k.zz_mul(term, still[i, j])
+        num = _k.zz_add(num, term)
+    for f in still.values():
+        den = _k.zz_mul(den, f)
+    return RatFunc(QPoly(num), QPoly(den))
 
 
 # ---------------------------------------------------------------------------

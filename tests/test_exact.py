@@ -322,6 +322,38 @@ class TestRatFuncProperties:
         assert hash(a) == hash(c)
 
     @props
+    @given(st.one_of(small_fracs, polys, ratfuncs),
+           st.one_of(small_fracs, polys, ratfuncs))
+    def test_equal_values_hash_equal_across_types(self, u, v):
+        # ints, Fractions, QPolys and RatFuncs compare equal across types, so
+        # equal values must hash equal too, or sets and dicts split them
+        def forms(x):
+            if isinstance(x, RatFunc) and x.den.is_one:
+                x = x.num
+            if isinstance(x, QPoly) and x.degree() <= 0:
+                x = x.coefficient(0)
+            if isinstance(x, Fraction):
+                out = [x, QPoly([x]), RatFunc.const(x), RatFunc(x)]
+                return out + [x.numerator] if x.denominator == 1 else out
+            if isinstance(x, QPoly):
+                return [x, RatFunc(x)]
+            return [x]
+
+        same = forms(u)
+        assert all(a == b for a in same for b in same)
+        assert len({hash(a) for a in same}) == 1
+        for a in same:
+            for b in forms(v):
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+
+    def test_equal_values_share_a_set_entry(self):
+        q = QPoly.x()
+        assert len({2, Fraction(2), QPoly([2]), RatFunc.const(2)}) == 1
+        assert len({q, RatFunc(q), RatFunc.x()}) == 1
+        assert len({0, QPoly(), RatFunc.const(0)}) == 1
+
+    @props
     @given(st.lists(st.integers(-6, 6), max_size=5),
            st.lists(st.integers(-6, 6), min_size=1, max_size=5)
            .filter(any),

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -365,7 +365,8 @@ def test_finite_oracle_columns_where_v_lam_vanishes(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("finite oracle must not use the tableau route")
 
-    for name in ("hl_principal", "kostka_foulkes", "_hl_principal_poly"):
+    for name in ("hl_principal", "kostka_foulkes", "_hl_principal_poly",
+                 "_hl_value", "_scaled_ic"):
         monkeypatch.setattr(hl, name, forbidden)
     q = RatFunc.x()
     xs = (q, q + 1, 1 - q, q + 2)
@@ -373,6 +374,70 @@ def test_finite_oracle_columns_where_v_lam_vanishes(monkeypatch):
         expect = sum(prod(c) for c in combinations(xs, k))
         for t in (Fraction(-1), Fraction(0), 1 / q):
             assert hl_finite_oracle([1] * k, xs, t) == expect, (k, t)
+
+
+def test_finite_oracle_rejects_bad_input():
+    q = RatFunc.x()
+    t = qpow(-1)
+    with pytest.raises(ValueError, match="at most 6 variables"):
+        hl_finite_oracle([1], tuple(q + k for k in range(7)), t)
+    with pytest.raises(ValueError, match="at least ell"):
+        hl_finite_oracle([1, 1, 1], (q, q + 1), t)
+    with pytest.raises(ValueError, match="distinct"):
+        hl_finite_oracle([1], (q, q + 1, q), t)
+    # equal values of different types are one variable
+    with pytest.raises(ValueError, match="distinct"):
+        hl_finite_oracle([1], (1, RatFunc.const(1)), t)
+    with pytest.raises(TypeError):
+        hl_finite_oracle([1], (1.5, 2), t)
+    with pytest.raises(TypeError):
+        hl_finite_oracle([1], (q, q + 1), 0.5)
+
+
+def test_finite_oracle_returns_a_ratfunc_for_scalar_input():
+    got = hl_finite_oracle([1], (1, Fraction(5, 2)), Fraction(1, 2))
+    assert isinstance(got, RatFunc)
+    assert got == Fraction(7, 2)
+
+
+def _oracle_reference(lam, xs, t):
+    """The symmetrization of hl_finite_oracle, term by term in RatFunc
+    arithmetic: each of the m(m-1) quotients and every partial product is
+    normalized on its own."""
+    lam = Partition(lam)
+    m = len(xs)
+    ratio = {(i, j): (xs[i] - t * xs[j]) / (xs[i] - xs[j])
+             for i in range(m) for j in range(m) if i != j}
+    acc = t * 0
+    for e in set(permutations(lam.parts + (0,) * (m - lam.ell))):
+        term = t * 0 + 1
+        for i in range(m):
+            term = term * xs[i] ** e[i]
+            for j in range(m):
+                if e[i] > e[j]:
+                    term = term * ratio[i, j]
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("t", [qpow(-1), RatFunc.const(-1), RatFunc.const(0),
+                               RatFunc.x() / (RatFunc.x() + 2),
+                               RatFunc.const(Rat(1, 3))], ids=str)
+def test_finite_oracle_matches_the_ratfunc_symmetrization(t):
+    # One denominator and one normalization give the same canonical form as
+    # normalizing every quotient and partial product.
+    q = RatFunc.x()
+    spread = (q, q + 1, 1 - q, q + 2)
+    for n in range(6):
+        for lam in enumerate_partitions(n):
+            for m in range(max(1, lam.ell), 7):
+                grids = [tuple(z ** i for i in range(m)) for z in (1 / q, -1 / q)]
+                if m <= len(spread):
+                    grids.append(spread[:m])
+                for xs in grids:
+                    got = hl_finite_oracle(lam, xs, t)
+                    assert _fields(got) == _fields(_oracle_reference(lam, xs, t)), \
+                        (lam, xs, t)
 
 
 def test_hl_principal_accepts_partition_objects():
