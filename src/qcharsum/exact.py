@@ -232,7 +232,7 @@ class QPoly:
     def __hash__(self):
         # a constant equals its Fraction (and int), so it hashes as one
         if len(self.ic) <= 1:
-            return hash(self.content * (self.ic[0] if self.ic else 0))
+            return hash(self.coefficient(0))
         return hash((self.ic, self.content))
 
     def __str__(self):

@@ -391,11 +391,9 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
         term = [1]
         for i in range(m):
             term = _k.zz_mul(term, mono[i][e[i]])
-            for j in range(m):
-                if e[i] > e[j]:
-                    term = _k.zz_mul(term, moved[i, j])
-                elif i < j and e[i] == e[j]:
-                    term = _k.zz_mul(term, still[i, j])
+        for i, j in still:  # one factor per pair i < j
+            term = _k.zz_mul(term, moved[i, j] if e[i] > e[j] else
+                             moved[j, i] if e[i] < e[j] else still[i, j])
         num = _k.zz_add(num, term)
     for f in still.values():
         den = _k.zz_mul(den, f)

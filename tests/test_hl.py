@@ -398,6 +398,7 @@ def test_finite_oracle_returns_a_ratfunc_for_scalar_input():
     got = hl_finite_oracle([1], (1, Fraction(5, 2)), Fraction(1, 2))
     assert isinstance(got, RatFunc)
     assert got == Fraction(7, 2)
+    assert hl_finite_oracle([], (), Fraction(1, 2)) == 1
 
 
 def _oracle_reference(lam, xs, t):
