@@ -19,6 +19,12 @@ call.  Everything is exact: integers at numeric q, RatFunc values
 symbolically (q=None).  Closed-form involution sums call the module-level
 group-order functions dynamically, so tests can perturb those (or
 _order_ic) and watch the checks fail.
+
+The unitary partition sums over Hall-Littlewood values P_lam(1, z, z^2, ...;
+t) at z = -1/q are polynomials in w = 1/q over one denominator: the u
+prefactor is q^N (-w;-w)_n, N = binom(n+1, 2), and P_lam = F_lam(-w, t) /
+(-w;-w)_|lam| with the integer F_lam of hl_principal_poly.  They are summed
+in QPoly (as the ring Z[w]) and turned into Q(q) once per result (_from_w).
 """
 
 from __future__ import annotations
@@ -26,15 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import _kernel as _k
-from .exact import QPoly, RatFunc, Series, qpow
-from .partitions import Partition, enumerate_partitions, partitions_up_to
+from .exact import QPoly, RatFunc, Series
+from .partitions import (Partition, enumerate_partitions, gaussian_binomial,
+                         partitions_up_to)
 from .polycount import (brute_poly_census, count_selfdual_and_pairs, parity_e,
                         to_int)
-from .hl import (_fake_degree, _times_one_minus_zpow, hl_principal, rs_multi,
-                 pochhammer_cd)
+from .hl import (_fake_degree, _times_one_minus_zpow, hl_principal_poly,
+                 pochhammer_cd, rs_multi)
 from .qseries import named_gf
 
 
@@ -341,70 +348,70 @@ def u_eps_sum_gf(n: int, sign: int, q=None, parity=None):
 
 
 # ---------------------------------------------------------------------------
-# Unitary closed-form sums over Hall-Littlewood specializations.
+# Unitary closed-form sums over Hall-Littlewood specializations, in Z[w].
 # ---------------------------------------------------------------------------
 
 
-def _hl_z():
-    return -qpow(-1)  # the alternating geometric point 1, -1/q, 1/q^2, ...
+def _hl_at_minus_w(lam: Partition, sign: int, deg: int) -> QPoly:
+    """F_lam(-w, t) at t = sign * w^deg, as a polynomial in w = 1/q."""
+    co = {}
+    for (k, e), c in hl_principal_poly(lam).items():
+        i = deg * k + e
+        co[i] = co.get(i, 0) + c * sign ** k * (-1) ** e
+    return QPoly([co.get(i, 0) for i in range(max(co) + 1)])
 
 
-def u_term_even(lam: Partition) -> RatFunc:
-    """q^(-(l(lam_odd)+|lam|)/2) * P_lam(1, -1/q, 1/q^2, ...; 1/q)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    expo = -((lam.ell_odd + lam.size) // 2)
-    return qpow(expo) * hl_principal(lam, _hl_z(), qpow(-1)).value
+def _from_w(p: QPoly, shift: int) -> RatFunc:
+    """q^shift * p(1/q) for a polynomial p in w = 1/q, normalized once."""
+    e = shift - p.degree()
+    num = QPoly([0] * max(e, 0) + [p.content * c for c in reversed(p.ic)])
+    return RatFunc(num, QPoly.monomial(max(-e, 0)))
 
 
 def u_real_sum_even_closed(n: int, q=None):
-    """Even-characteristic real degree sum: prefactor times the partition
-    sum of u_term_even over |lam| = n."""
-    total = RatFunc.const(0)
+    """Even-characteristic real degree sum: prefactor times the sum over
+    |lam| = n of q^(-(l(lam_odd)+n)/2) P_lam(z; 1/q), z = -1/q, which is
+    q^N sum_lam w^((l(lam_odd)+n)/2) F_lam(-w, w): no denominator is left."""
+    w = QPoly.x()
+    total = QPoly.zero()
     for lam in enumerate_partitions(n):
-        total = total + u_term_even(lam)
-    return _finish(total * u_prefactor_abs(n, None), q)
+        total = total + w ** ((lam.ell_odd + n) // 2) * _hl_at_minus_w(lam, 1, 1)
+    return _finish(_from_w(total, _binom2(n + 1)), q)
 
 
 def u_unsumodd_exprs(n: int, q=None):
     """The two partition-pair expressions for the odd-characteristic real
-    degree sum, without the prefactor: returns (expr1, expr2)."""
-    t = qpow(-1)
-    z = _hl_z()
-    half_pairs = []
+    degree sum, without the prefactor: returns (expr1, expr2).
+
+    Each sums weighted terms q^(-|nu|-(l(lam_odd)+|lam|)/2) P_lam(z; 1/q)
+    P_nu(z; -1), z = -1/q, over |lam| + |nu| = n.  Over (-w;-w)_n a pair
+    takes the weight [n choose |lam|]_(-w), so expr_i = q^N E_i(1/q) /
+    prefactor with E_i a polynomial in w."""
+    w = QPoly.x()
+    e1 = e2 = QPoly.zero()
     for k in range(n + 1):
+        binom = gaussian_binomial(n, k).eval(-w)
         for lam in enumerate_partitions(k):
+            lam_o, lam_e = lam.odd_part(), lam.even_part()
+            p_lam = binom * rs_multi(lam_e, w, w) * _hl_at_minus_w(lam, 1, 1)
+            rs_o = rs_multi(lam_o, 1, w)
+            poch = prod((pochhammer_cd(w, w * w, m // 2) for m in lam_o.mults().values()),
+                        start=QPoly.one())
             for nu in enumerate_partitions(n - k):
-                half_pairs.append((lam, nu))
-    expr1 = RatFunc.const(0)
-    expr2 = RatFunc.const(0)
-    for lam, nu in half_pairs:
-        lam_o, lam_e = lam.odd_part(), lam.even_part()
-        p_lam = hl_principal(lam, z, t).value
-        p_nu = hl_principal(nu, z, Fraction(-1)).value
-        qexp = qpow(-nu.size - (lam.ell_odd + lam.size) // 2)
-        # first form: nu with all multiplicities even
-        if all(m % 2 == 0 for m in nu.mults().values()):
-            sgn = (-1) ** (nu.size // 2 + lam.ell_odd)
-            coeff = Fraction(2) ** (nu.ell // 2)
-            term = (sgn * coeff) * qexp \
-                * rs_multi(lam_e, t, t) * rs_multi(lam_o, RatFunc.const(1), t) \
-                * p_lam * p_nu
-            expr1 = expr1 + term
-        # second form: odd part of lam and even part of nu have even columns
-        nu_o, nu_e = nu.odd_part(), nu.even_part()
-        if all(m % 2 == 0 for m in lam_o.mults().values()) and \
-           all(m % 2 == 0 for m in nu_e.mults().values()):
-            sgn = (-1) ** ((lam.ell_odd + nu.ell_odd + nu.size) // 2)
-            two_pow = 1
-            for m in nu.mults().values():
-                two_pow *= 2 ** ((m + 1) // 2)
-            poch = RatFunc.const(1)
-            for m in lam_o.mults().values():
-                poch = poch * pochhammer_cd(qpow(-1), qpow(-2), m // 2)
-            term = (sgn * two_pow) * qexp * rs_multi(lam_e, t, t) * poch \
-                * p_lam * p_nu
-            expr2 = expr2 + term
-    return _eval_sym(expr1, q), _eval_sym(expr2, q)
+                term = (w ** (nu.size + (lam.ell_odd + k) // 2) * p_lam
+                        * _hl_at_minus_w(nu, -1, 0))
+                # first form: nu with all multiplicities even
+                if all(m % 2 == 0 for m in nu.mults().values()):
+                    sgn = (-1) ** (nu.size // 2 + lam.ell_odd)
+                    e1 = e1 + sgn * 2 ** (nu.ell // 2) * rs_o * term
+                # second form: odd part of lam and even part of nu have even columns
+                if all(m % 2 == 0 for m in lam_o.mults().values()) and \
+                   all(m % 2 == 0 for m in nu.even_part().mults().values()):
+                    sgn = (-1) ** ((lam.ell_odd + nu.ell_odd + nu.size) // 2)
+                    two_pow = 2 ** sum((m + 1) // 2 for m in nu.mults().values())
+                    e2 = e2 + sgn * two_pow * poch * term
+    pref = u_prefactor_abs(n, None)
+    return tuple(_eval_sym(_from_w(e, _binom2(n + 1)) / pref, q) for e in (e1, e2))
 
 
 def u_real_sum_odd_closed(n: int, q=None):
@@ -435,37 +442,30 @@ def u_eps_sum_closed(n: int, sign: int, q=None, parity=None):
     return _finish(val, q)
 
 
-def _u_invol_inner(m: int) -> RatFunc:
-    """(-1)^(m+binom(m,2)) q^binom(m,2) sum_{s<=m/2} 1/(q^(s(2m-3s)) w_s w_(m-2s))."""
-    qq = RatFunc.x()
-    total = RatFunc.const(0)
-    w = [u_group_order(j, None) for j in range(m + 1)]
-    for s in range(m // 2 + 1):
-        total = total + Fraction(1) / (qq ** (s * (2 * m - 3 * s)) * w[s] * w[m - 2 * s])
-    return total * qq ** _binom2(m) * (-1) ** (m + _binom2(m))
-
-
 def u_eps_sum_alt_even(n: int, sign: int, q=None):
     """Even-characteristic eps-split sums via the alternative double sum:
     (-1)^n * prefactor * [ (1 +- (-1)^binom(n,2))/2 * S(n)
       + 1/2 * sum_{k=1..n/2} T_k * S(n-2k) ]
-    with S as in _u_invol_inner and T_k the partition sum of q^(-k) P_lam
-    over l(lam_odd) + |lam| = 2k."""
+    with (-1)^m prefactor(m) S(m) = (-1)^binom(m,2) I(m), I(m) the even
+    involution count of U(m), and T_k the partition sum of q^(-k) P_lam(z;
+    1/q), z = -1/q, over l(lam_odd) + |lam| = 2k.  prefactor(n) /
+    prefactor(n-2k) * T_k is q^(N_n - N_(n-2k)) [n choose 2k]_(-w) sum_lam
+    w^k F_lam(-w, w) prod_{i=|lam|+1..2k} (1 - (-w)^i), N_m = binom(m+1, 2)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t = qpow(-1)
-    z = _hl_z()
-    half = Fraction(1, 2)
-    eps0 = 1 if _binom2(n) % 2 == 0 else -1
-    total = _u_invol_inner(n) * ((1 + sign * eps0) * half)
+    w = QPoly.x()
+    total = ((-1) ** _binom2(n) + sign) * involution_count("u", n, None, "even")
     for k in range(1, n // 2 + 1):
-        t_k = RatFunc.const(0)
+        t_k = QPoly.zero()
         for lam in partitions_up_to(2 * k):
             if lam.ell_odd + lam.size == 2 * k:
-                t_k = t_k + qpow(-k) * hl_principal(lam, z, t).value
-        total = total + t_k * _u_invol_inner(n - 2 * k) * half
-    val = total * u_prefactor_abs(n, None) * (-1) ** n
-    return _finish(val, q)
+                rest = pochhammer_cd((-w) ** (lam.size + 1), -w, 2 * k - lam.size)
+                t_k = t_k + _hl_at_minus_w(lam, 1, 1) * rest
+        t_k = w ** k * gaussian_binomial(n, 2 * k).eval(-w) * t_k
+        ratio = _from_w(t_k, _binom2(n + 1) - _binom2(n - 2 * k + 1))
+        inv = involution_count("u", n - 2 * k, None, "even")
+        total = total + (-1) ** _binom2(n - 2 * k) * ratio * inv
+    return _finish(total * Fraction(1, 2), q)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def _cmd_hl_value(args) -> int:
     lam = _parse_parts(args.lam)
     z = parse_ratfunc(args.z)
     t = parse_ratfunc(args.t)
-    print(hl_principal(lam, z, t).value)
+    print(hl_principal(lam, z, t))
     return 0
 
 

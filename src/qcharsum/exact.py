@@ -59,7 +59,7 @@ class QPoly:
     __slots__ = ("ic", "content")
 
     def __init__(self, coeffs=()):
-        fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         while fracs and not fracs[-1]:
             fracs.pop()
         if not fracs:

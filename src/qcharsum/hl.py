@@ -21,7 +21,7 @@ Main entry points:
 * hl_principal(lam, z, t): P_lam(1, z, z^2, ...; t) = F_lam(z, t) / (z;z)_n
   at any z and t in Q(q).  With z = a/b and t = c/d over Z[q], numerator
   and denominator are integer polynomials built with no gcd, and the
-  quotient is normalized once.
+  quotient is normalized once and returned as a RatFunc.
 * hl_finite_oracle(lam, xs, t): an independent check that never touches
   tableaux: P_lam in m <= 6 concrete variables as Macdonald's symmetrization
   over the cosets S_m / S_m^lam.  Every term is polynomial in t, so no
@@ -35,11 +35,13 @@ Main entry points:
 * rogers_szego / rs_multi / pochhammer_cd: the small q-series ingredients
   used by the degree-sum formulas.
 
-The checks ask for the same few hundred values over and over, so the
-table is memoized by n, F_lam by lam and P_lam(z; t) by (lam, z, t), with
-z and t taken as RatFuncs.  Outside this module the memos are reached only
-through kostka_foulkes, hl_principal_poly and hl_principal, so patching one
-of those names in a caller's namespace intercepts every call it makes.
+The checks ask for the same values over and over, so the table is
+memoized by n, F_lam by lam and P_lam(z; t) by (lam, z, t), with z and t
+taken as RatFuncs.  The unitary partition sums read F_lam directly, so the
+P_lam memo serves the oracle check, the worked examples and the CLI.
+Outside this module the memos are reached only through kostka_foulkes,
+hl_principal_poly and hl_principal, so patching one of those names in a
+caller's namespace intercepts every call it makes.
 """
 
 from __future__ import annotations
@@ -270,24 +272,12 @@ def _hl_principal_poly(parts: tuple) -> MappingProxyType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HLValue:
-    lam: Partition
-    z: object
-    t: object
-    value: object
-
-
-def hl_principal(lam, z, t) -> HLValue:
+def hl_principal(lam, z, t) -> RatFunc:
     """P_lam(1, z, z^2, ...; t) = F_lam(z, t) / (z;z)_n, n = |lam|.
 
-    z and t are taken as RatFuncs, and the value is memoized by
-    (lam, z, t); the HLValue returned always carries the caller's own z
-    and t.
+    z and t are taken as RatFuncs, and the value is memoized by (lam, z, t).
     """
-    lam = _as_partition(lam)
-    return HLValue(lam=lam, z=z, t=t,
-                   value=_hl_value(lam.parts, RatFunc(z), RatFunc(t)))
+    return _hl_value(_as_partition(lam).parts, RatFunc(z), RatFunc(t))
 
 
 def _scaled_ic(r: RatFunc) -> tuple:

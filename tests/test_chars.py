@@ -21,17 +21,20 @@ from qcharsum.chars import (
     real_degree_sum_gf,
     real_degree_sum_oracle,
     real_sum_gf_from_classes,
+    u_eps_sum_alt_even,
     u_eps_sum_closed,
     u_eps_sum_gf,
     u_group_order,
     u_prefactor_abs,
     u_real_sum_closed,
+    u_real_sum_even_closed,
     u_unsumodd_exprs,
     weyl_sums,
 )
 from qcharsum.exact import RatFunc, Series, qpow
-from qcharsum.partitions import enumerate_partitions
-from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs
+from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
+from qcharsum.partitions import enumerate_partitions, partitions_up_to
+from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs, to_int
 
 
 Q = RatFunc.x()
@@ -214,6 +217,104 @@ def test_unsummed_odd_expressions_agree():
         for q in (3, 5):
             a, b = u_unsumodd_exprs(n, q)
             assert a == b == e1.eval(q)
+
+
+# The unitary partition sums term by term in RatFunc, from hl_principal values:
+# the reference for their Z[w] route.
+
+
+def _ref_even(n):
+    total = RatFunc.const(0)
+    for lam in enumerate_partitions(n):
+        total = total + qpow(-((lam.ell_odd + n) // 2)) * hl_principal(lam, -qpow(-1), qpow(-1))
+    return total * u_prefactor_abs(n, None)
+
+
+def _ref_odd_exprs(n):
+    t, z = qpow(-1), -qpow(-1)
+    expr1 = expr2 = RatFunc.const(0)
+    for k in range(n + 1):
+        for lam in enumerate_partitions(k):
+            lam_o, lam_e = lam.odd_part(), lam.even_part()
+            for nu in enumerate_partitions(n - k):
+                base = (qpow(-nu.size - (lam.ell_odd + k) // 2) * rs_multi(lam_e, t, t)
+                        * hl_principal(lam, z, t) * hl_principal(nu, z, Fraction(-1)))
+                if all(m % 2 == 0 for m in nu.mults().values()):
+                    sgn = (-1) ** (nu.size // 2 + lam.ell_odd)
+                    expr1 = expr1 + sgn * 2 ** (nu.ell // 2) * base \
+                        * rs_multi(lam_o, RatFunc.const(1), t)
+                if all(m % 2 == 0 for m in lam_o.mults().values()) and \
+                   all(m % 2 == 0 for m in nu.even_part().mults().values()):
+                    sgn = (-1) ** ((lam.ell_odd + nu.ell_odd + nu.size) // 2)
+                    two_pow = 1
+                    for m in nu.mults().values():
+                        two_pow *= 2 ** ((m + 1) // 2)
+                    poch = RatFunc.const(1)
+                    for m in lam_o.mults().values():
+                        poch = poch * pochhammer_cd(t, t * t, m // 2)
+                    expr2 = expr2 + sgn * two_pow * base * poch
+    return expr1, expr2
+
+
+def _ref_invol_inner(m):
+    w = [u_group_order(j, None) for j in range(m + 1)]
+    total = RatFunc.const(0)
+    for s in range(m // 2 + 1):
+        total = total + Fraction(1) / (Q ** (s * (2 * m - 3 * s)) * w[s] * w[m - 2 * s])
+    return total * Q ** math.comb(m, 2) * (-1) ** (m + math.comb(m, 2))
+
+
+def _ref_alt_even(n, sign):
+    half = Fraction(1, 2)
+    eps0 = (-1) ** math.comb(n, 2)
+    total = _ref_invol_inner(n) * ((1 + sign * eps0) * half)
+    for k in range(1, n // 2 + 1):
+        t_k = RatFunc.const(0)
+        for lam in partitions_up_to(2 * k):
+            if lam.ell_odd + lam.size == 2 * k:
+                t_k = t_k + qpow(-k) * hl_principal(lam, -qpow(-1), qpow(-1))
+        total = total + t_k * _ref_invol_inner(n - 2 * k) * half
+    return total * u_prefactor_abs(n, None) * (-1) ** n
+
+
+def _fields(r):
+    return (r.num.ic, r.num.content, r.den.ic, r.den.content)
+
+
+def test_unitary_sums_match_the_hl_principal_reference():
+    for n in range(1, 7):
+        got = [u_real_sum_even_closed(n), *u_unsumodd_exprs(n),
+               u_eps_sum_alt_even(n, 1), u_eps_sum_alt_even(n, -1)]
+        want = [_ref_even(n), *_ref_odd_exprs(n), _ref_alt_even(n, 1), _ref_alt_even(n, -1)]
+        assert [_fields(r) for r in got] == [_fields(r) for r in want], n
+        for q in (3, 4, 8):
+            assert u_real_sum_even_closed(n, q) == to_int(want[0].eval(q))
+            assert u_unsumodd_exprs(n, q) == (want[1].eval(q), want[2].eval(q))
+            for sign, r in ((1, want[3]), (-1, want[4])):
+                assert u_eps_sum_alt_even(n, sign, q) == to_int(r.eval(q)), (n, q)
+
+
+def test_unitary_sums_take_a_fixed_number_of_ratfunc_operations(monkeypatch):
+    # The sums run in integer polynomials in w = 1/q; only the conversion to
+    # Q(q) (and, for the odd expressions, the division by the prefactor)
+    # touches RatFunc, so the count does not grow with n.
+    calls = [0]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        def counting(*args, _real=getattr(RatFunc, name)):
+            calls[0] += 1
+            return _real(*args)
+        monkeypatch.setattr(RatFunc, name, counting)
+    seen = {}
+    for n in range(1, 7):
+        for fn in (u_real_sum_even_closed, u_unsumodd_exprs):
+            calls[0] = 0
+            fn(n)
+            seen[fn.__name__, n] = calls[0]
+    monkeypatch.undo()
+    assert max(seen.values()) <= 4, seen
+    for name in ("u_real_sum_even_closed", "u_unsumodd_exprs"):
+        assert len({seen[name, n] for n in range(1, 7)}) == 1, seen
 
 
 def _perm_compose(p, r):

@@ -37,7 +37,7 @@ def test_hl_value_command(capsys):
     out = capsys.readouterr().out.strip()
     from qcharsum.hl import hl_principal
 
-    expect = hl_principal([2], -1 / Q, 1 / Q).value
+    expect = hl_principal([2], -1 / Q, 1 / Q)
     assert out == str(expect)
 
 

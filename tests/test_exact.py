@@ -36,6 +36,27 @@ class TestQPoly:
         assert p.content == Fraction(1, 2)
         assert tuple(p.ic) == (1, 3)
 
+    def test_int_coefficients_make_only_the_content_fraction(self, monkeypatch):
+        # An int list is taken as it is: the one Fraction built is the content.
+        made = []
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        p = QPoly([6, -4, 0, 10] * 10)
+        monkeypatch.undo()
+        assert made == [(2, 1)]
+        assert p.content == 2 and p.ic[:5] == (3, -2, 0, 5, 3)
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=8))
+    def test_int_and_fraction_lists_give_the_same_canonical_form(self, co):
+        a, b = QPoly(co), QPoly([Fraction(c) for c in co])
+        assert (a.ic, a.content) == (b.ic, b.content)
+        assert type(a.content) is Fraction and all(type(c) is int for c in a.ic)
+
     def test_evaluation_via_coefficients(self):
         p = QPoly([1, 0, 3])  # 1 + 3 q^2
         value = sum(c * Fraction(2) ** i for i, c in enumerate(p.coefficients))

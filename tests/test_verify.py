@@ -310,7 +310,7 @@ def _corrupt_hl_principal(monkeypatch):
     def corrupted(lam, z, t):
         value = real(lam, z, t)
         if tuple(lam) == (2, 1):
-            return dataclasses.replace(value, value=value.value + qpow(-2))
+            return value + qpow(-2)
         return value
 
     monkeypatch.setattr(verify, "hl_principal", corrupted)
@@ -366,6 +366,33 @@ def test_mutation_in_hl_principal_poly_is_detected(monkeypatch, check_id):
     r = run_check(check_id, order=4)
     assert r.status == "fail"
     assert r.witness.startswith("u^3: ")
+
+
+@pytest.mark.parametrize("check_id, witness", [
+    ("thm-unsumeven", "n=3: "),
+    ("thm-unsumodd", "n=3 expressions: "),
+    ("cor-genfn-even-alt", "n=4 sign "),
+])
+def test_mutation_in_the_unitary_sums_f_lam_is_detected(monkeypatch, check_id, witness):
+    # The unitary partition sums read F_lam through chars.hl_principal_poly;
+    # with F_(2,1)[0, 1] off by one, each check must fail at the first rank
+    # whose sum contains (2,1), and pass again once the binding is restored.
+    real = chars.hl_principal_poly
+
+    def corrupted(lam):
+        f = real(lam)
+        if tuple(lam) != (2, 1):
+            return f
+        f = dict(f)
+        f[0, 1] += 1
+        return f
+
+    monkeypatch.setattr(chars, "hl_principal_poly", corrupted)
+    r = run_check(check_id, nmax=4)
+    assert r.status == "fail"
+    assert r.witness.startswith(witness)
+    monkeypatch.undo()
+    assert run_check(check_id, nmax=4).status == "pass"
 
 
 def _clear_kostka_memos():
