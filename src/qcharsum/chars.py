@@ -25,6 +25,14 @@ t) at z = -1/q are polynomials in w = 1/q over one denominator: the u
 prefactor is q^N (-w;-w)_n, N = binom(n+1, 2), and P_lam = F_lam(-w, t) /
 (-w;-w)_|lam| with the integer F_lam of hl_principal_poly.  They are summed
 in QPoly (as the ring Z[w]) and turned into Q(q) once per result (_from_w).
+
+The eps-split of U(n, q) is a pair: the degree sums over the real
+characters with indicator +1 and with indicator -1, whose sum is the real
+degree sum and whose difference is the involution count.  Each eps-split
+route (u_eps_sums_closed, u_eps_sums_alt_even, u_eps_sums_gf) returns the
+pair (plus, minus) from one computation.  The generating-function values
+(real_degree_sum_gf, involution_count_gf, u_eps_sums_gf) are all read by
+_named_gf_values: prefactor times the u^n coefficient of a named series.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ from . import _kernel as _k
 from .exact import QPoly, RatFunc, Series
 from .partitions import (Partition, enumerate_partitions, gaussian_binomial,
                          partitions_up_to)
-from .polycount import (brute_poly_census, count_selfdual_and_pairs, parity_e,
-                        to_int)
+from .polycount import (_as_scalar, brute_poly_census, count_selfdual_and_pairs,
+                        parity_e, to_int)
 from .hl import (_fake_degree, _times_one_minus_zpow, hl_principal_poly,
                  pochhammer_cd, rs_multi)
 from .qseries import named_gf
@@ -50,11 +58,13 @@ def _binom2(n: int) -> int:
 
 
 def _qval(q):
-    if q is None:
-        return RatFunc.x()
-    if not isinstance(q, int) or q < 2:
-        raise ValueError("q must be an integer >= 2 or None for symbolic")
-    return Fraction(q)
+    """Symbolic q for None, else q as a Fraction (validated by _as_scalar)."""
+    qq, numeric = _as_scalar(q)
+    return Fraction(qq) if numeric else qq
+
+
+def _parity_name(q, parity) -> str:
+    return {1: "even", 2: "odd"}[parity_e(q, parity)]
 
 
 def _finish(x, q):
@@ -277,7 +287,7 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None,
         raise ValueError("counts must be 'formula' or 'census'")
     if counts == "census" and q is None:
         raise ValueError("census counts need numeric q")
-    par = {1: "even", 2: "odd"}[parity_e(q, parity)]
+    par = _parity_name(q, parity)
     qq = _qval(q)
     out = Series.constant(qq ** 0, order)
     log_sum = out * 0  # sum of count * log(block) over the non-integer counts
@@ -311,40 +321,35 @@ def real_degree_sum_oracle(flavor: str, n: int, q: int) -> int:
     return to_int(gf.coefficient(n) * pref)
 
 
+def _named_gf_values(flavor: str, names: tuple, n: int, q, parity, u_sign: int):
+    """Prefactor times the u^n coefficient of named_gf(flavor + "_" + name)
+    for each name; the u prefactor is taken with sign u_sign."""
+    if flavor not in ("gl", "u"):
+        raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
+    par = _parity_name(q, parity)
+    pref = gl_prefactor(n, None) if flavor == "gl" else u_sign * u_prefactor_abs(n, None)
+    return tuple(_finish(named_gf(f"{flavor}_{name}", par, n).coefficient(n) * pref, q)
+                 for name in names)
+
+
 def real_degree_sum_gf(flavor: str, n: int, q=None, parity=None):
     """Real-character degree sum at rank n from the named closed-form
     generating functions (prefactor times u^n coefficient)."""
-    e = parity_e(q, parity)
-    par = {1: "even", 2: "odd"}[e]
-    if flavor == "gl":
-        coeff = named_gf("gl_real_gf", par, n).coefficient(n)
-        return _finish(coeff * gl_prefactor(n, None), q)
-    coeff = named_gf("u_real_gf", par, n).coefficient(n)
-    return _finish(coeff * u_prefactor_abs(n, None) * (-1) ** n, q)
+    return _named_gf_values(flavor, ("real_gf",), n, q, parity, (-1) ** n)[0]
 
 
 def involution_count_gf(flavor: str, n: int, q=None, parity=None):
     """Involution count at rank n via the generating-function route."""
-    e = parity_e(q, parity)
-    par = {1: "even", 2: "odd"}[e]
-    if flavor == "gl":
-        coeff = named_gf("gl_invol_gf", par, n).coefficient(n)
-        return _finish(coeff * gl_prefactor(n, None), q)
-    coeff = named_gf("u_invol_gf", par, n).coefficient(n)
-    sign = (-1) ** (n + _binom2(n))
-    return _finish(coeff * u_prefactor_abs(n, None) * sign, q)
+    return _named_gf_values(flavor, ("invol_gf",), n, q, parity,
+                            (-1) ** (n + _binom2(n)))[0]
 
 
-def u_eps_sum_gf(n: int, sign: int, q=None, parity=None):
-    """Degree sum over real characters with indicator-like label epsilon =
-    +1 or -1, from the eps-split generating functions."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    e = parity_e(q, parity)
-    par = {1: "even", 2: "odd"}[e]
-    name = "u_eps_plus_gf" if sign == 1 else "u_eps_minus_gf"
-    coeff = named_gf(name, par, n).coefficient(n)
-    return _finish(coeff * u_prefactor_abs(n, None) * (-1) ** n, q)
+def u_eps_sums_gf(n: int, q=None, parity=None) -> tuple:
+    """(plus, minus): the degree sums over the real characters of U(n, q)
+    with indicator-like label epsilon = +1 and -1, from the eps-split
+    generating functions."""
+    return _named_gf_values("u", ("eps_plus_gf", "eps_minus_gf"), n, q, parity,
+                            (-1) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -430,31 +435,29 @@ def u_real_sum_closed(n: int, q=None, parity=None):
     return u_real_sum_even_closed(n, q) if e == 1 else u_real_sum_odd_closed(n, q)
 
 
-def u_eps_sum_closed(n: int, sign: int, q=None, parity=None):
-    """(real sum +- involution count)/2, closed-form routes for both."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    e = parity_e(q, parity)
-    par = {1: "even", 2: "odd"}[e]
+def u_eps_sums_closed(n: int, q=None, parity=None) -> tuple:
+    """(plus, minus) = (real sum +- involution count)/2, closed-form routes
+    for both, each taken once."""
+    par = _parity_name(q, parity)
     real = u_real_sum_closed(n, None, par)
     inv = involution_count("u", n, None, par)
-    val = (real + sign * inv) * Fraction(1, 2)
-    return _finish(val, q)
+    return tuple(_finish((real + sign * inv) * Fraction(1, 2), q) for sign in (1, -1))
 
 
-def u_eps_sum_alt_even(n: int, sign: int, q=None):
-    """Even-characteristic eps-split sums via the alternative double sum:
-    (-1)^n * prefactor * [ (1 +- (-1)^binom(n,2))/2 * S(n)
+def u_eps_sums_alt_even(n: int, q=None) -> tuple:
+    """(plus, minus): even-characteristic eps-split sums via the alternative
+    double sum, for sign = +1 and -1:
+    (-1)^n * prefactor * [ (1 + sign (-1)^binom(n,2))/2 * S(n)
       + 1/2 * sum_{k=1..n/2} T_k * S(n-2k) ]
     with (-1)^m prefactor(m) S(m) = (-1)^binom(m,2) I(m), I(m) the even
     involution count of U(m), and T_k the partition sum of q^(-k) P_lam(z;
     1/q), z = -1/q, over l(lam_odd) + |lam| = 2k.  prefactor(n) /
     prefactor(n-2k) * T_k is q^(N_n - N_(n-2k)) [n choose 2k]_(-w) sum_lam
-    w^k F_lam(-w, w) prod_{i=|lam|+1..2k} (1 - (-w)^i), N_m = binom(m+1, 2)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    w^k F_lam(-w, w) prod_{i=|lam|+1..2k} (1 - (-w)^i), N_m = binom(m+1, 2).
+    The sum is built once; only the sign * I(n) term differs between the two."""
     w = QPoly.x()
-    total = ((-1) ** _binom2(n) + sign) * involution_count("u", n, None, "even")
+    inv_n = involution_count("u", n, None, "even")
+    total = (-1) ** _binom2(n) * inv_n
     for k in range(1, n // 2 + 1):
         t_k = QPoly.zero()
         for lam in partitions_up_to(2 * k):
@@ -465,7 +468,7 @@ def u_eps_sum_alt_even(n: int, sign: int, q=None):
         ratio = _from_w(t_k, _binom2(n + 1) - _binom2(n - 2 * k + 1))
         inv = involution_count("u", n - 2 * k, None, "even")
         total = total + (-1) ** _binom2(n - 2 * k) * ratio * inv
-    return _finish(total * Fraction(1, 2), q)
+    return tuple(_finish((total + sign * inv_n) * Fraction(1, 2), q) for sign in (1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,7 @@ def _cmd_involutions(args, parser) -> int:
 def _cmd_eps_split(args, parser) -> int:
     _require_scale(args, parser)
     q, parity = _numeric_or_symbolic(args)
-    plus = chars.u_eps_sum_gf(args.n, 1, q, parity)
-    minus = chars.u_eps_sum_gf(args.n, -1, q, parity)
+    plus, minus = chars.u_eps_sums_gf(args.n, q, parity)
     print(f"eps=+1\t{plus}")
     print(f"eps=-1\t{minus}")
     print(f"sum\t{plus + minus}")
@@ -284,15 +283,14 @@ def _cmd_brute_involutions(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_scale_flags(sub, with_parity=True):
+def _add_scale_flags(sub):
     sub.add_argument("--q", type=int, default=None,
                      help="evaluate at this prime power")
     sub.add_argument("--symbolic", action="store_true",
                      help="keep q symbolic (exact rational function)")
-    if with_parity:
-        sub.add_argument("--parity", choices=("even", "odd"), default=None,
-                         help="characteristic parity for symbolic mode "
-                              "(default even)")
+    sub.add_argument("--parity", choices=("even", "odd"), default=None,
+                     help="characteristic parity for symbolic mode "
+                          "(default even)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,7 +60,8 @@ def mobius(n: int) -> int:
 
 
 def _as_scalar(q):
-    """Return (value, numeric) where value is an int or symbolic q."""
+    """Return (value, numeric) where value is an int or symbolic q.  The one
+    check of a q argument in the library; chars._qval goes through it."""
     if q is None:
         return RatFunc.x(), False
     if not isinstance(q, int) or q < 2:

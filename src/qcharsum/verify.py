@@ -71,6 +71,11 @@ def _value_witness(tag: str, lhs, rhs):
     return None if lhs == rhs else f"{tag}: lhs={lhs}, rhs={rhs}"
 
 
+def _first_witness(checks):
+    """The witness of the first (tag, lhs, rhs) in `checks` whose sides differ."""
+    return next(filter(None, (_value_witness(*c) for c in checks)), None)
+
+
 def _binom_factor_log(sign: int, d: int, order: int, one) -> Series:
     """log(1 + sign*w^d) = sum_k -(-sign)^k w^(dk)/k over the ring of `one`."""
     co = [one * 0] * (order + 1)
@@ -368,8 +373,7 @@ def _run_igl_table(nmax: int, observe_nmax: int):
 def _run_epsplit(parity):
     def runner(nmax: int):
         for n in range(1, nmax + 1):
-            plus = chars.u_eps_sum_gf(n, 1, None, parity)
-            minus = chars.u_eps_sum_gf(n, -1, None, parity)
+            plus, minus = chars.u_eps_sums_gf(n, None, parity)
             total = chars.real_degree_sum_gf("u", n, None, parity)
             inv = chars.involution_count("u", n, None, parity)
             w = (_value_witness(f"n={n} sum", plus + minus, total)
@@ -390,26 +394,23 @@ def _run_unsumeven(nmax: int):
     return None
 
 
-def _run_unsumeven_pm(nmax: int):
-    for n in range(1, nmax + 1):
-        for sign in (1, -1):
-            lhs = chars.u_eps_sum_closed(n, sign, None, "even")
-            rhs = chars.u_eps_sum_gf(n, sign, None, "even")
-            w = _value_witness(f"n={n} sign {sign:+d}", lhs, rhs)
+def _run_eps_pairs(pairs):
+    """Compare the even-characteristic eps-split pair pairs(n) with the
+    series route's, sign by sign, for n = 1..nmax."""
+    def runner(nmax: int):
+        for n in range(1, nmax + 1):
+            rhs = chars.u_eps_sums_gf(n, None, "even")
+            w = _first_witness((f"n={n} sign {sign:+d}", a, b)
+                               for sign, a, b in zip((1, -1), pairs(n), rhs))
             if w:
                 return w
-    return None
+        return None
+    return runner
 
 
-def _run_genfn_even_alt(nmax: int):
-    for n in range(1, nmax + 1):
-        for sign in (1, -1):
-            lhs = chars.u_eps_sum_alt_even(n, sign)
-            rhs = chars.u_eps_sum_gf(n, sign, None, "even")
-            w = _value_witness(f"n={n} sign {sign:+d}", lhs, rhs)
-            if w:
-                return w
-    return None
+# through the chars namespace at run time, so a patched binding reaches the check
+_run_unsumeven_pm = _run_eps_pairs(lambda n: chars.u_eps_sums_closed(n, None, "even"))
+_run_genfn_even_alt = _run_eps_pairs(lambda n: chars.u_eps_sums_alt_even(n))
 
 
 def _run_unsumodd(nmax: int):
@@ -440,11 +441,7 @@ def _run_example_u2_even():
         ("degree sum", chars.u_real_sum_closed(2, None, "even"), q ** 2),
         ("series route", chars.real_degree_sum_gf("u", 2, None, "even"), q ** 2),
     ]
-    for tag, lhs, rhs in checks:
-        w = _value_witness(tag, lhs, rhs)
-        if w:
-            return w
-    return None
+    return _first_witness(checks)
 
 
 def _run_example_u3_even():
@@ -455,23 +452,22 @@ def _run_example_u3_even():
     p1 = hl_principal([1], z, t)
     p2 = hl_principal([2], z, t)
     inner = (p1 + p2) / (-2 * q * (q + 1))
+    plus, minus = q ** 4 - q ** 3 + q ** 2, q ** 2 - q
+    closed = chars.u_eps_sums_closed(3, None, "even")
+    series = chars.u_eps_sums_gf(3, None, "even")
+    alt = chars.u_eps_sums_alt_even(3)
     checks = [
         ("intermediate", inner, -(q ** 2) / ((q + 1) ** 2 * (q ** 2 - 1))),
-        ("recombined", -1 * chars.u_prefactor_abs(3, None) * inner,
-         q ** 4 - q ** 3 + q ** 2),
-        ("eps=+1", chars.u_eps_sum_closed(3, 1, None, "even"), q ** 4 - q ** 3 + q ** 2),
-        ("eps=-1", chars.u_eps_sum_closed(3, -1, None, "even"), q ** 2 - q),
-        ("eps=+1 series", chars.u_eps_sum_gf(3, 1, None, "even"), q ** 4 - q ** 3 + q ** 2),
-        ("eps=-1 series", chars.u_eps_sum_gf(3, -1, None, "even"), q ** 2 - q),
-        ("alt route +", chars.u_eps_sum_alt_even(3, 1), q ** 4 - q ** 3 + q ** 2),
-        ("alt route -", chars.u_eps_sum_alt_even(3, -1), q ** 2 - q),
+        ("recombined", -1 * chars.u_prefactor_abs(3, None) * inner, plus),
+        ("eps=+1", closed[0], plus),
+        ("eps=-1", closed[1], minus),
+        ("eps=+1 series", series[0], plus),
+        ("eps=-1 series", series[1], minus),
+        ("alt route +", alt[0], plus),
+        ("alt route -", alt[1], minus),
         ("involutions", chars.involution_count("u", 3, None, "even"), q ** 4 - q ** 3 + q),
     ]
-    for tag, lhs, rhs in checks:
-        w = _value_witness(tag, lhs, rhs)
-        if w:
-            return w
-    return None
+    return _first_witness(checks)
 
 
 def _run_example_u2_odd():
@@ -495,14 +491,10 @@ def _run_example_u2_odd():
         ("degree sum series", chars.real_degree_sum_gf("u", 2, None, "odd"),
          q ** 2 + q),
         ("involutions", chars.involution_count("u", 2, None, "odd"), q ** 2 - q + 2),
-        ("eps=-1", chars.u_eps_sum_closed(2, -1, None, "odd"), q - 1),
-        ("eps=-1 series", chars.u_eps_sum_gf(2, -1, None, "odd"), q - 1),
+        ("eps=-1", chars.u_eps_sums_closed(2, None, "odd")[1], q - 1),
+        ("eps=-1 series", chars.u_eps_sums_gf(2, None, "odd")[1], q - 1),
     ]
-    for tag, lhs, rhs in checks:
-        w = _value_witness(tag, lhs, rhs)
-        if w:
-            return w
-    return None
+    return _first_witness(checks)
 
 
 def _run_warnaar(with_b):

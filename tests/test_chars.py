@@ -21,9 +21,9 @@ from qcharsum.chars import (
     real_degree_sum_gf,
     real_degree_sum_oracle,
     real_sum_gf_from_classes,
-    u_eps_sum_alt_even,
-    u_eps_sum_closed,
-    u_eps_sum_gf,
+    u_eps_sums_alt_even,
+    u_eps_sums_closed,
+    u_eps_sums_gf,
     u_group_order,
     u_prefactor_abs,
     u_real_sum_closed,
@@ -142,8 +142,7 @@ def test_degree_sum_equals_involutions_numeric():
         for n in (1, 2, 3, 4):
             assert real_degree_sum_gf("gl", n, q) == involution_count("gl", n, q)
         for n in (1, 2, 3):
-            plus = u_eps_sum_gf(n, 1, q)
-            minus = u_eps_sum_gf(n, -1, q)
+            plus, minus = u_eps_sums_gf(n, q)
             assert plus - minus == involution_count("u", n, q)
             assert plus + minus == real_degree_sum_gf("u", n, q)
 
@@ -187,13 +186,21 @@ def test_parity_argument_guards():
         involution_count("u", 2, 3, "even")
 
 
+def test_generating_function_readers_reject_unknown_flavors():
+    # Only "gl" and "u" have named series; any other flavor must raise
+    # rather than fall through to the unitary value.
+    for fn in (real_degree_sum_gf, involution_count_gf):
+        for flavor in ("sp", "GL", "U"):
+            with pytest.raises(ValueError, match="flavor must be 'gl' or 'u'"):
+                fn(flavor, 2, 3)
+
+
 def test_u_worked_examples_closed():
     assert u_real_sum_closed(2, None, "even") == Q**2
     assert u_real_sum_closed(2, None, "odd") == Q**2 + Q
     assert u_real_sum_closed(3, None, "even") == Q**4 - Q**3 + 2 * Q**2 - Q
-    assert u_eps_sum_closed(3, 1, None, "even") == Q**4 - Q**3 + Q**2
-    assert u_eps_sum_closed(3, -1, None, "even") == Q**2 - Q
-    assert u_eps_sum_closed(2, -1, None, "odd") == Q - 1
+    assert u_eps_sums_closed(3, None, "even") == (Q**4 - Q**3 + Q**2, Q**2 - Q)
+    assert u_eps_sums_closed(2, None, "odd")[1] == Q - 1
     assert u_real_sum_closed(2, 4) == 16
     assert u_real_sum_closed(2, 3) == 12
 
@@ -204,10 +211,7 @@ def test_u_closed_matches_gf_route():
             assert u_real_sum_closed(n, None, parity) == real_degree_sum_gf(
                 "u", n, None, parity
             )
-            for sign in (1, -1):
-                assert u_eps_sum_closed(n, sign, None, parity) == u_eps_sum_gf(
-                    n, sign, None, parity
-                )
+            assert u_eps_sums_closed(n, None, parity) == u_eps_sums_gf(n, None, parity)
 
 
 def test_unsummed_odd_expressions_agree():
@@ -283,15 +287,14 @@ def _fields(r):
 
 def test_unitary_sums_match_the_hl_principal_reference():
     for n in range(1, 7):
-        got = [u_real_sum_even_closed(n), *u_unsumodd_exprs(n),
-               u_eps_sum_alt_even(n, 1), u_eps_sum_alt_even(n, -1)]
+        got = [u_real_sum_even_closed(n), *u_unsumodd_exprs(n), *u_eps_sums_alt_even(n)]
         want = [_ref_even(n), *_ref_odd_exprs(n), _ref_alt_even(n, 1), _ref_alt_even(n, -1)]
         assert [_fields(r) for r in got] == [_fields(r) for r in want], n
         for q in (3, 4, 8):
             assert u_real_sum_even_closed(n, q) == to_int(want[0].eval(q))
             assert u_unsumodd_exprs(n, q) == (want[1].eval(q), want[2].eval(q))
-            for sign, r in ((1, want[3]), (-1, want[4])):
-                assert u_eps_sum_alt_even(n, sign, q) == to_int(r.eval(q)), (n, q)
+            assert u_eps_sums_alt_even(n, q) == (to_int(want[3].eval(q)),
+                                                 to_int(want[4].eval(q))), (n, q)
 
 
 def test_unitary_sums_take_a_fixed_number_of_ratfunc_operations(monkeypatch):

@@ -395,6 +395,25 @@ def test_mutation_in_the_unitary_sums_f_lam_is_detected(monkeypatch, check_id, w
     assert run_check(check_id, nmax=4).status == "pass"
 
 
+def test_eps_split_checks_take_the_shared_values_once(monkeypatch):
+    # Each eps-split route returns both signs from one computation.  At the
+    # default parameters (nmax=6), cor-genfn-even-alt takes I(n - 2k) once
+    # per n: 15 involution counts for the 7 values I(0..6); cor-unsumeven-pm
+    # takes one closed real sum per n.
+    calls = {}
+    for name in ("involution_count", "u_real_sum_closed"):
+        def counting(*args, _real=getattr(chars, name), _name=name):
+            calls.setdefault(_name, []).append(args)
+            return _real(*args)
+        monkeypatch.setattr(chars, name, counting)
+    assert run_check("cor-genfn-even-alt").status == "pass"
+    inv = calls.pop("involution_count")
+    assert (len(inv), len(set(inv))) == (15, 7)
+    assert calls == {}
+    assert run_check("cor-unsumeven-pm").status == "pass"
+    assert len(calls["u_real_sum_closed"]) == 6
+
+
 def _clear_kostka_memos():
     for memo in (hl._hl_value, hl._hl_principal_poly):
         memo.cache_clear()
