@@ -9,16 +9,23 @@ unitary one), all four built from one memoized integer product (_order_ic):
 
 Characters are parametrized by assigning a partition to each polynomial
 class (polycount module); a character is real iff conjugate classes carry
-equal partitions, so real-degree sums factor over self-conjugate classes
-and pairs.  The per-class blocks of that product are built from the
-fake-degree polynomials f_mu(y) = (y;y)_n s_mu(1, y, ...) of the hl module
-at y = +-q^d, one integer-polynomial ratio per coefficient.  They and their
-logarithms are memoized, since they do not depend on the parity of q; the
-class counts come through the count_selfdual_and_pairs binding on every
-call.  Everything is exact: integers at numeric q, RatFunc values
-symbolically (q=None).  Closed-form involution sums call the module-level
-group-order functions dynamically, so tests can perturb those (or
-_order_ic) and watch the checks fail.
+equal partitions.  Its degree is the prefactor times one hook factor per
+class (Green's degree formula, char_degree).  Two routes sum those degrees:
+
+* real_degree_sum_oracle enumerates the real characters one by one, over
+  the classes of the orbit census (brute_poly_census), with char_degree;
+* real_sum_gf_from_classes factors the generating function over
+  self-conjugate classes and pairs.  Its per-class blocks are built from the
+  fake-degree polynomials f_mu(y) = (y;y)_n s_mu(1, y, ...) of the hl module
+  at y = +-q^d, one integer-polynomial ratio per coefficient.  They and their
+  logarithms are memoized, since they do not depend on the parity of q; the
+  class counts come through the count_selfdual_and_pairs binding on every
+  call.
+
+Everything is exact: integers at numeric q, RatFunc values symbolically
+(q=None).  Closed-form involution sums call the module-level group-order
+functions dynamically, so tests can perturb those (or _order_ic) and watch
+the checks fail.  A rank n < 0 raises ValueError (_check_rank).
 
 The unitary partition sums over Hall-Littlewood values P_lam(1, z, z^2, ...;
 t) at z = -1/q are polynomials in w = 1/q over one denominator: the u
@@ -63,6 +70,12 @@ def _qval(q):
     return Fraction(qq) if numeric else qq
 
 
+def _check_rank(n: int) -> None:
+    """The one check of a rank argument."""
+    if n < 0:
+        raise ValueError(f"rank must be >= 0, got {n}")
+
+
 def _parity_name(q, parity) -> str:
     return {1: "even", 2: "odd"}[parity_e(q, parity)]
 
@@ -92,6 +105,7 @@ def _order_ic(eps: int, n: int) -> tuple:
 def _order_value(eps: int, n: int, shift: int, q):
     """q^shift * prod_{i=1..n} (q^i - eps^i): an int, or a RatFunc at q=None."""
     _qval(q)
+    _check_rank(n)
     ic = (0,) * shift + _order_ic(eps, n)
     if q is None:
         return RatFunc._mk(QPoly._mk(ic, Fraction(1)), QPoly.one())
@@ -128,6 +142,7 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
     """
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
+    _check_rank(n)
     e = parity_e(q, parity)
     order = gl_group_order if flavor == "gl" else u_group_order
     qq = _qval(q)
@@ -181,14 +196,9 @@ class CharParam:
 def _class_factor(flavor: str, d: int, lam: Partition, qq):
     """q^(d*n(lam')) / prod_boxes (q^(d*h) - 1)   [gl]
     q^(d*n(lam')) / prod_boxes (q^(d*h) - (-1)^(d*h))   [u]."""
-    num = qq ** (d * lam.conjugate().n_stat())
-    den = qq ** 0
-    for h in lam.hooks():
-        if flavor == "gl":
-            den = den * (qq ** (d * h) - 1)
-        else:
-            den = den * (qq ** (d * h) - (-1) ** (d * h))
-    return num / den
+    eps = 1 if flavor == "gl" else -1
+    den = prod((qq ** (d * h) - eps ** (d * h) for h in lam.hooks()), start=qq ** 0)
+    return qq ** (d * lam.conjugate().n_stat()) / den
 
 
 def char_degree(param: CharParam, q=None):
@@ -275,27 +285,19 @@ def _at_y(num: list, den: list, d: int, eps: int, q):
     return RatFunc(num_q, den_q) if q is None else num_q.eval(q) / den_q.eval(q)
 
 
-def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None,
-                             counts: str = "formula") -> Series:
+def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Series:
     """Generating function sum_n u^n * (real degree sum at rank n)/prefactor,
-    assembled from polynomial-class counts and per-class blocks.
-
-    counts = "formula" uses the closed count formulas (symbolic q allowed);
-    counts = "census" uses brute orbit enumeration (numeric q only).
+    assembled from the class-count formulas (count_selfdual_and_pairs,
+    symbolic q allowed) and the per-class blocks: the product over d of
+    T_d^N*(d) G_d^M*(d), with each non-integer (symbolic) count taken through
+    one exp of the summed count * log(block).
     """
-    if counts not in ("formula", "census"):
-        raise ValueError("counts must be 'formula' or 'census'")
-    if counts == "census" and q is None:
-        raise ValueError("census counts need numeric q")
     par = _parity_name(q, parity)
     qq = _qval(q)
     out = Series.constant(qq ** 0, order)
     log_sum = out * 0  # sum of count * log(block) over the non-integer counts
     for d in range(1, order + 1):
-        if counts == "census":
-            cc = brute_poly_census(d, q, flavor)
-        else:
-            cc = count_selfdual_and_pairs(d, q, flavor, parity=par)
+        cc = count_selfdual_and_pairs(d, q, flavor, parity=par)
         blocks = assignment_block_gf(flavor, d, order, q)
         for k, count in enumerate((cc.n_selfdual, cc.m_pairs)):
             if not isinstance(count, int):
@@ -306,19 +308,41 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None,
     return out * log_sum.exp()
 
 
+def _labels(slots: list, start: int, n: int):
+    """Every tuple of (kind, d, parts) that puts nonempty partitions on
+    distinct slots of slots[start:], of total weight n."""
+    if n == 0:
+        yield ()
+        return
+    for j in range(start, len(slots)):
+        kind, d = slots[j]
+        unit = 2 * d if kind == "pair" else d
+        for m in range(1, n // unit + 1):
+            for lam in enumerate_partitions(m):
+                for rest in _labels(slots, j + 1, n - unit * m):
+                    yield ((kind, d, lam.parts),) + rest
+
+
 def real_degree_sum_oracle(flavor: str, n: int, q: int) -> int:
-    """Real-character degree sum at rank n by honest enumeration:
-    brute-force class census plus explicit expansion over all partition
-    assignments (organized as a truncated product of per-class blocks)."""
+    """Real-character degree sum at rank n by enumeration of the real
+    characters: the classes of each degree d <= n come from the orbit census
+    (brute_poly_census), each self-conjugate class and each conjugate pair a
+    slot of unit weight d or 2d; every assignment of nonempty partitions to
+    distinct slots with total weight n labels one real character, whose
+    degree char_degree takes from the hook formula."""
     if flavor not in ("gl", "u"):
         raise ValueError("flavor must be 'gl' or 'u'")
     if not isinstance(q, int):
         raise ValueError("the oracle needs numeric q")
     if n > 4 or q > 5:
         raise ValueError("oracle budget: n <= 4 and q <= 5")
-    gf = real_sum_gf_from_classes(flavor, n, q, counts="census")
-    pref = gl_prefactor(n, q) if flavor == "gl" else u_prefactor_abs(n, q)
-    return to_int(gf.coefficient(n) * pref)
+    _check_rank(n)
+    slots = []
+    for d in range(1, n + 1):
+        cc = brute_poly_census(d, q, flavor)
+        slots += [("selfdual", d)] * cc.n_selfdual + [("pair", d)] * cc.m_pairs
+    return sum(char_degree(CharParam(flavor, labels), q)
+               for labels in _labels(slots, 0, n))
 
 
 def _named_gf_values(flavor: str, names: tuple, n: int, q, parity, u_sign: int):
@@ -326,6 +350,8 @@ def _named_gf_values(flavor: str, names: tuple, n: int, q, parity, u_sign: int):
     for each name; the u prefactor is taken with sign u_sign."""
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
+    _qval(q)
+    _check_rank(n)
     par = _parity_name(q, parity)
     pref = gl_prefactor(n, None) if flavor == "gl" else u_sign * u_prefactor_abs(n, None)
     return tuple(_finish(named_gf(f"{flavor}_{name}", par, n).coefficient(n) * pref, q)
@@ -377,6 +403,7 @@ def u_real_sum_even_closed(n: int, q=None):
     """Even-characteristic real degree sum: prefactor times the sum over
     |lam| = n of q^(-(l(lam_odd)+n)/2) P_lam(z; 1/q), z = -1/q, which is
     q^N sum_lam w^((l(lam_odd)+n)/2) F_lam(-w, w): no denominator is left."""
+    _check_rank(n)
     w = QPoly.x()
     total = QPoly.zero()
     for lam in enumerate_partitions(n):
@@ -392,6 +419,7 @@ def u_unsumodd_exprs(n: int, q=None):
     P_nu(z; -1), z = -1/q, over |lam| + |nu| = n.  Over (-w;-w)_n a pair
     takes the weight [n choose |lam|]_(-w), so expr_i = q^N E_i(1/q) /
     prefactor with E_i a polynomial in w."""
+    _check_rank(n)
     w = QPoly.x()
     e1 = e2 = QPoly.zero()
     for k in range(n + 1):
@@ -514,6 +542,7 @@ def weyl_sums(family: str, n: int) -> dict:
     D_n are the pairs up to swapping, a pair (lam, lam) splitting in two, so
     the D sum is (B sum + C(n, n/2) sum_{lam |- n/2} f_lam^2) / 2.
     """
+    _check_rank(n)
     if family == "A":
         degree_sum = sum(_sym_degrees(n))
         involutions = _egf_coeff_times_factorial([0, 1, Fraction(1, 2)], n)

@@ -300,15 +300,10 @@ def _run_degrees_u(order: int):
 
 def _run_closed_vs_gf(flavor, parity):
     def runner(nmax: int):
-        for n in range(1, nmax + 1):
-            lhs = chars.involution_count(flavor, n, None, parity)
-            rhs = (chars.real_degree_sum_gf(flavor, n, None, parity)
-                   if flavor == "gl" else
-                   chars.involution_count_gf(flavor, n, None, parity))
-            w = _value_witness(f"n={n}", lhs, rhs)
-            if w:
-                return w
-        return None
+        gf = chars.real_degree_sum_gf if flavor == "gl" else chars.involution_count_gf
+        return _first_witness((f"n={n}", chars.involution_count(flavor, n, None, parity),
+                               gf(flavor, n, None, parity))
+                              for n in range(1, nmax + 1))
     return runner
 
 
@@ -371,41 +366,31 @@ def _run_igl_table(nmax: int, observe_nmax: int):
 
 
 def _run_epsplit(parity):
-    def runner(nmax: int):
+    def checks(nmax: int):
         for n in range(1, nmax + 1):
             plus, minus = chars.u_eps_sums_gf(n, None, parity)
-            total = chars.real_degree_sum_gf("u", n, None, parity)
-            inv = chars.involution_count("u", n, None, parity)
-            w = (_value_witness(f"n={n} sum", plus + minus, total)
-                 or _value_witness(f"n={n} difference", plus - minus, inv))
-            if w:
-                return w
-        return None
-    return runner
+            yield (f"n={n} sum", plus + minus,
+                   chars.real_degree_sum_gf("u", n, None, parity))
+            yield (f"n={n} difference", plus - minus,
+                   chars.involution_count("u", n, None, parity))
+    return lambda nmax: _first_witness(checks(nmax))
 
 
 def _run_unsumeven(nmax: int):
-    for n in range(1, nmax + 1):
-        lhs = chars.u_real_sum_closed(n, None, "even")
-        rhs = chars.real_degree_sum_gf("u", n, None, "even")
-        w = _value_witness(f"n={n}", lhs, rhs)
-        if w:
-            return w
-    return None
+    return _first_witness((f"n={n}", chars.u_real_sum_closed(n, None, "even"),
+                           chars.real_degree_sum_gf("u", n, None, "even"))
+                          for n in range(1, nmax + 1))
 
 
 def _run_eps_pairs(pairs):
     """Compare the even-characteristic eps-split pair pairs(n) with the
     series route's, sign by sign, for n = 1..nmax."""
-    def runner(nmax: int):
+    def checks(nmax: int):
         for n in range(1, nmax + 1):
             rhs = chars.u_eps_sums_gf(n, None, "even")
-            w = _first_witness((f"n={n} sign {sign:+d}", a, b)
-                               for sign, a, b in zip((1, -1), pairs(n), rhs))
-            if w:
-                return w
-        return None
-    return runner
+            for sign, a, b in zip((1, -1), pairs(n), rhs):
+                yield f"n={n} sign {sign:+d}", a, b
+    return lambda nmax: _first_witness(checks(nmax))
 
 
 # through the chars namespace at run time, so a patched binding reaches the check
@@ -414,17 +399,13 @@ _run_genfn_even_alt = _run_eps_pairs(lambda n: chars.u_eps_sums_alt_even(n))
 
 
 def _run_unsumodd(nmax: int):
-    for n in range(1, nmax + 1):
-        e1, e2 = chars.u_unsumodd_exprs(n)
-        w = _value_witness(f"n={n} expressions", e1, e2)
-        if w:
-            return w
-        total = e1 * chars.u_prefactor_abs(n, None) * (-1) ** n
-        rhs = chars.real_degree_sum_gf("u", n, None, "odd")
-        w = _value_witness(f"n={n} vs series route", total, rhs)
-        if w:
-            return w
-    return None
+    def checks():
+        for n in range(1, nmax + 1):
+            e1, e2 = chars.u_unsumodd_exprs(n)
+            yield f"n={n} expressions", e1, e2
+            yield (f"n={n} vs series route", e1 * chars.u_prefactor_abs(n, None) * (-1) ** n,
+                   chars.real_degree_sum_gf("u", n, None, "odd"))
+    return _first_witness(checks())
 
 
 def _run_example_u2_even():
@@ -515,62 +496,46 @@ def _run_warnaar(with_b):
 
 
 def _run_brute_involutions(cases):
-    for flavor, n, q0 in (tuple(c) for c in cases):
-        order = groups.group_order(flavor, n, q0)
-        closed_order = (chars.gl_group_order(n, q0) if flavor == "gl"
-                        else chars.u_group_order(n, q0))
-        w = _value_witness(f"{flavor}({n},{q0}) order", order, closed_order)
-        if w:
-            return w
-        brute = groups.count_square_roots_of_identity(flavor, n, q0)
-        closed = chars.involution_count(flavor, n, q0)
-        w = _value_witness(f"{flavor}({n},{q0}) involutions", brute, closed)
-        if w:
-            return w
-    return None
+    def checks():
+        for flavor, n, q0 in cases:
+            order = chars.gl_group_order if flavor == "gl" else chars.u_group_order
+            yield (f"{flavor}({n},{q0}) order", groups.group_order(flavor, n, q0),
+                   order(n, q0))
+            yield (f"{flavor}({n},{q0}) involutions",
+                   groups.count_square_roots_of_identity(flavor, n, q0),
+                   chars.involution_count(flavor, n, q0))
+    return _first_witness(checks())
 
 
 def _run_real_sum_oracle(gl_nmax: int, u_nmax: int, qs):
-    for q0 in qs:
-        for n in range(1, gl_nmax + 1):
-            a = chars.real_degree_sum_oracle("gl", n, q0)
-            b = chars.real_degree_sum_gf("gl", n, q0)
-            w = _value_witness(f"gl n={n} q={q0}", a, b)
-            if w:
-                return w
-        for n in range(1, u_nmax + 1):
-            a = chars.real_degree_sum_oracle("u", n, q0)
-            b = chars.real_degree_sum_gf("u", n, q0)
-            w = _value_witness(f"u n={n} q={q0}", a, b)
-            if w:
-                return w
-    return None
+    return _first_witness((f"{flavor} n={n} q={q0}",
+                           chars.real_degree_sum_oracle(flavor, n, q0),
+                           chars.real_degree_sum_gf(flavor, n, q0))
+                          for q0 in qs
+                          for flavor, nmax in (("gl", gl_nmax), ("u", u_nmax))
+                          for n in range(1, nmax + 1))
 
 
 def _run_poly_census(dmax: int, qs, msum: int):
-    for flavor in ("gl", "u"):
-        for q0 in qs:
-            for d in range(1, dmax + 1):
-                f = count_selfdual_and_pairs(d, q0, flavor)
-                b = brute_poly_census(d, q0, flavor)
-                for field in ("n_plain", "n_selfdual", "m_pairs"):
-                    w = _value_witness(f"{flavor} d={d} q={q0} {field}",
-                                       getattr(f, field), getattr(b, field))
-                    if w:
-                        return w
-    # plain-count divisor identities, exact in q
-    for m in range(1, msum + 1):
-        lhs = RatFunc.const(0)
-        lhs_u = RatFunc.const(0)
-        for d in divisors(m):
-            lhs = lhs + d * count_irreducible(d, None)
-            lhs_u = lhs_u + d * count_u_irreducible(d, None)
-        w = (_value_witness(f"gl divisor sum m={m}", lhs, _Q ** m)
-             or _value_witness(f"u divisor sum m={m}", lhs_u,
-                               _Q ** m - RatFunc.const((-1) ** m)))
-        if w:
-            return w
-    return None
+    def checks():
+        for flavor in ("gl", "u"):
+            for q0 in qs:
+                for d in range(1, dmax + 1):
+                    f = count_selfdual_and_pairs(d, q0, flavor)
+                    b = brute_poly_census(d, q0, flavor)
+                    for field in ("n_plain", "n_selfdual", "m_pairs"):
+                        yield (f"{flavor} d={d} q={q0} {field}",
+                               getattr(f, field), getattr(b, field))
+        # plain-count divisor identities, exact in q
+        for m in range(1, msum + 1):
+            lhs = RatFunc.const(0)
+            lhs_u = RatFunc.const(0)
+            for d in divisors(m):
+                lhs = lhs + d * count_irreducible(d, None)
+                lhs_u = lhs_u + d * count_u_irreducible(d, None)
+            yield f"gl divisor sum m={m}", lhs, _Q ** m
+            yield f"u divisor sum m={m}", lhs_u, _Q ** m - RatFunc.const((-1) ** m)
+    return _first_witness(checks())
 
 
 def _run_hl_finite(sizemax: int):
@@ -724,7 +689,8 @@ _register("oracle-brute-involutions", ("oracle", "groups"),
           {"cases": [["gl", 2, 2], ["gl", 2, 3], ["gl", 3, 2], ["u", 2, 2]]},
           _run_brute_involutions)
 _register("oracle-real-sums", ("oracle", "chars"),
-          "census-enumerated real degree sums match series coefficients",
+          "real degree sums enumerated character by character with the "
+          "degree formula over census classes match series coefficients",
           {"gl_nmax": 4, "u_nmax": 3, "qs": [2, 3]},
           {"gl_nmax": 3, "u_nmax": 2, "qs": [2, 3]}, _run_real_sum_oracle)
 _register("oracle-poly-census", ("oracle", "polycount"),

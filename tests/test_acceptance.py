@@ -122,7 +122,7 @@ def test_criterion_07_brute_force_group_concordance():
 def test_criterion_08_degree_sum_oracle_concordance():
     _gate(
         8,
-        "census-based degree-sum oracle equals series coefficients",
+        "degree-formula enumeration over census classes equals series coefficients",
         [run_check("oracle-real-sums", gl_nmax=4, u_nmax=3, qs=[2, 3])],
     )
 

@@ -148,11 +148,59 @@ def test_degree_sum_equals_involutions_numeric():
 
 
 def test_degree_sum_oracle_matches_gf():
+    # GL(2, 2) = S_3: three real characters, of degrees 1, 1 and 2.
     assert real_degree_sum_oracle("gl", 2, 2) == 4
-    for q in (2, 3):
-        for n in (1, 2, 3):
-            assert real_degree_sum_oracle("gl", n, q) == real_degree_sum_gf("gl", n, q)
-            assert real_degree_sum_oracle("u", n, q) == real_degree_sum_gf("u", n, q)
+    for q in (2, 3, 4, 5):
+        for flavor, nmax in (("gl", 4), ("u", 3)):
+            for n in range(nmax + 1):
+                assert real_degree_sum_oracle(flavor, n, q) == real_degree_sum_gf(flavor, n, q)
+
+
+def test_degree_sum_oracle_walks_the_real_characters(monkeypatch):
+    # GL(2, 3): the census gives the self-conjugate classes t - 1, t + 1 and
+    # t^2 + 1 and no pair.  The real characters put (2) or (1,1) on one
+    # linear class, (1) on both, or (1) on t^2 + 1: six characters, of
+    # degrees q, q, 1, 1, q + 1 and q - 1.
+    degrees = []
+    real = chars.char_degree
+
+    def record(param, q=None):
+        degrees.append(real(param, q))
+        return degrees[-1]
+
+    monkeypatch.setattr(chars, "char_degree", record)
+    assert real_degree_sum_oracle("gl", 2, 3) == 14
+    assert sorted(degrees) == [1, 1, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("q", [1, 0, -3, True])
+def test_gf_readers_reject_bad_q(q):
+    for call in (lambda: real_degree_sum_gf("gl", 2, q),
+                 lambda: involution_count_gf("u", 2, q),
+                 lambda: u_eps_sums_gf(2, q)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("fn, args", [
+    pytest.param(gl_group_order, (-1, 3), id="gl_group_order"),
+    pytest.param(u_prefactor_abs, (-1, None), id="u_prefactor_abs"),
+    pytest.param(involution_count, ("gl", -1, 3), id="involution_count-gl"),
+    pytest.param(involution_count, ("u", -1, None, "odd"), id="involution_count-u"),
+    pytest.param(real_degree_sum_gf, ("u", -2, None, "even"), id="real_degree_sum_gf"),
+    pytest.param(u_eps_sums_gf, (-1, 3), id="u_eps_sums_gf"),
+    pytest.param(u_real_sum_closed, (-1, None, "odd"), id="u_real_sum_closed-odd"),
+    pytest.param(u_real_sum_closed, (-2, None, "even"), id="u_real_sum_closed-even"),
+    pytest.param(u_eps_sums_closed, (-1, None, "odd"), id="u_eps_sums_closed"),
+    pytest.param(u_eps_sums_alt_even, (-1,), id="u_eps_sums_alt_even"),
+    pytest.param(real_degree_sum_oracle, ("gl", -1, 3), id="real_degree_sum_oracle"),
+    pytest.param(weyl_sums, ("A", -1), id="weyl_sums-A"),
+    pytest.param(weyl_sums, ("B", -1), id="weyl_sums-B"),
+    pytest.param(weyl_sums, ("D", -1), id="weyl_sums-D"),
+])
+def test_negative_rank_is_rejected(fn, args):
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        fn(*args)
 
 
 def test_symbolic_matches_numeric_by_parity():
@@ -486,5 +534,8 @@ def test_block_logs_are_taken_once_per_block(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("flavor", ["gl", "u"])
 def test_class_product_on_the_census_path(flavor, q):
-    got = real_sum_gf_from_classes(flavor, 4, q, counts="census")
+    # At numeric q the formula counts are integers, so the library raises
+    # each block to its count; the product with the census counts in their
+    # place must be the same series.
+    got = real_sum_gf_from_classes(flavor, 4, q)
     assert got == _gf_block_by_block(flavor, 4, q, None, "census")

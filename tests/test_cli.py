@@ -153,6 +153,19 @@ def test_degree_sum_symbolic_default_parity(capsys):
     assert capsys.readouterr().out.strip() == "q^4 - q^3 + 2*q^2 - q"
 
 
+@pytest.mark.parametrize("argv", [
+    ["degree-sum", "--group", "gl", "--n", "2", "--q", "1"],
+    ["degree-sum", "--group", "gl", "--n", "-1", "--q", "3"],
+    ["eps-split", "--n", "-1", "--q", "3"],
+])
+def test_bad_q_or_rank_is_a_usage_error(capsys, argv):
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_degree_sum_weyl(capsys):
     rc = main(["degree-sum", "--group", "weylA", "--n", "4"])
     assert rc == 0

@@ -291,6 +291,61 @@ def test_mutation_in_class_counts_is_detected_with_warm_memo(monkeypatch):
         assert run_check(check_id, order=6).status == "pass"
 
 
+def test_mutation_in_class_factor_is_detected(monkeypatch):
+    # The oracle takes every character degree from the hook formula, so a
+    # class factor off by one for lam = (2) shows at the first rank with a
+    # character carrying (2); the series side never reads the hook formula.
+    real = chars._class_factor
+
+    def corrupted(flavor, d, lam, qq):
+        value = real(flavor, d, lam, qq)
+        return value + 1 if tuple(lam) == (2,) else value
+
+    monkeypatch.setattr(chars, "_class_factor", corrupted)
+    r = run_check("oracle-real-sums")
+    assert r.status == "fail"
+    assert r.witness.startswith("gl n=2 q=2: ")
+    monkeypatch.undo()
+    assert run_check("oracle-real-sums").status == "pass"
+
+
+def _clear_block_memos():
+    for memo in (chars._assignment_blocks, chars._assignment_block_logs):
+        memo.cache_clear()
+
+
+def test_mutation_in_fake_degree_reaches_the_class_product_only(monkeypatch):
+    # f_(1,1)(y) = y moved to 1 + y, with the block memos cleared so they
+    # are rebuilt from it: the class product of thm-genfnGL must fail, and
+    # the oracle, which enumerates characters instead, must still pass.
+    real = chars._fake_degree
+
+    def corrupted(parts):
+        f = real(parts)
+        return (f[0] + 1,) + f[1:] if parts == (1, 1) else f
+
+    _clear_block_memos()
+    monkeypatch.setattr(chars, "_fake_degree", corrupted)
+    try:
+        r = run_check("thm-genfnGL", order=4)
+        assert r.status == "fail"
+        assert r.witness.startswith("parity even: u^2: ")
+        assert run_check("oracle-real-sums").status == "pass"
+    finally:
+        monkeypatch.undo()
+        _clear_block_memos()
+    assert run_check("thm-genfnGL", order=4).status == "pass"
+
+
+def test_real_sum_oracle_never_reaches_the_class_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle-real-sums must not use the class product")
+
+    for name in ("_fake_degree", "_assignment_blocks", "real_sum_gf_from_classes"):
+        monkeypatch.setattr(chars, name, forbidden)
+    assert run_check("oracle-real-sums").status == "pass"
+
+
 @pytest.mark.parametrize("one", [RatFunc.const(1), Fraction(1)])
 def test_binom_factor_log_matches_series_log(one):
     # The Mercator coefficients against the generic series logarithm.
