@@ -89,10 +89,6 @@ def _finish(x, q):
     return to_int(x)
 
 
-def _eval_sym(x: RatFunc, q):
-    return x if q is None else x.eval(q)
-
-
 @lru_cache(maxsize=None)
 def _order_ic(eps: int, n: int) -> tuple:
     """Integer coefficient tuple of prod_{i=1..n} (q^i - eps^i), eps = +-1."""
@@ -411,50 +407,58 @@ def u_real_sum_even_closed(n: int, q=None):
     return _finish(_from_w(total, _binom2(n + 1)), q)
 
 
-def u_unsumodd_exprs(n: int, q=None):
-    """The two partition-pair expressions for the odd-characteristic real
-    degree sum, without the prefactor: returns (expr1, expr2).
+def u_unsumodd_expr(n: int, form: int, q=None):
+    """One of the two partition-pair expressions (form 1 or 2) for the
+    odd-characteristic real degree sum, without the prefactor.
 
     Each sums weighted terms q^(-|nu|-(l(lam_odd)+|lam|)/2) P_lam(z; 1/q)
-    P_nu(z; -1), z = -1/q, over |lam| + |nu| = n.  Over (-w;-w)_n a pair
-    takes the weight [n choose |lam|]_(-w), so expr_i = q^N E_i(1/q) /
-    prefactor with E_i a polynomial in w."""
+    P_nu(z; -1), z = -1/q, over |lam| + |nu| = n.  Form 1 takes the nu with
+    all multiplicities even, form 2 the pairs where the odd part of lam and
+    the even part of nu have even multiplicities.  Over (-w;-w)_n a pair
+    takes the weight [n choose |lam|]_(-w), so the expression is
+    q^N E(1/q) / prefactor with E a polynomial in w.  The sign and weight of
+    a pair split into a lam factor and a nu factor (l(nu_odd) + |nu| is
+    even), so E sums over lam and over nu once per |lam|."""
     _check_rank(n)
+    if form not in (1, 2):
+        raise ValueError(f"form must be 1 or 2, got {form!r}")
     w = QPoly.x()
-    e1 = e2 = QPoly.zero()
+    total = QPoly.zero()
     for k in range(n + 1):
-        binom = gaussian_binomial(n, k).eval(-w)
+        lam_sum = nu_sum = QPoly.zero()
         for lam in enumerate_partitions(k):
-            lam_o, lam_e = lam.odd_part(), lam.even_part()
-            p_lam = binom * rs_multi(lam_e, w, w) * _hl_at_minus_w(lam, 1, 1)
-            rs_o = rs_multi(lam_o, 1, w)
-            poch = prod((pochhammer_cd(w, w * w, m // 2) for m in lam_o.mults().values()),
-                        start=QPoly.one())
-            for nu in enumerate_partitions(n - k):
-                term = (w ** (nu.size + (lam.ell_odd + k) // 2) * p_lam
-                        * _hl_at_minus_w(nu, -1, 0))
-                # first form: nu with all multiplicities even
-                if all(m % 2 == 0 for m in nu.mults().values()):
-                    sgn = (-1) ** (nu.size // 2 + lam.ell_odd)
-                    e1 = e1 + sgn * 2 ** (nu.ell // 2) * rs_o * term
-                # second form: odd part of lam and even part of nu have even columns
-                if all(m % 2 == 0 for m in lam_o.mults().values()) and \
-                   all(m % 2 == 0 for m in nu.even_part().mults().values()):
-                    sgn = (-1) ** ((lam.ell_odd + nu.ell_odd + nu.size) // 2)
-                    two_pow = 2 ** sum((m + 1) // 2 for m in nu.mults().values())
-                    e2 = e2 + sgn * two_pow * poch * term
-    pref = u_prefactor_abs(n, None)
-    return tuple(_eval_sym(_from_w(e, _binom2(n + 1)) / pref, q) for e in (e1, e2))
+            lam_o = lam.odd_part()
+            if form == 1:
+                weight = (-1) ** lam.ell_odd * rs_multi(lam_o, 1, w)
+            elif all(m % 2 == 0 for m in lam_o.mults().values()):
+                weight = (-1) ** (lam.ell_odd // 2) * prod(
+                    (pochhammer_cd(w, w * w, m // 2) for m in lam_o.mults().values()),
+                    start=QPoly.one())
+            else:
+                continue
+            lam_sum = lam_sum + (w ** ((lam.ell_odd + k) // 2) * weight
+                                 * rs_multi(lam.even_part(), w, w) * _hl_at_minus_w(lam, 1, 1))
+        for nu in enumerate_partitions(n - k):
+            if form == 1 and all(m % 2 == 0 for m in nu.mults().values()):
+                c = (-1) ** (nu.size // 2) * 2 ** (nu.ell // 2)
+            elif form == 2 and all(m % 2 == 0 for m in nu.even_part().mults().values()):
+                c = ((-1) ** ((nu.ell_odd + nu.size) // 2)
+                     * 2 ** sum((m + 1) // 2 for m in nu.mults().values()))
+            else:
+                continue
+            nu_sum = nu_sum + c * _hl_at_minus_w(nu, -1, 0)
+        total = total + gaussian_binomial(n, k).eval(-w) * w ** (n - k) * lam_sum * nu_sum
+    expr = _from_w(total, _binom2(n + 1)) / u_prefactor_abs(n, None)
+    return expr if q is None else expr.eval(q)
 
 
 def u_real_sum_odd_closed(n: int, q=None):
     """Odd-characteristic real degree sum: (-1)^n * prefactor * expr, with
     the two equivalent expressions asserted equal first."""
-    e1, e2 = u_unsumodd_exprs(n)
+    e1, e2 = u_unsumodd_expr(n, 1), u_unsumodd_expr(n, 2)
     if e1 != e2:
         raise AssertionError(f"odd-characteristic expressions disagree at n={n}")
-    val = e1 * u_prefactor_abs(n, None) * (-1) ** n
-    return _finish(val, q)
+    return _finish(e1 * u_prefactor_abs(n, None) * (-1) ** n, q)
 
 
 def u_real_sum_closed(n: int, q=None, parity=None):
@@ -504,18 +508,11 @@ def u_eps_sums_alt_even(n: int, q=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _hook_product(lam: Partition) -> int:
-    out = 1
-    for h in lam.hooks():
-        out *= h
-    return out
-
-
 @lru_cache(maxsize=None)
 def _sym_degrees(m: int) -> tuple:
     """The irreducible character degrees m!/H(lam) of S_m, over lam |- m."""
     fact = factorial(m)
-    return tuple(fact // _hook_product(lam) for lam in enumerate_partitions(m))
+    return tuple(fact // prod(lam.hooks()) for lam in enumerate_partitions(m))
 
 
 def _b_degree_sum(n: int) -> int:
@@ -529,14 +526,12 @@ def _egf_coeff_times_factorial(log_co, n: int) -> int:
     return to_int(s.exp().coefficient(n) * factorial(n))
 
 
-def weyl_sums(family: str, n: int) -> dict:
-    """Character degree sum and involution count for the classical Weyl
-    families: A (symmetric group S_n), B (hyperoctahedral group), D (its
-    index-two rotation subgroup), each verified against exponential
-    generating functions elsewhere.
+def weyl_degree_sum(family: str, n: int) -> int:
+    """Character degree sum of the Weyl group of rank n in family A
+    (symmetric group S_n), B (hyperoctahedral group) or D (its index-two
+    rotation subgroup), from the hook-length degrees of S_m alone.
 
-    The degree sums come from the hook-length degrees of S_m alone.  The
-    irreducibles of B_n are labelled by pairs (lam, tau) with
+    The irreducibles of B_n are labelled by pairs (lam, tau) with
     |lam| + |tau| = n and have degree C(n, |lam|) f_lam f_tau, so the B sum is
     sum_k C(n, k) S(k) S(n - k), with S(m) the degree sum of S_m.  Those of
     D_n are the pairs up to swapping, a pair (lam, lam) splitting in two, so
@@ -544,24 +539,29 @@ def weyl_sums(family: str, n: int) -> dict:
     """
     _check_rank(n)
     if family == "A":
-        degree_sum = sum(_sym_degrees(n))
-        involutions = _egf_coeff_times_factorial([0, 1, Fraction(1, 2)], n)
-    elif family == "B":
-        degree_sum = _b_degree_sum(n)
-        involutions = _egf_coeff_times_factorial([0, 2, 1], n)
-    elif family == "D":
-        b_sum = _b_degree_sum(n)
-        diag = 0
-        if n % 2 == 0:
-            diag = comb(n, n // 2) * sum(f * f for f in _sym_degrees(n // 2))
-        degree_sum = (b_sum + diag) // 2
-        if (b_sum + diag) % 2:
-            raise AssertionError("degree sum halving failed")
-        # n!/2 * [u^n] exp(u^2) (exp(2u) + 1)
-        e_u2 = Series([Fraction(0), Fraction(0), Fraction(1)], n).exp()
-        e_2u = Series([Fraction(0), Fraction(2)], n).exp()
-        coeff = (e_u2 * (e_2u + 1)).coefficient(n)
-        involutions = to_int(coeff * factorial(n) / 2)
-    else:
+        return sum(_sym_degrees(n))
+    if family not in ("B", "D"):
         raise ValueError(f"family must be 'A', 'B', or 'D', got {family!r}")
-    return {"degree_sum": degree_sum, "involutions": involutions}
+    b_sum = _b_degree_sum(n)
+    if family == "B":
+        return b_sum
+    diag = comb(n, n // 2) * sum(f * f for f in _sym_degrees(n // 2)) if n % 2 == 0 else 0
+    if (b_sum + diag) % 2:
+        raise AssertionError("degree sum halving failed")
+    return (b_sum + diag) // 2
+
+
+def weyl_involutions(family: str, n: int) -> int:
+    """Involution count of the Weyl group of rank n in family A, B or D, from
+    exponential generating functions: exp(u + u^2/2) for A, exp(2u + u^2)
+    for B, and exp(u^2) (exp(2u) + 1) / 2 = (exp(2u + u^2) + exp(u^2)) / 2
+    for D."""
+    _check_rank(n)
+    if family == "A":
+        return _egf_coeff_times_factorial([0, 1, Fraction(1, 2)], n)
+    if family not in ("B", "D"):
+        raise ValueError(f"family must be 'A', 'B', or 'D', got {family!r}")
+    b_count = _egf_coeff_times_factorial([0, 2, 1], n)
+    if family == "B":
+        return b_count
+    return (b_count + _egf_coeff_times_factorial([0, 0, 1], n)) // 2

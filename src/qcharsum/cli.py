@@ -202,16 +202,16 @@ def _cmd_census(args) -> int:
     sources = {"formula": ("formula",), "brute": ("brute",),
                "both": ("formula", "brute")}[args.source]
     qs = _parse_int_list(args.q)
+    # every row is computed, and so every q validated, before any is printed
+    rows = [(flavor, d, q, source,
+             count_selfdual_and_pairs(d, q, flavor) if source == "formula"
+             else brute_poly_census(d, q, flavor))
+            for flavor in flavors for q in qs
+            for d in range(1, args.dmax + 1) for source in sources]
     print("flavor\td\tq\tN\tNstar\tMstar\tsource")
-    for flavor in flavors:
-        for q in qs:
-            for d in range(1, args.dmax + 1):
-                for source in sources:
-                    counts = (count_selfdual_and_pairs(d, q, flavor)
-                              if source == "formula"
-                              else brute_poly_census(d, q, flavor))
-                    print(f"{flavor}\t{d}\t{q}\t{counts.n_plain}"
-                          f"\t{counts.n_selfdual}\t{counts.m_pairs}\t{source}")
+    for flavor, d, q, source, counts in rows:
+        print(f"{flavor}\t{d}\t{q}\t{counts.n_plain}"
+              f"\t{counts.n_selfdual}\t{counts.m_pairs}\t{source}")
     return 0
 
 
@@ -238,7 +238,7 @@ def _require_scale(args, parser):
 
 def _cmd_degree_sum(args, parser) -> int:
     if args.group in _WEYL:
-        print(chars.weyl_sums(_WEYL[args.group], args.n)["degree_sum"])
+        print(chars.weyl_degree_sum(_WEYL[args.group], args.n))
         return 0
     _require_scale(args, parser)
     q, parity = _numeric_or_symbolic(args)
@@ -248,7 +248,7 @@ def _cmd_degree_sum(args, parser) -> int:
 
 def _cmd_involutions(args, parser) -> int:
     if args.group in _WEYL:
-        print(chars.weyl_sums(_WEYL[args.group], args.n)["involutions"])
+        print(chars.weyl_involutions(_WEYL[args.group], args.n))
         return 0
     _require_scale(args, parser)
     q, parity = _numeric_or_symbolic(args)

@@ -241,6 +241,8 @@ def _theoretical_order(flavor: str, n: int, q: int) -> int:
 def _check_budget(flavor: str, n: int, q: int) -> None:
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
+    if n < 0:
+        raise ValueError(f"rank must be >= 0, got {n}")
     if _theoretical_order(flavor, n, q) > _ORDER_BUDGET:
         raise ValueError("group order exceeds enumeration budget")
     if flavor == "u" and (q * q) ** n > _SCAN_BUDGET:

@@ -1,10 +1,16 @@
 """Named checks: every verified identity, example, and oracle concordance.
 
 Each check has a stable id, runs exact arithmetic only, and either passes,
-fails with a witness (the first differing index and both exact values), or
-is skipped with a reason.  A runner returns None to pass, a witness string
-to fail, or ("pass", note) to pass with an observation note that is reported
-apart from any witness.  `run_all` executes the registry in order; its
+fails with a witness, or is skipped with a reason.  A check is two sides,
+lhs and rhs, that reach the same quantities by independent routes: each
+takes the check's parameters and yields (tag, value) rows, one per rank,
+series coefficient or worked value.  One comparison walks both sides in
+step (the tags must match) and reports the first row whose values break
+the check's relation: equality, with the witness "{tag}: lhs=..., rhs=...",
+or for oracle-hl-finite a valuation bound.  A check's note, if it has one,
+is computed after a pass and reported apart from any witness.  Sides look
+up chars.* and this module's imported names at run time, so a patched
+binding reaches the check.  `run_all` executes the registry in order; its
 `budget` argument ("full" by default, or "quick") selects default parameter
 sizes, and callers may override any parameter a check declares.
 """
@@ -29,16 +35,21 @@ from .qseries import (GeometricFactorSpec, PairProductSpec, euler_expand,
 
 
 class SkipCheck(Exception):
-    """Raised by a runner to mark the check skipped (reason in args)."""
+    """Raised by a side to mark the check skipped (reason in args)."""
 
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """A registered check.  `sides` is (lhs, rhs); `fn(**params)` compares
+    them and returns None (pass), a witness string (fail), or
+    ("pass", note)."""
+
     id: str
     tags: tuple
     description: str
     params: dict
     quick: dict
+    sides: tuple
     fn: object
 
 
@@ -53,27 +64,56 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers.
+# The comparison and the side plumbing.
 # ---------------------------------------------------------------------------
 
 _Q = RatFunc.x()
 _ONE = RatFunc.const(1)
 
 
-def _series_witness(lhs: Series, rhs: Series, label: str = "u"):
-    d = lhs.first_difference(rhs)
-    if d is None:
-        return None
-    return f"{label}^{d}: lhs={lhs.coefficient(d)}, rhs={rhs.coefficient(d)}"
-
-
-def _value_witness(tag: str, lhs, rhs):
+def _equal(tag, lhs, rhs):
+    """The default relation: None when the two values agree, else the witness."""
     return None if lhs == rhs else f"{tag}: lhs={lhs}, rhs={rhs}"
 
 
-def _first_witness(checks):
-    """The witness of the first (tag, lhs, rhs) in `checks` whose sides differ."""
-    return next(filter(None, (_value_witness(*c) for c in checks)), None)
+def _comparison(lhs, rhs, relation, note):
+    """The one comparison loop: both sides row by row, under `relation`."""
+    def fn(**params):
+        for (tag, a), (other, b) in zip(lhs(**params), rhs(**params), strict=True):
+            if tag != other:
+                raise ValueError(f"sides out of step: {tag!r} against {other!r}")
+            witness = relation(tag, a, b)
+            if witness:
+                return witness
+        return None if note is None else ("pass", note(**params))
+    return fn
+
+
+def _per_rank(value, start: int = 1):
+    """A side yielding ("n={n}", value(n)) for n = start..nmax; another
+    parameter of the check (remark-igl-table's observe_nmax) is its note's."""
+    return lambda nmax, **_: ((f"n={n}", value(n)) for n in range(start, nmax + 1))
+
+
+def _coefficients(prefix: str, series: Series, var: str = "u"):
+    """The rows (prefix + var^i, coefficient) of a series, i = 0..order."""
+    return ((f"{prefix}{var}^{i}", series.coefficient(i)) for i in range(series.order + 1))
+
+
+def _by_parity(series):
+    """A side yielding the coefficients of series(order, parity), even first."""
+    return lambda order: (row for par in ("even", "odd")
+                          for row in _coefficients(f"parity {par}: ", series(order, par)))
+
+
+# ---------------------------------------------------------------------------
+# The sides of each check.
+# ---------------------------------------------------------------------------
+
+
+def _weyl_sides(family: str) -> tuple:
+    return (_per_rank(lambda n: chars.weyl_degree_sum(family, n), start=0),
+            _per_rank(lambda n: chars.weyl_involutions(family, n), start=0))
 
 
 def _binom_factor_log(sign: int, d: int, order: int, one) -> Series:
@@ -94,19 +134,20 @@ def _geom_inv(c, order: int, one) -> Series:
     return Series(co, order)
 
 
-def _starred_counts(flavor: str, d: int, q, parity):
-    nstar2d = count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual
-    mstar = count_selfdual_and_pairs(d, q, flavor, parity).m_pairs
-    return nstar2d, mstar
-
-
-def _prodlem_lhs(flavor: str, signs: tuple, order: int, q, parity) -> Series:
-    """exp(sum_d [-N*(2d) log(1+s1 w^d) - M*(d) log(1+s2 w^d)])."""
+def _prodlem_lhs(flavor: str, which: int, order: int, q, parity) -> Series:
+    """The class-count side of identity `which`:
+    exp(sum_d [-N*(2d) log(1+s1 w^d) - M*(d) log(1+s2 w^d)]) with its signs
+    (s1, s2), or for identity 4 (u, plain counts) prod_d (1-w^d)^(-Nbar(d))."""
     one = _ONE if q is None else Fraction(1)
-    s1, s2 = signs
     total = Series.constant(one * 0, order)
     for d in range(1, order + 1):
-        nstar2d, mstar = _starred_counts(flavor, d, q, parity)
+        if which == 4:
+            nbar = count_u_irreducible(d, q)
+            total = total + _binom_factor_log(-1, d, order, one) * (-1 * nbar)
+            continue
+        s1, s2 = {1: (-1, -1), 2: (1, -1), 3: (1, 1)}[which]
+        nstar2d = count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual
+        mstar = count_selfdual_and_pairs(d, q, flavor, parity).m_pairs
         if nstar2d:
             total = total + _binom_factor_log(s1, d, order, one) * (-1 * nstar2d)
         if mstar:
@@ -114,57 +155,134 @@ def _prodlem_lhs(flavor: str, signs: tuple, order: int, q, parity) -> Series:
     return total.exp()
 
 
-def _prodlem_pairs(flavor: str, which: int, order: int, q, parity):
-    """(lhs, rhs) series for the two product identities of either flavor."""
+def _prodlem_rhs(flavor: str, which: int, order: int, q, parity) -> Series:
+    """The closed form of identity `which`: (1-w)^e/(1-qw); 1-w (gl) or 1+w
+    (u); for u also (1+w)^e (1-qw)/(1-qw^2) and (1+w)/(1-qw)."""
     one = _ONE if q is None else Fraction(1)
     qq = _Q if q is None else Fraction(q)
     e = 1 if parity == "even" else 2
     w_minus = Series([one, -one], order)   # 1 - w
     w_plus = Series([one, one], order)     # 1 + w
     if which == 1:
-        lhs = _prodlem_lhs(flavor, (-1, -1), order, q, parity)
-        rhs = (w_minus ** e) * _geom_inv(qq, order, one)
-    elif which == 2:
-        lhs = _prodlem_lhs(flavor, (1, -1), order, q, parity)
-        rhs = w_minus if flavor == "gl" else w_plus
-    elif which == 3 and flavor == "u":
-        # product over (1+w^d) for both starred counts
-        lhs = _prodlem_lhs("u", (1, 1), order, q, parity)
-        den_co = [one * 0] * (order + 1)
-        den_co[0] = one
-        if order >= 2:
-            den_co[2] = one * -1 * qq
-        rhs = ((w_plus ** e) * Series([one, one * -1 * qq], order)
-               * Series(den_co, order).inv())
-    elif which == 4 and flavor == "u":
-        # plain counts: prod_d (1-w^d)^(-Nbar(d)) = (1+w)/(1-qw)
-        total = Series.constant(one * 0, order)
-        for d in range(1, order + 1):
-            nbar = count_u_irreducible(d, q)
-            total = total + _binom_factor_log(-1, d, order, one) * (-1 * nbar)
-        lhs = total.exp()
-        rhs = w_plus * _geom_inv(qq, order, one)
+        return (w_minus ** e) * _geom_inv(qq, order, one)
+    if which == 2:
+        return w_minus if flavor == "gl" else w_plus
+    if which == 3:
+        return ((w_plus ** e) * Series([one, one * -1 * qq], order)
+                * Series([one, one * 0, one * -1 * qq], order).inv())
+    return w_plus * _geom_inv(qq, order, one)
+
+
+def _prodlem_sides(flavor: str, identities) -> tuple:
+    """The sides of a product-identity check: the w-coefficients of
+    _prodlem_lhs and _prodlem_rhs for each identity, at symbolic q for both
+    parities (when asked) and at each numeric q with its own."""
+    def side(series):
+        def rows(order: int, qs, symbolic: bool):
+            for which in identities:
+                settings = []
+                if symbolic:
+                    # plain counts carry no parity dependence
+                    parities = ("even",) if (flavor, which) == ("u", 4) else ("even", "odd")
+                    settings.extend((None, par) for par in parities)
+                settings.extend((q0, "even" if q0 % 2 == 0 else "odd") for q0 in qs)
+                for q0, par in settings:
+                    at = "symbolic q" if q0 is None else f"q={q0}"
+                    yield from _coefficients(f"identity {which} ({at}, parity {par}): ",
+                                             series(flavor, which, order, q0, par), "w")
+        return rows
+    return side(_prodlem_lhs), side(_prodlem_rhs)
+
+
+def _closed_vs_gf(flavor: str, parity: str) -> tuple:
+    gf = "real_degree_sum_gf" if flavor == "gl" else "involution_count_gf"
+    return (_per_rank(lambda n: chars.involution_count(flavor, n, None, parity)),
+            _per_rank(lambda n: getattr(chars, gf)(flavor, n, None, parity)))
+
+
+def _iden_rhs_coefficient(n: int, squared: bool) -> RatFunc:
+    g = [chars.gl_group_order(j, None) for j in range(n + 1)]
+    total = RatFunc.const(0)
+    if squared:
+        for r in range(n + 1):
+            total = total + Fraction(1) / (g[r] * g[n - r])
     else:
-        raise ValueError(f"no identity {which} for flavor {flavor}")
+        for r in range(n // 2 + 1):
+            total = total + Fraction(1) / (_Q ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
+    return total * _Q ** (n * (n - 1) // 2)
+
+
+def _iden_sides(squared: bool) -> tuple:
+    """The product expansion against the gamma-weighted sums, u^n by u^n."""
+    def lhs(order: int):
+        invq = qpow(-1)
+        return _coefficients("", euler_expand(GeometricFactorSpec(1, 1, invq, invq, 1), order)
+                             ** (2 if squared else 1)
+                             * euler_expand(GeometricFactorSpec(-1, 2, invq, invq, -1), order))
+    return lhs, lambda order: ((f"u^{n}", _iden_rhs_coefficient(n, squared))
+                               for n in range(order + 1))
+
+
+_IGL_TABLE = {
+    1: (0, (1,)),
+    2: (2, (1,)),
+    3: (1, (-1, 0, 1, 1)),
+    4: (2, (-1, 0, 0, 0, 1, 0, 1)),
+    5: (6, (-1, -1, 0, 0, 1, 1, 1)),
+    6: (5, (1, 0, 0, -1, -1, -1, -1, 0, 0, 1, 1, 1, 0, 1)),
+    7: (7, (1, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 0, 0, 1, 1, 1, 1, 1)),
+}
+
+
+def _igl_tabulated(n: int) -> RatFunc:
+    shift, coeffs = _IGL_TABLE[n]
+    return RatFunc.const(1) * QPoly(list(coeffs)) * qpow(shift)
+
+
+def _igl_observation(nmax: int, observe_nmax: int) -> str:
+    """Reported, not gating: whether the coefficients stay in {-1, 0, 1}."""
+    for n in range(1, observe_nmax + 1):
+        p = chars.involution_count("gl", n, None, "even").as_poly()
+        if abs(p.content) != 1 or any(c not in (-1, 0, 1) for c in p.ic):
+            return (f"observation: coefficients leave {{-1,0,1}} at rank "
+                    f"{n} (checked up to {observe_nmax})")
+    return f"observation: coefficients in {{-1,0,1}} up to rank {observe_nmax}"
+
+
+def _epsplit_sides(parity: str) -> tuple:
+    """The eps-split pair's sum and difference against the real degree sum
+    and the involution count."""
+    def lhs(nmax: int):
+        for n in range(1, nmax + 1):
+            plus, minus = chars.u_eps_sums_gf(n, None, parity)
+            yield f"n={n} sum", plus + minus
+            yield f"n={n} difference", plus - minus
+
+    def rhs(nmax: int):
+        for n in range(1, nmax + 1):
+            yield f"n={n} sum", chars.real_degree_sum_gf("u", n, None, parity)
+            yield f"n={n} difference", chars.involution_count("u", n, None, parity)
     return lhs, rhs
 
 
-def _prodlem_runner(flavor: str, identities, order: int, qs, symbolic: bool):
-    for which in identities:
-        settings = []
-        if symbolic:
-            parities = ("even", "odd")
-            if flavor == "u" and which == 4:
-                parities = ("even",)  # plain counts carry no parity dependence
-            settings.extend((None, par) for par in parities)
-        settings.extend((q0, "even" if q0 % 2 == 0 else "odd") for q0 in qs)
-        for q0, par in settings:
-            lhs, rhs = _prodlem_pairs(flavor, which, order, q0, par)
-            w = _series_witness(lhs, rhs, "w")
-            if w:
-                at = "symbolic q" if q0 is None else f"q={q0}"
-                return f"identity {which} ({at}, parity {par}): {w}"
-    return None
+def _eps_pairs(pairs):
+    """A side yielding the even-characteristic eps-split pair pairs(n), sign
+    by sign, for n = 1..nmax."""
+    return lambda nmax: ((f"n={n} sign {sign:+d}", value) for n in range(1, nmax + 1)
+                         for sign, value in zip((1, -1), pairs(n)))
+
+
+def _unsumodd_lhs(nmax: int):
+    for n in range(1, nmax + 1):
+        e1 = chars.u_unsumodd_expr(n, 1)
+        yield f"n={n} expressions", e1
+        yield f"n={n} vs series route", e1 * chars.u_prefactor_abs(n, None) * (-1) ** n
+
+
+def _unsumodd_rhs(nmax: int):
+    for n in range(1, nmax + 1):
+        yield f"n={n} expressions", chars.u_unsumodd_expr(n, 2)
+        yield f"n={n} vs series route", chars.real_degree_sum_gf("u", n, None, "odd")
 
 
 def _warnaar_weight(lam: Partition, with_b: bool) -> dict:
@@ -211,7 +329,8 @@ def _at_inverse_q(co: dict) -> SymPoly:
     return SymPoly(out)
 
 
-def _warnaar_lhs(order: int, with_b: bool) -> list:
+
+def _warnaar_lhs(order: int, with_b: bool):
     """(z;z)_n times the u^n coefficient of the left side, n = 0..order, z = 1/q.
 
     The u^n coefficient is sum_{lam |- n} weight(lam) P_lam(1, z, z^2, ...; t),
@@ -219,7 +338,6 @@ def _warnaar_lhs(order: int, with_b: bool) -> list:
     F_lam = hl_principal_poly(lam): it is summed in integers, keyed
     (i, j, k, e) for a^i b^j t^k z^e, and converted to Q(q) once.
     """
-    out = []
     for n in range(order + 1):
         acc: dict = {}
         for lam in enumerate_partitions(n):
@@ -228,11 +346,11 @@ def _warnaar_lhs(order: int, with_b: bool) -> list:
                 for (k2, e), c2 in f.items():
                     key = (i, j, k1 + k2, e)
                     acc[key] = acc.get(key, 0) + c1 * c2
-        out.append(_at_inverse_q(acc))
-    return out
+        yield f"u^{n}", _at_inverse_q(acc)
 
 
-def _warnaar_rhs(order: int, with_b: bool) -> Series:
+def _warnaar_rhs(order: int, with_b: bool):
+    """(z;z)_n times the u^n coefficient of the product side, n = 0..order."""
     z = qpow(-1)
     zi = z.reciprocal()
     a = SymPoly.gen("a")
@@ -249,334 +367,180 @@ def _warnaar_rhs(order: int, with_b: bool) -> Series:
         factors.append(euler_expand(GeometricFactorSpec(1, 1, _ONE, z, -1), order))
     else:
         factors.append(euler_expand(GeometricFactorSpec(-1, 2, _ONE, z * z, -1), order))
-    return product_of(factors)
+    rhs = product_of(factors)
+    scale = _ONE
+    for n in range(order + 1):
+        if n:
+            scale = scale * (1 - z ** n)
+        yield f"u^{n}", rhs.coefficient(n) * scale
 
 
-# ---------------------------------------------------------------------------
-# Runners (one per check id).
-# ---------------------------------------------------------------------------
-
-
-def _run_weyl(family):
-    def runner(nmax: int):
-        for n in range(nmax + 1):
-            res = chars.weyl_sums(family, n)
-            if res["degree_sum"] != res["involutions"]:
-                return (f"n={n}: degree sum {res['degree_sum']} != "
-                        f"involutions {res['involutions']}")
-        return None
-    return runner
-
-
-def _run_prodlem(which):
-    def runner(order: int, qs, symbolic: bool):
-        return _prodlem_runner("gl", (which,), order, qs, symbolic)
-    return runner
-
-
-def _run_u_prodlems(order: int, qs, symbolic: bool):
-    return _prodlem_runner("u", (1, 2, 3, 4), order, qs, symbolic)
-
-
-def _run_genfn_gl(order: int):
-    for par in ("even", "odd"):
-        lhs = chars.real_sum_gf_from_classes("gl", order, None, parity=par)
-        rhs = named_gf("gl_real_gf", par, order)
-        w = _series_witness(lhs, rhs)
-        if w:
-            return f"parity {par}: {w}"
-    return None
-
-
-def _run_degrees_u(order: int):
-    for par in ("even", "odd"):
-        lhs = chars.real_sum_gf_from_classes("u", order, None, parity=par)
-        rhs = named_gf("u_real_gf", par, order).compose_scale(-1)
-        w = _series_witness(lhs, rhs)
-        if w:
-            return f"parity {par}: {w}"
-    return None
-
-
-def _run_closed_vs_gf(flavor, parity):
-    def runner(nmax: int):
-        gf = chars.real_degree_sum_gf if flavor == "gl" else chars.involution_count_gf
-        return _first_witness((f"n={n}", chars.involution_count(flavor, n, None, parity),
-                               gf(flavor, n, None, parity))
-                              for n in range(1, nmax + 1))
-    return runner
-
-
-def _iden_rhs_coefficient(n: int, squared: bool) -> RatFunc:
-    g = [chars.gl_group_order(j, None) for j in range(n + 1)]
-    total = RatFunc.const(0)
-    if squared:
-        for r in range(n + 1):
-            total = total + Fraction(1) / (g[r] * g[n - r])
-    else:
-        for r in range(n // 2 + 1):
-            total = total + Fraction(1) / (_Q ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
-    return total * _Q ** (n * (n - 1) // 2)
-
-
-def _run_iden(squared):
-    def runner(order: int):
-        e = 2 if squared else 1
-        invq = qpow(-1)
-        lhs = (euler_expand(GeometricFactorSpec(1, 1, invq, invq, 1), order) ** e
-               * euler_expand(GeometricFactorSpec(-1, 2, invq, invq, -1), order))
-        rhs = Series([_iden_rhs_coefficient(n, squared) for n in range(order + 1)], order)
-        return _series_witness(lhs, rhs)
-    return runner
-
-
-_IGL_TABLE = {
-    1: (0, (1,)),
-    2: (2, (1,)),
-    3: (1, (-1, 0, 1, 1)),
-    4: (2, (-1, 0, 0, 0, 1, 0, 1)),
-    5: (6, (-1, -1, 0, 0, 1, 1, 1)),
-    6: (5, (1, 0, 0, -1, -1, -1, -1, 0, 0, 1, 1, 1, 0, 1)),
-    7: (7, (1, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 0, 0, 1, 1, 1, 1, 1)),
-}
-
-
-def _run_igl_table(nmax: int, observe_nmax: int):
-    for n in range(1, nmax + 1):
-        shift, coeffs = _IGL_TABLE[n]
-        expected = RatFunc.const(1) * QPoly(list(coeffs)) * qpow(shift)
-        got = chars.involution_count("gl", n, None, "even")
-        w = _value_witness(f"n={n}", got, expected)
-        if w:
-            return w
-    # observation (reported, not gating): coefficients stay in {-1, 0, 1}
-    first_bad = None
-    for n in range(1, observe_nmax + 1):
-        v = chars.involution_count("gl", n, None, "even")
-        p = v.as_poly()
-        if abs(p.content) != 1 or any(c not in (-1, 0, 1) for c in p.ic):
-            first_bad = n
-            break
-    if first_bad is None:
-        note = f"observation: coefficients in {{-1,0,1}} up to rank {observe_nmax}"
-    else:
-        note = (f"observation: coefficients leave {{-1,0,1}} at rank "
-                f"{first_bad} (checked up to {observe_nmax})")
-    return ("pass", note)
-
-
-def _run_epsplit(parity):
-    def checks(nmax: int):
-        for n in range(1, nmax + 1):
-            plus, minus = chars.u_eps_sums_gf(n, None, parity)
-            yield (f"n={n} sum", plus + minus,
-                   chars.real_degree_sum_gf("u", n, None, parity))
-            yield (f"n={n} difference", plus - minus,
-                   chars.involution_count("u", n, None, parity))
-    return lambda nmax: _first_witness(checks(nmax))
-
-
-def _run_unsumeven(nmax: int):
-    return _first_witness((f"n={n}", chars.u_real_sum_closed(n, None, "even"),
-                           chars.real_degree_sum_gf("u", n, None, "even"))
-                          for n in range(1, nmax + 1))
-
-
-def _run_eps_pairs(pairs):
-    """Compare the even-characteristic eps-split pair pairs(n) with the
-    series route's, sign by sign, for n = 1..nmax."""
-    def checks(nmax: int):
-        for n in range(1, nmax + 1):
-            rhs = chars.u_eps_sums_gf(n, None, "even")
-            for sign, a, b in zip((1, -1), pairs(n), rhs):
-                yield f"n={n} sign {sign:+d}", a, b
-    return lambda nmax: _first_witness(checks(nmax))
-
-
-# through the chars namespace at run time, so a patched binding reaches the check
-_run_unsumeven_pm = _run_eps_pairs(lambda n: chars.u_eps_sums_closed(n, None, "even"))
-_run_genfn_even_alt = _run_eps_pairs(lambda n: chars.u_eps_sums_alt_even(n))
-
-
-def _run_unsumodd(nmax: int):
-    def checks():
-        for n in range(1, nmax + 1):
-            e1, e2 = chars.u_unsumodd_exprs(n)
-            yield f"n={n} expressions", e1, e2
-            yield (f"n={n} vs series route", e1 * chars.u_prefactor_abs(n, None) * (-1) ** n,
-                   chars.real_degree_sum_gf("u", n, None, "odd"))
-    return _first_witness(checks())
-
-
-def _run_example_u2_even():
-    q = _Q
+def _example_u2_even_lhs():
     t = qpow(-1)
     z = -t
-    checks = [
-        ("P_(2)", hl_principal([2], z, t),
-         q * (q ** 2 + 1) / ((q + 1) * (q ** 2 - 1))),
-        ("P_(1,1)", hl_principal([1, 1], z, t),
-         -(q ** 2) / ((q + 1) * (q ** 2 - 1))),
-        ("P_(1)", hl_principal([1], z, t), q / (q + 1)),
-        ("h_(2)(1/q;1/q)", rs_multi([2], t, t), (q + 1) / q),
-        ("degree sum", chars.u_real_sum_closed(2, None, "even"), q ** 2),
-        ("series route", chars.real_degree_sum_gf("u", 2, None, "even"), q ** 2),
-    ]
-    return _first_witness(checks)
+    yield "P_(2)", hl_principal([2], z, t)
+    yield "P_(1,1)", hl_principal([1, 1], z, t)
+    yield "P_(1)", hl_principal([1], z, t)
+    yield "h_(2)(1/q;1/q)", rs_multi([2], t, t)
+    yield "degree sum", chars.u_real_sum_closed(2, None, "even")
+    yield "series route", chars.real_degree_sum_gf("u", 2, None, "even")
 
 
-def _run_example_u3_even():
+def _example_u2_even_rhs():
+    q = _Q
+    yield "P_(2)", q * (q ** 2 + 1) / ((q + 1) * (q ** 2 - 1))
+    yield "P_(1,1)", -(q ** 2) / ((q + 1) * (q ** 2 - 1))
+    yield "P_(1)", q / (q + 1)
+    yield "h_(2)(1/q;1/q)", (q + 1) / q
+    yield "degree sum", q ** 2
+    yield "series route", q ** 2
+
+
+def _example_u3_even_lhs():
     q = _Q
     t = qpow(-1)
     z = -t
     # the double-sum route needs only rank-1 and rank-2 principal values here
-    p1 = hl_principal([1], z, t)
-    p2 = hl_principal([2], z, t)
-    inner = (p1 + p2) / (-2 * q * (q + 1))
-    plus, minus = q ** 4 - q ** 3 + q ** 2, q ** 2 - q
-    closed = chars.u_eps_sums_closed(3, None, "even")
-    series = chars.u_eps_sums_gf(3, None, "even")
-    alt = chars.u_eps_sums_alt_even(3)
-    checks = [
-        ("intermediate", inner, -(q ** 2) / ((q + 1) ** 2 * (q ** 2 - 1))),
-        ("recombined", -1 * chars.u_prefactor_abs(3, None) * inner, plus),
-        ("eps=+1", closed[0], plus),
-        ("eps=-1", closed[1], minus),
-        ("eps=+1 series", series[0], plus),
-        ("eps=-1 series", series[1], minus),
-        ("alt route +", alt[0], plus),
-        ("alt route -", alt[1], minus),
-        ("involutions", chars.involution_count("u", 3, None, "even"), q ** 4 - q ** 3 + q),
-    ]
-    return _first_witness(checks)
+    inner = (hl_principal([1], z, t) + hl_principal([2], z, t)) / (-2 * q * (q + 1))
+    yield "intermediate", inner
+    yield "recombined", -1 * chars.u_prefactor_abs(3, None) * inner
+    yield from zip(("eps=+1", "eps=-1"), chars.u_eps_sums_closed(3, None, "even"))
+    yield from zip(("eps=+1 series", "eps=-1 series"), chars.u_eps_sums_gf(3, None, "even"))
+    yield from zip(("alt route +", "alt route -"), chars.u_eps_sums_alt_even(3))
+    yield "involutions", chars.involution_count("u", 3, None, "even")
 
 
-def _run_example_u2_odd():
+def _example_u3_even_rhs():
     q = _Q
+    plus, minus = q ** 4 - q ** 3 + q ** 2, q ** 2 - q
+    yield "intermediate", -(q ** 2) / ((q + 1) ** 2 * (q ** 2 - 1))
+    yield "recombined", plus
+    yield "eps=+1", plus
+    yield "eps=-1", minus
+    yield "eps=+1 series", plus
+    yield "eps=-1 series", minus
+    yield "alt route +", plus
+    yield "alt route -", minus
+    yield "involutions", q ** 4 - q ** 3 + q
+
+
+def _example_u2_odd_lhs():
     t = qpow(-1)
     z = -t
     # term values in the two-part expansion at n=2 (second expression)
-    term_2 = (rs_multi([2], t, t) * hl_principal([2], z, t)
-              * qpow(-1))
-    term_11 = (pochhammer_cd(t, t * t, 1) * hl_principal([1, 1], z, t)
-               * qpow(-2) * (-1))
-    term_nu11 = 2 * hl_principal([1, 1], z, Fraction(-1)) * qpow(-2)
-    e1, e2 = chars.u_unsumodd_exprs(2)
-    checks = [
-        ("(q^-1;q^-2)_1", pochhammer_cd(t, t * t, 1), (q - 1) / q),
-        ("term lam=(2)", term_2, (q ** 2 + 1) / (q * (q ** 2 - 1))),
-        ("term lam=(1,1)", term_11, 1 / (q * (q + 1) ** 2)),
-        ("term nu=(1,1)", term_nu11, -2 / ((q + 1) * (q ** 2 - 1))),
-        ("expressions", e1, e2),
-        ("degree sum", chars.u_real_sum_closed(2, None, "odd"), q ** 2 + q),
-        ("degree sum series", chars.real_degree_sum_gf("u", 2, None, "odd"),
-         q ** 2 + q),
-        ("involutions", chars.involution_count("u", 2, None, "odd"), q ** 2 - q + 2),
-        ("eps=-1", chars.u_eps_sums_closed(2, None, "odd")[1], q - 1),
-        ("eps=-1 series", chars.u_eps_sums_gf(2, None, "odd")[1], q - 1),
-    ]
-    return _first_witness(checks)
+    yield "(q^-1;q^-2)_1", pochhammer_cd(t, t * t, 1)
+    yield "term lam=(2)", rs_multi([2], t, t) * hl_principal([2], z, t) * qpow(-1)
+    yield ("term lam=(1,1)", pochhammer_cd(t, t * t, 1) * hl_principal([1, 1], z, t)
+           * qpow(-2) * (-1))
+    yield "term nu=(1,1)", 2 * hl_principal([1, 1], z, Fraction(-1)) * qpow(-2)
+    yield "expressions", chars.u_unsumodd_expr(2, 1)
+    yield "degree sum", chars.u_real_sum_closed(2, None, "odd")
+    yield "degree sum series", chars.real_degree_sum_gf("u", 2, None, "odd")
+    yield "involutions", chars.involution_count("u", 2, None, "odd")
+    yield "eps=-1", chars.u_eps_sums_closed(2, None, "odd")[1]
+    yield "eps=-1 series", chars.u_eps_sums_gf(2, None, "odd")[1]
 
 
-def _run_warnaar(with_b):
-    def runner(order: int):
-        # compare (z;z)_n LHS_n with (z;z)_n RHS_n, z = 1/q
-        lhs = _warnaar_lhs(order, with_b)
-        rhs = _warnaar_rhs(order, with_b)
-        z = qpow(-1)
-        scale = _ONE
-        for n in range(order + 1):
-            if n:
-                scale = scale * (1 - z ** n)
-            scaled = rhs.coefficient(n) * scale
-            if lhs[n] != scaled:
-                return f"u^{n}: lhs={lhs[n]}, rhs={scaled}"
-        return None
-    return runner
+def _example_u2_odd_rhs():
+    q = _Q
+    yield "(q^-1;q^-2)_1", (q - 1) / q
+    yield "term lam=(2)", (q ** 2 + 1) / (q * (q ** 2 - 1))
+    yield "term lam=(1,1)", 1 / (q * (q + 1) ** 2)
+    yield "term nu=(1,1)", -2 / ((q + 1) * (q ** 2 - 1))
+    yield "expressions", chars.u_unsumodd_expr(2, 2)
+    yield "degree sum", q ** 2 + q
+    yield "degree sum series", q ** 2 + q
+    yield "involutions", q ** 2 - q + 2
+    yield "eps=-1", q - 1
+    yield "eps=-1 series", q - 1
 
 
-def _run_brute_involutions(cases):
-    def checks():
+def _group_side(order, involutions):
+    """A side of oracle-brute-involutions: order(flavor, n, q) and
+    involutions(flavor, n, q) for each case."""
+    def side(cases):
         for flavor, n, q0 in cases:
-            order = chars.gl_group_order if flavor == "gl" else chars.u_group_order
-            yield (f"{flavor}({n},{q0}) order", groups.group_order(flavor, n, q0),
-                   order(n, q0))
-            yield (f"{flavor}({n},{q0}) involutions",
-                   groups.count_square_roots_of_identity(flavor, n, q0),
-                   chars.involution_count(flavor, n, q0))
-    return _first_witness(checks())
+            yield f"{flavor}({n},{q0}) order", order(flavor, n, q0)
+            yield f"{flavor}({n},{q0}) involutions", involutions(flavor, n, q0)
+    return side
 
 
-def _run_real_sum_oracle(gl_nmax: int, u_nmax: int, qs):
-    return _first_witness((f"{flavor} n={n} q={q0}",
-                           chars.real_degree_sum_oracle(flavor, n, q0),
-                           chars.real_degree_sum_gf(flavor, n, q0))
-                          for q0 in qs
-                          for flavor, nmax in (("gl", gl_nmax), ("u", u_nmax))
-                          for n in range(1, nmax + 1))
+def _real_sums(value):
+    """A side of oracle-real-sums: value(flavor, n, q) row by row."""
+    return lambda gl_nmax, u_nmax, qs: (
+        (f"{flavor} n={n} q={q0}", value(flavor, n, q0))
+        for q0 in qs for flavor, nmax in (("gl", gl_nmax), ("u", u_nmax))
+        for n in range(1, nmax + 1))
 
 
-def _run_poly_census(dmax: int, qs, msum: int):
-    def checks():
+def _census_side(counts, divisor_sums):
+    """A side of oracle-poly-census: the fields of counts(d, q, flavor), then
+    the plain-count divisor sums (gl, u) of divisor_sums(m), exact in q."""
+    def side(dmax: int, qs, msum: int):
         for flavor in ("gl", "u"):
             for q0 in qs:
                 for d in range(1, dmax + 1):
-                    f = count_selfdual_and_pairs(d, q0, flavor)
-                    b = brute_poly_census(d, q0, flavor)
+                    c = counts(d, q0, flavor)
                     for field in ("n_plain", "n_selfdual", "m_pairs"):
-                        yield (f"{flavor} d={d} q={q0} {field}",
-                               getattr(f, field), getattr(b, field))
-        # plain-count divisor identities, exact in q
+                        yield f"{flavor} d={d} q={q0} {field}", getattr(c, field)
         for m in range(1, msum + 1):
-            lhs = RatFunc.const(0)
-            lhs_u = RatFunc.const(0)
-            for d in divisors(m):
-                lhs = lhs + d * count_irreducible(d, None)
-                lhs_u = lhs_u + d * count_u_irreducible(d, None)
-            yield f"gl divisor sum m={m}", lhs, _Q ** m
-            yield f"u divisor sum m={m}", lhs_u, _Q ** m - RatFunc.const((-1) ** m)
-    return _first_witness(checks())
+            for flavor, value in zip(("gl", "u"), divisor_sums(m)):
+                yield f"{flavor} divisor sum m={m}", value
+    return side
 
 
-def _run_hl_finite(sizemax: int):
-    z_points = (qpow(-1), -qpow(-1))
-    t_points = (qpow(-1), Fraction(-1))
-    for n in range(0, sizemax + 1):
+def _hl_rows(sizemax: int):
+    """The rows of oracle-hl-finite, as (tag, lam, z, t, m): every lam of
+    size <= sizemax in m = min(6, l(lam) + 1) variables, then the documented
+    instance lam = (2,1), m = 4, 5, 6 (bound m*(min part) = m), each tagged
+    (witness template, bound), with bound 0 for the empty partition; then the
+    t = z closed form for every nonempty lam, tagged (text, None)."""
+    ts = [(t, str(t)) for t in (qpow(-1), Fraction(-1))]
+    for n in range(sizemax + 1):
         for lam in enumerate_partitions(n):
             m = max(1, min(6, lam.ell + 1))
-            for z in z_points:
-                xs = tuple(z ** i for i in range(m))
-                for t in t_points:
-                    diff = (hl_finite_oracle(lam, xs, t)
-                            - hl_principal(lam, z, t))
+            for z in (qpow(-1), -qpow(-1)):
+                for t, t_text in ts:
                     if n == 0:
-                        if not diff.is_zero:
-                            return f"lam={lam}: empty partition mismatch {diff}"
-                        continue
-                    v = diff.valuation_at_infinity()
-                    if v is not None and v < m:
-                        return (f"lam={lam} m={m} t={t}: valuation {v} < {m}; "
-                                f"difference {diff}")
-    # the documented instance: lam=(2,1), m=4,5,6, bound m*(min part)=m
+                        tag = (f"lam={lam}: empty partition mismatch {{diff}}", 0)
+                    else:
+                        tag = (f"lam={lam} m={m} t={t_text}: valuation {{v}} < {m}; "
+                               f"difference {{diff}}", m)
+                    yield tag, lam, z, t, m
     for m in (4, 5, 6):
-        xs = tuple(qpow(-1) ** i for i in range(m))
-        diff = (hl_finite_oracle([2, 1], xs, qpow(-1))
-                - hl_principal([2, 1], qpow(-1), qpow(-1)))
-        v = diff.valuation_at_infinity()
-        if v is not None and v < m:
-            return f"lam=(2,1) m={m}: valuation {v} < {m}"
-    # t = z closed form: P_lam(1,t,t^2,...;t) = t^n(lam) / prod (t;t)_mult
+        yield (f"lam=(2,1) m={m}: valuation {{v}} < {m}", m), [2, 1], qpow(-1), qpow(-1), m
     t = qpow(-1)
     for n in range(1, sizemax + 1):
         for lam in enumerate_partitions(n):
-            got = hl_principal(lam, t, t)
-            expected = _Q ** 0 * t ** lam.n_stat()
+            yield (f"t=z lam={lam}", None), lam, t, t, None
+
+
+def _hl_oracle_side(sizemax: int):
+    powers = {z: [z ** i for i in range(6)] for z in (qpow(-1), -qpow(-1))}
+    for tag, lam, z, t, m in _hl_rows(sizemax):
+        if m is None:  # P_lam(1,t,t^2,...;t) = t^n(lam) / prod (t;t)_mult
+            value = _Q ** 0 * t ** lam.n_stat()
             for mult in lam.mults().values():
-                expected = expected / pochhammer_cd(t, t, mult)
-            w = _value_witness(f"t=z lam={lam}", got, expected)
-            if w:
-                return w
-    return None
+                value = value / pochhammer_cd(t, t, mult)
+        else:
+            value = hl_finite_oracle(lam, tuple(powers[z][:m]), t)
+        yield tag, value
+
+
+def _within_valuation_bound(tag, principal, oracle):
+    """The relation of oracle-hl-finite.  A row tagged (template, m) holds
+    when the oracle value differs from the principal value by O(q^-m) at
+    q = oo, or not at all for m = 0; its witness fills the template with the
+    valuation v and the difference.  A row tagged (text, None) holds on
+    equality."""
+    text, m = tag
+    if m is None:
+        return _equal(text, principal, oracle)
+    diff = oracle - principal
+    v = diff.valuation_at_infinity()
+    if v is None or (m and v >= m):
+        return None
+    return text.format(v=v, diff=diff)
 
 
 # ---------------------------------------------------------------------------
@@ -588,119 +552,151 @@ _QS_DEFAULT = [2, 3, 4, 5]
 REGISTRY = {}
 
 
-def _register(id_, tags, description, params, quick, fn):
+def _register(id_, tags, description, params, quick, lhs, rhs, relation=_equal,
+              note=None):
     REGISTRY[id_] = CheckSpec(id=id_, tags=tuple(tags), description=description,
-                              params=params, quick=quick, fn=fn)
+                              params=params, quick=quick, sides=(lhs, rhs),
+                              fn=_comparison(lhs, rhs, relation, note))
 
 
 _register("weyl-A", ("weyl",),
           "symmetric group: degree sum equals involution count (EGF route)",
-          {"nmax": 12}, {"nmax": 8}, _run_weyl("A"))
+          {"nmax": 12}, {"nmax": 8}, *_weyl_sides("A"))
 _register("weyl-B", ("weyl",),
           "hyperoctahedral group: degree sum equals involution count",
-          {"nmax": 12}, {"nmax": 8}, _run_weyl("B"))
+          {"nmax": 12}, {"nmax": 8}, *_weyl_sides("B"))
 _register("weyl-D", ("weyl",),
           "even-signs subgroup: degree sum equals involution count",
-          {"nmax": 12}, {"nmax": 8}, _run_weyl("D"))
+          {"nmax": 12}, {"nmax": 8}, *_weyl_sides("D"))
 _register("lemma-prodlem-1", ("gl", "qseries"),
           "class-count product reduces to (1-w)^e/(1-qw)",
           {"order": 8, "qs": _QS_DEFAULT, "symbolic": True},
-          {"order": 6, "qs": [2, 3], "symbolic": True}, _run_prodlem(1))
+          {"order": 6, "qs": [2, 3], "symbolic": True}, *_prodlem_sides("gl", (1,)))
 _register("lemma-prodlem-2", ("gl", "qseries"),
           "signed class-count product reduces to 1-w",
           {"order": 8, "qs": _QS_DEFAULT, "symbolic": True},
-          {"order": 6, "qs": [2, 3], "symbolic": True}, _run_prodlem(2))
+          {"order": 6, "qs": [2, 3], "symbolic": True}, *_prodlem_sides("gl", (2,)))
 _register("thm-genfnGL", ("gl", "symbolic"),
           "linear-flavor degree-sum series equals the closed product form",
-          {"order": 8}, {"order": 6}, _run_genfn_gl)
+          {"order": 8}, {"order": 6},
+          _by_parity(lambda order, par: chars.real_sum_gf_from_classes(
+              "gl", order, None, parity=par)),
+          _by_parity(lambda order, par: named_gf("gl_real_gf", par, order)))
 _register("thm-even", ("gl", "closed-form"),
           "even characteristic: closed involution sum equals prefactor times "
           "series coefficient", {"nmax": 8}, {"nmax": 6},
-          _run_closed_vs_gf("gl", "even"))
+          *_closed_vs_gf("gl", "even"))
 _register("thm-odd", ("gl", "closed-form"),
           "odd characteristic: closed involution sum equals prefactor times "
           "series coefficient", {"nmax": 10}, {"nmax": 6},
-          _run_closed_vs_gf("gl", "odd"))
+          *_closed_vs_gf("gl", "odd"))
 _register("cor-iden", ("gl", "qseries"),
           "formal identity: single product expansion vs gamma-weighted sums",
-          {"order": 10}, {"order": 6}, _run_iden(False))
+          {"order": 10}, {"order": 6}, *_iden_sides(False))
 _register("cor-cort", ("gl", "qseries"),
           "formal identity: squared product expansion vs gamma-weighted sums",
-          {"order": 10}, {"order": 6}, _run_iden(True))
+          {"order": 10}, {"order": 6}, *_iden_sides(True))
 _register("remark-igl-table", ("gl", "closed-form"),
           "tabulated involution-count polynomials (ranks 1..7), plus "
           "coefficient observation",
           {"nmax": 7, "observe_nmax": 10}, {"nmax": 7, "observe_nmax": 8},
-          _run_igl_table)
+          _per_rank(lambda n: chars.involution_count("gl", n, None, "even")),
+          _per_rank(_igl_tabulated), note=_igl_observation)
 _register("u-prodlems", ("u", "qseries"),
           "unitary class-count products reduce to their closed forms",
           {"order": 8, "qs": _QS_DEFAULT, "symbolic": True},
-          {"order": 6, "qs": [2, 3], "symbolic": True}, _run_u_prodlems)
+          {"order": 6, "qs": [2, 3], "symbolic": True}, *_prodlem_sides("u", (1, 2, 3, 4)))
 _register("thm-degreesU", ("u", "symbolic"),
           "unitary degree-sum series equals the closed product form at -u",
-          {"order": 8}, {"order": 6}, _run_degrees_u)
+          {"order": 8}, {"order": 6},
+          _by_parity(lambda order, par: chars.real_sum_gf_from_classes(
+              "u", order, None, parity=par)),
+          _by_parity(lambda order, par: named_gf("u_real_gf", par, order).compose_scale(-1)))
 _register("thm-warid", ("hl", "warnaar"),
           "two-parameter Hall-Littlewood summation under geometric "
           "substitution, symbolic a, b, t",
-          {"order": 8}, {"order": 5}, _run_warnaar(True))
+          {"order": 8}, {"order": 5},
+          lambda order: _warnaar_lhs(order, True), lambda order: _warnaar_rhs(order, True))
 _register("cor-warcor", ("hl", "warnaar"),
           "one-parameter specialization of the summation (b=0)",
-          {"order": 8}, {"order": 5}, _run_warnaar(False))
+          {"order": 8}, {"order": 5},
+          lambda order: _warnaar_lhs(order, False), lambda order: _warnaar_rhs(order, False))
 _register("prop-involU-even", ("u", "closed-form"),
           "even characteristic: unitary involution sum equals signed series "
           "coefficient", {"nmax": 8}, {"nmax": 6},
-          _run_closed_vs_gf("u", "even"))
+          *_closed_vs_gf("u", "even"))
 _register("prop-involU-odd", ("u", "closed-form"),
           "odd characteristic: unitary involution sum equals signed series "
           "coefficient", {"nmax": 8}, {"nmax": 6},
-          _run_closed_vs_gf("u", "odd"))
+          *_closed_vs_gf("u", "odd"))
 _register("cor-epsplit-even", ("u", "closed-form"),
           "even characteristic: eps-split sums recombine to total and "
-          "involution count", {"nmax": 6}, {"nmax": 4}, _run_epsplit("even"))
+          "involution count", {"nmax": 6}, {"nmax": 4}, *_epsplit_sides("even"))
 _register("cor-epsplit-odd", ("u", "closed-form"),
           "odd characteristic: eps-split sums recombine to total and "
-          "involution count", {"nmax": 6}, {"nmax": 4}, _run_epsplit("odd"))
+          "involution count", {"nmax": 6}, {"nmax": 4}, *_epsplit_sides("odd"))
 _register("thm-unsumeven", ("u", "closed-form"),
           "even characteristic: partition-sum form of the unitary degree sum",
-          {"nmax": 6}, {"nmax": 4}, _run_unsumeven)
+          {"nmax": 6}, {"nmax": 4},
+          _per_rank(lambda n: chars.u_real_sum_closed(n, None, "even")),
+          _per_rank(lambda n: chars.real_degree_sum_gf("u", n, None, "even")))
 _register("cor-unsumeven-pm", ("u", "closed-form"),
           "even characteristic: closed eps-split values match the series "
-          "route", {"nmax": 6}, {"nmax": 4}, _run_unsumeven_pm)
+          "route", {"nmax": 6}, {"nmax": 4},
+          _eps_pairs(lambda n: chars.u_eps_sums_closed(n, None, "even")),
+          _eps_pairs(lambda n: chars.u_eps_sums_gf(n, None, "even")))
 _register("cor-genfn-even-alt", ("u", "closed-form"),
           "even characteristic: alternative double-sum form of the eps-split",
-          {"nmax": 6}, {"nmax": 4}, _run_genfn_even_alt)
+          {"nmax": 6}, {"nmax": 4},
+          _eps_pairs(lambda n: chars.u_eps_sums_alt_even(n)),
+          _eps_pairs(lambda n: chars.u_eps_sums_gf(n, None, "even")))
 _register("thm-unsumodd", ("u", "closed-form"),
           "odd characteristic: both partition-pair expressions agree and "
-          "match the series route", {"nmax": 6}, {"nmax": 4}, _run_unsumodd)
+          "match the series route", {"nmax": 6}, {"nmax": 4},
+          _unsumodd_lhs, _unsumodd_rhs)
 _register("example-u2-even", ("u", "example"),
           "rank-2 even-characteristic worked example", {}, {},
-          _run_example_u2_even)
+          _example_u2_even_lhs, _example_u2_even_rhs)
 _register("example-u3-even", ("u", "example"),
           "rank-3 even-characteristic worked example", {}, {},
-          _run_example_u3_even)
+          _example_u3_even_lhs, _example_u3_even_rhs)
 _register("example-u2-odd", ("u", "example"),
           "rank-2 odd-characteristic worked example", {}, {},
-          _run_example_u2_odd)
+          _example_u2_odd_lhs, _example_u2_odd_rhs)
 _register("oracle-brute-involutions", ("oracle", "groups"),
           "enumerated group orders and involution counts match closed forms",
           {"cases": [["gl", 2, 2], ["gl", 2, 3], ["gl", 2, 4], ["gl", 2, 5],
                      ["gl", 3, 2], ["gl", 3, 3], ["gl", 4, 2],
                      ["u", 2, 2], ["u", 2, 3], ["u", 3, 2]]},
           {"cases": [["gl", 2, 2], ["gl", 2, 3], ["gl", 3, 2], ["u", 2, 2]]},
-          _run_brute_involutions)
+          _group_side(lambda *case: groups.group_order(*case),
+                      lambda *case: groups.count_square_roots_of_identity(*case)),
+          _group_side(lambda flavor, n, q0: (chars.gl_group_order if flavor == "gl"
+                                             else chars.u_group_order)(n, q0),
+                      lambda *case: chars.involution_count(*case)))
 _register("oracle-real-sums", ("oracle", "chars"),
           "real degree sums enumerated character by character with the "
           "degree formula over census classes match series coefficients",
           {"gl_nmax": 4, "u_nmax": 3, "qs": [2, 3]},
-          {"gl_nmax": 3, "u_nmax": 2, "qs": [2, 3]}, _run_real_sum_oracle)
+          {"gl_nmax": 3, "u_nmax": 2, "qs": [2, 3]},
+          _real_sums(lambda *args: chars.real_degree_sum_oracle(*args)),
+          _real_sums(lambda *args: chars.real_degree_sum_gf(*args)))
 _register("oracle-poly-census", ("oracle", "polycount"),
           "orbit-enumeration census matches count formulas and divisor sums",
           {"dmax": 4, "qs": _QS_DEFAULT, "msum": 8},
-          {"dmax": 3, "qs": [2, 3], "msum": 6}, _run_poly_census)
+          {"dmax": 3, "qs": [2, 3], "msum": 6},
+          _census_side(lambda *args: count_selfdual_and_pairs(*args),
+                       lambda m: [sum((d * count(d, None) for d in divisors(m)), RatFunc.const(0))
+                                  for count in (count_irreducible, count_u_irreducible)]),
+          _census_side(lambda *args: brute_poly_census(*args),
+                       lambda m: (_Q ** m, _Q ** m - RatFunc.const((-1) ** m))))
 _register("oracle-hl-finite", ("oracle", "hl"),
           "finite-variable Hall-Littlewood oracle agrees with principal "
           "values within the valuation bound",
-          {"sizemax": 5}, {"sizemax": 4}, _run_hl_finite)
+          {"sizemax": 5}, {"sizemax": 4},
+          lambda sizemax: ((tag, hl_principal(lam, z, t))
+                           for tag, lam, z, t, _ in _hl_rows(sizemax)),
+          _hl_oracle_side, relation=_within_valuation_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from qcharsum.chars import (
     u_prefactor_abs,
     u_real_sum_closed,
     u_real_sum_even_closed,
-    u_unsumodd_exprs,
-    weyl_sums,
+    u_unsumodd_expr,
+    weyl_degree_sum,
+    weyl_involutions,
 )
 from qcharsum.exact import RatFunc, Series, qpow
 from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
@@ -194,9 +195,13 @@ def test_gf_readers_reject_bad_q(q):
     pytest.param(u_eps_sums_closed, (-1, None, "odd"), id="u_eps_sums_closed"),
     pytest.param(u_eps_sums_alt_even, (-1,), id="u_eps_sums_alt_even"),
     pytest.param(real_degree_sum_oracle, ("gl", -1, 3), id="real_degree_sum_oracle"),
-    pytest.param(weyl_sums, ("A", -1), id="weyl_sums-A"),
-    pytest.param(weyl_sums, ("B", -1), id="weyl_sums-B"),
-    pytest.param(weyl_sums, ("D", -1), id="weyl_sums-D"),
+    pytest.param(u_unsumodd_expr, (-1, 1), id="u_unsumodd_expr"),
+    pytest.param(weyl_degree_sum, ("A", -1), id="weyl_degree_sum-A"),
+    pytest.param(weyl_degree_sum, ("B", -1), id="weyl_degree_sum-B"),
+    pytest.param(weyl_degree_sum, ("D", -1), id="weyl_degree_sum-D"),
+    pytest.param(weyl_involutions, ("A", -1), id="weyl_involutions-A"),
+    pytest.param(weyl_involutions, ("B", -1), id="weyl_involutions-B"),
+    pytest.param(weyl_involutions, ("D", -1), id="weyl_involutions-D"),
 ])
 def test_negative_rank_is_rejected(fn, args):
     with pytest.raises(ValueError, match="rank must be >= 0"):
@@ -264,11 +269,13 @@ def test_u_closed_matches_gf_route():
 
 def test_unsummed_odd_expressions_agree():
     for n in range(1, 5):
-        e1, e2 = u_unsumodd_exprs(n)
+        e1, e2 = u_unsumodd_expr(n, 1), u_unsumodd_expr(n, 2)
         assert e1 == e2, n
         for q in (3, 5):
-            a, b = u_unsumodd_exprs(n, q)
+            a, b = u_unsumodd_expr(n, 1, q), u_unsumodd_expr(n, 2, q)
             assert a == b == e1.eval(q)
+    with pytest.raises(ValueError, match="form must be 1 or 2"):
+        u_unsumodd_expr(2, 3)
 
 
 # The unitary partition sums term by term in RatFunc, from hl_principal values:
@@ -335,12 +342,14 @@ def _fields(r):
 
 def test_unitary_sums_match_the_hl_principal_reference():
     for n in range(1, 7):
-        got = [u_real_sum_even_closed(n), *u_unsumodd_exprs(n), *u_eps_sums_alt_even(n)]
+        got = [u_real_sum_even_closed(n), u_unsumodd_expr(n, 1), u_unsumodd_expr(n, 2),
+               *u_eps_sums_alt_even(n)]
         want = [_ref_even(n), *_ref_odd_exprs(n), _ref_alt_even(n, 1), _ref_alt_even(n, -1)]
         assert [_fields(r) for r in got] == [_fields(r) for r in want], n
         for q in (3, 4, 8):
             assert u_real_sum_even_closed(n, q) == to_int(want[0].eval(q))
-            assert u_unsumodd_exprs(n, q) == (want[1].eval(q), want[2].eval(q))
+            assert u_unsumodd_expr(n, 1, q) == want[1].eval(q)
+            assert u_unsumodd_expr(n, 2, q) == want[2].eval(q)
             assert u_eps_sums_alt_even(n, q) == (to_int(want[3].eval(q)),
                                                  to_int(want[4].eval(q))), (n, q)
 
@@ -356,15 +365,18 @@ def test_unitary_sums_take_a_fixed_number_of_ratfunc_operations(monkeypatch):
             calls[0] += 1
             return _real(*args)
         monkeypatch.setattr(RatFunc, name, counting)
+    sums = {"even": u_real_sum_even_closed,
+            "odd form 1": lambda n: u_unsumodd_expr(n, 1),
+            "odd form 2": lambda n: u_unsumodd_expr(n, 2)}
     seen = {}
     for n in range(1, 7):
-        for fn in (u_real_sum_even_closed, u_unsumodd_exprs):
+        for name, fn in sums.items():
             calls[0] = 0
             fn(n)
-            seen[fn.__name__, n] = calls[0]
+            seen[name, n] = calls[0]
     monkeypatch.undo()
     assert max(seen.values()) <= 4, seen
-    for name in ("u_real_sum_even_closed", "u_unsumodd_exprs"):
+    for name in sums:
         assert len({seen[name, n] for n in range(1, 7)}) == 1, seen
 
 
@@ -397,13 +409,13 @@ def _brute_signed_involutions(n, even_signs_only):
 
 def test_weyl_sums_match_brute_force():
     for n in range(1, 7):
-        ws = weyl_sums("A", n)
-        assert ws["degree_sum"] == ws["involutions"] == _brute_symmetric_involutions(n)
+        brute = _brute_symmetric_involutions(n)
+        assert weyl_degree_sum("A", n) == weyl_involutions("A", n) == brute
     for n in range(1, 5):
-        ws = weyl_sums("B", n)
-        assert ws["degree_sum"] == ws["involutions"] == _brute_signed_involutions(n, False)
-        ws = weyl_sums("D", n)
-        assert ws["degree_sum"] == ws["involutions"] == _brute_signed_involutions(n, True)
+        brute = _brute_signed_involutions(n, False)
+        assert weyl_degree_sum("B", n) == weyl_involutions("B", n) == brute
+        brute = _brute_signed_involutions(n, True)
+        assert weyl_degree_sum("D", n) == weyl_involutions("D", n) == brute
 
 
 def _hooks(lam):
@@ -432,16 +444,19 @@ def _bipartition_degree_sums(n):
 def test_weyl_degree_sums_match_bipartition_hook_products():
     for n in range(11):
         b_sum, d_sum = _bipartition_degree_sums(n)
-        assert weyl_sums("B", n)["degree_sum"] == b_sum, n
-        assert weyl_sums("D", n)["degree_sum"] == d_sum, n
+        assert weyl_degree_sum("B", n) == b_sum, n
+        assert weyl_degree_sum("D", n) == d_sum, n
 
 
 def test_weyl_known_values():
-    assert [weyl_sums("A", n)["involutions"] for n in range(1, 9)] == [
+    assert [weyl_involutions("A", n) for n in range(1, 9)] == [
         1, 2, 4, 10, 26, 76, 232, 764,
     ]
-    assert weyl_sums("B", 3)["involutions"] == 20
-    assert weyl_sums("D", 4)["involutions"] == 44
+    assert weyl_involutions("B", 3) == 20
+    assert weyl_involutions("D", 4) == 44
+    for fn in (weyl_degree_sum, weyl_involutions):
+        with pytest.raises(ValueError, match="family must be"):
+            fn("C", 2)
 
 
 def test_gl_degree_sum_closed_forms():

@@ -157,6 +157,9 @@ def test_degree_sum_symbolic_default_parity(capsys):
     ["degree-sum", "--group", "gl", "--n", "2", "--q", "1"],
     ["degree-sum", "--group", "gl", "--n", "-1", "--q", "3"],
     ["eps-split", "--n", "-1", "--q", "3"],
+    # every q is validated before the table header is printed
+    ["census", "--flavor", "gl", "--dmax", "2", "--q", "1"],
+    ["census", "--flavor", "gl", "--dmax", "2", "--q", "2,1", "--source", "both"],
 ])
 def test_bad_q_or_rank_is_a_usage_error(capsys, argv):
     rc = main(argv)
@@ -219,3 +222,11 @@ def test_brute_involutions_command(capsys):
     out = capsys.readouterr().out
     assert "group order\t96" in out
     assert "agreement\tyes" in out
+
+
+def test_brute_involutions_rejects_a_negative_rank(capsys):
+    rc = main(["brute-involutions", "--group", "gl", "--n", "-1", "--q", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank must be >= 0, got -1\n"

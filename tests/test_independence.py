@@ -1,0 +1,153 @@
+"""The two sides of every check share no code beyond what they declare.
+
+Each side of a check runs alone at the quick budget with cold memos (every
+package lru_cache and the named-series memo cleared) under sys.setprofile,
+which collects the qcharsum functions it calls.  A function that both sides
+reach must be on the allowlist or in SHARED, the committed table of shared
+ingredients, next to the mutation probe that shows a corruption of it is
+still caught.  The allowlist holds the exact layer, the kernel, partitions,
+the validators of q, rank, parity and flavor, and verify's own plumbing,
+which only routes rows (the registry's lambdas and the factories' row
+generators); dataclass-generated methods are not package code.  A row of
+SHARED whose ingredients the sides no longer share is stale and fails too.
+"""
+
+import dataclasses
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import qcharsum
+from qcharsum import chars, qseries
+from qcharsum.verify import REGISTRY, _params_for
+
+_PACKAGE = Path(qcharsum.__file__).parent
+
+ALLOWED_MODULES = {"exact", "_kernel", "_kernel_py", "_kernel_cy", "partitions"}
+
+ALLOWED = {
+    # validators
+    "chars._check_rank", "chars._qval", "chars._parity_name", "chars._finish",
+    "polycount._as_scalar", "polycount.parity_e", "polycount._check_flavor",
+    "polycount.to_int",
+    # verify's row plumbing (lambdas in verify are allowed as such)
+    "verify._coefficients", "verify._hl_rows", "verify._census_side.<locals>.side",
+    "verify._group_side.<locals>.side", "verify._prodlem_sides.<locals>.side.<locals>.rows",
+}
+
+_ORDER = ("chars._order_ic", "chars._order_value")
+_ORDER_PROBE = "test_verify.py::test_mutation_in_order_product_is_detected"
+
+# both odd-characteristic expressions read F_lam through the same route
+_F_ROUTE = ("chars.u_unsumodd_expr", "chars._hl_at_minus_w", "chars._from_w",
+            "hl.hl_principal_poly", "hl._hl_principal_poly", "hl.kostka_foulkes",
+            "hl._charge_column", "hl._charge_column.<locals>.place", "hl.charge",
+            "hl._fake_degree", "hl._over_one_minus_zpow", "hl._times_one_minus_zpow",
+            "hl._as_partition", "hl.rs_multi", "hl.rogers_szego")
+_F_PROBE = "test_verify.py::test_mutation_in_the_unitary_sums_f_lam_is_detected"
+
+# the eps halves and the real degree sum both read the real series _u_real_gf
+_NAMED_GF = ("chars._named_gf_values", "qseries.named_gf", "qseries._u_real_gf",
+             "qseries._truncating_memo.<locals>.memoized", "qseries.euler_expand",
+             "qseries.pair_expand", "qseries.product_of", "qseries._check_small",
+             "qseries.GeometricFactorSpec.__post_init__",
+             "qseries.PairProductSpec.__post_init__")
+_NAMED_GF_PROBE = "test_verify.py::test_eps_split_sum_rows_miss_a_corrupt_real_series"
+
+# (check id, ingredients both sides reach, the probe that shows a corruption
+# of them is still caught)
+SHARED = [
+    ("thm-even", _ORDER, _ORDER_PROBE),
+    ("thm-odd", _ORDER, _ORDER_PROBE),
+    ("prop-involU-even", _ORDER + ("chars._binom2",), _ORDER_PROBE),
+    ("prop-involU-odd", _ORDER + ("chars._binom2",), _ORDER_PROBE),
+    ("cor-epsplit-even", _ORDER + ("chars.u_prefactor_abs",), _ORDER_PROBE),
+    ("cor-epsplit-even", _NAMED_GF + ("qseries._one_series",), _NAMED_GF_PROBE),
+    ("cor-epsplit-odd", _ORDER + ("chars.u_prefactor_abs",), _ORDER_PROBE),
+    ("cor-epsplit-odd", _NAMED_GF, _NAMED_GF_PROBE),
+    ("cor-unsumeven-pm", _ORDER, _ORDER_PROBE),
+    ("cor-genfn-even-alt", _ORDER, _ORDER_PROBE),
+    ("thm-unsumodd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),
+    ("thm-unsumodd", _F_ROUTE, _F_PROBE),
+    ("example-u2-odd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),
+    ("example-u2-odd", _F_ROUTE + ("hl.pochhammer_cd",), _F_PROBE),
+    ("oracle-real-sums", _ORDER + ("chars.gl_prefactor", "chars.u_prefactor_abs"),
+     _ORDER_PROBE),
+    ("oracle-hl-finite", ("hl._as_partition", "hl._powers"),
+     "test_hl.py::test_finite_oracle_matches_the_ratfunc_symmetrization"),
+]
+
+
+def _cold():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcharsum."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    qseries._GF_MEMO.clear()
+
+
+def _reached(side, params) -> set:
+    """The package functions one side calls, as "module.qualname"; a
+    comprehension counts as part of the function it sits in."""
+    _cold()
+    codes = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        for _ in side(**params):
+            pass
+    finally:
+        sys.setprofile(None)
+    names = set()
+    for code in codes:
+        path = Path(code.co_filename)
+        if path.parent == _PACKAGE:
+            qualname = getattr(code, "co_qualname", code.co_name)
+            qualname = re.sub(r"(\.<locals>\.<(genexpr|listcomp|dictcomp|setcomp)>)+$",
+                              "", qualname)
+            names.add(f"{path.stem}.{qualname}")
+    return names
+
+
+def _shared_outside_allowlist(spec) -> set:
+    lhs, rhs = spec.sides
+    params = _params_for(spec, "quick", {})
+    both = _reached(lhs, params) & _reached(rhs, params)
+    return {name for name in both
+            if name.split(".")[0] not in ALLOWED_MODULES and name not in ALLOWED
+            and not (name.startswith("verify.") and "<lambda>" in name)}
+
+
+@pytest.mark.parametrize("check_id", list(REGISTRY))
+def test_sides_share_only_declared_ingredients(check_id):
+    shared = _shared_outside_allowlist(REGISTRY[check_id])
+    rows = [set(names) for cid, names, _ in SHARED if cid == check_id]
+    declared = set().union(*rows)
+    assert shared <= declared, f"undeclared: {sorted(shared - declared)}"
+    for names in rows:
+        assert names <= shared, f"stale row: {sorted(names - shared)}"
+
+
+def test_shared_rows_name_registered_checks_and_existing_probes():
+    here = Path(__file__).parent
+    for check_id, _, probe in SHARED:
+        assert check_id in REGISTRY, check_id
+        filename, name = probe.split("::")
+        assert f"\ndef {name}(" in (here / filename).read_text(), probe
+
+
+def test_the_sweep_names_an_ingredient_both_sides_reach():
+    # thm-even's lhs pointed at the series route its rhs takes: the sweep
+    # must name the generating-function reader as undeclared sharing.
+    spec = REGISTRY["thm-even"]
+    lhs = lambda nmax: ((f"n={n}", chars.real_degree_sum_gf("gl", n, None, "even"))
+                        for n in range(1, nmax + 1))
+    shared = _shared_outside_allowlist(dataclasses.replace(spec, sides=(lhs, spec.sides[1])))
+    assert {"chars.real_degree_sum_gf", "qseries.named_gf"} <= shared

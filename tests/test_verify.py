@@ -14,6 +14,7 @@ import pytest
 
 import qcharsum.chars as chars
 import qcharsum.hl as hl
+import qcharsum.qseries as qseries
 import qcharsum.verify as verify
 from qcharsum.exact import RatFunc, Series, qpow
 from qcharsum.verify import (
@@ -27,6 +28,7 @@ from qcharsum.verify import (
     run_check,
     summary_lines,
 )
+from test_independence import SHARED
 
 
 FROZEN_IDS = [
@@ -75,6 +77,8 @@ def test_registry_specs_well_formed():
         # quick-budget values may only shrink declared parameters
         assert set(spec.quick) <= set(spec.params), cid
         assert callable(spec.fn)
+        lhs, rhs = spec.sides
+        assert callable(lhs) and callable(rhs), cid
 
 
 def test_unknown_id_raises():
@@ -136,6 +140,7 @@ def test_skip_surfaces_as_skipped(monkeypatch):
         description="always skips",
         params={},
         quick={},
+        sides=(skipping_runner, skipping_runner),
         fn=skipping_runner,
     )
     monkeypatch.setitem(REGISTRY, "skip-probe", spec)
@@ -241,6 +246,17 @@ def test_mutation_in_order_product_is_detected(monkeypatch):
     for check_id in ("thm-even", "thm-odd"):
         assert run_check(check_id, nmax=4).status == "pass"
     assert run_check("prop-involU-even", nmax=3).status == "pass"
+    # Every check whose sides share the product (its row in the table of
+    # shared ingredients names _order_ic) still fails at its quick budget:
+    # the rank-3 product corrupted for the gl checks, rank 2 for the unitary.
+    sharing = sorted({cid for cid, names, _ in SHARED if "chars._order_ic" in names})
+    assert len(sharing) == 11
+    for check_id in sharing:
+        key = (-1, 2) if "u" in REGISTRY[check_id].tags else (1, 3)
+        _corrupt_order_ic(monkeypatch, key)
+        assert run_check(check_id, budget="quick").status == "fail", check_id
+        monkeypatch.undo()
+        assert run_check(check_id, budget="quick").status == "pass", check_id
 
 
 def test_mutation_in_named_gf_is_detected_with_warm_memo(monkeypatch):
@@ -307,6 +323,30 @@ def test_mutation_in_class_factor_is_detected(monkeypatch):
     assert r.witness.startswith("gl n=2 q=2: ")
     monkeypatch.undo()
     assert run_check("oracle-real-sums").status == "pass"
+
+
+def test_eps_split_sum_rows_miss_a_corrupt_real_series(monkeypatch):
+    # The eps halves are (T + I)/2 and (T - I)/2 with T the very _u_real_gf
+    # series that the "sum" rows of cor-epsplit-* compare their sum with, so
+    # those rows cannot see T go wrong.  thm-degreesU and thm-unsumeven hold
+    # T against independent routes: with its u^3 coefficient off by one,
+    # around the binding so the memo stays clean, they fail and the eps-split
+    # checks still pass.
+    real = qseries._u_real_gf
+
+    def corrupted(e, order):
+        s = real(e, order)
+        if order < 3:
+            return s
+        co = list(s.co)
+        co[3] = co[3] + 1
+        return Series(co, order)
+
+    monkeypatch.setattr(qseries, "_u_real_gf", corrupted)
+    for check_id in ("thm-degreesU", "thm-unsumeven"):
+        assert run_check(check_id, budget="quick").status == "fail", check_id
+    for check_id in ("cor-epsplit-even", "cor-epsplit-odd"):
+        assert run_check(check_id, budget="quick").status == "pass", check_id
 
 
 def _clear_block_memos():
