@@ -1,7 +1,8 @@
 """Real character degree sums and involution counts.
 
 Conventions used throughout (gamma for the linear flavor, omega for the
-unitary one), all four built from one memoized integer product (_order_ic):
+unitary one); the group orders and prefactors below are the memoized integer
+product _order_ic, shifted by q^binom(n,2) or not:
 
 * gamma_n = |GL(n,q)| = q^binom(n,2) * prod_{i=1..n} (q^i - 1)
 * omega_n = |U(n,q)|  = q^binom(n,2) * prod_{i=1..n} (q^i - (-1)^i)
@@ -23,9 +24,12 @@ class (Green's degree formula, char_degree).  Two routes sum those degrees:
   call.
 
 Everything is exact: integers at numeric q, RatFunc values symbolically
-(q=None).  Closed-form involution sums call the module-level group-order
-functions dynamically, so tests can perturb those (or _order_ic) and watch
-the checks fail.  A rank n < 0 raises ValueError (_check_rank).
+(q=None).  The closed-form involution count is the paper's sum of group-order
+quotients.  At numeric q it divides the group orders, read through the
+module namespace; at q=None it is the same sum written without division, as
+signed q-binomial sums in integer lists (_gauss_row_at), so it shares no
+group-order code with the generating-function side it is checked against.
+A rank n < 0 raises ValueError (_check_rank).
 
 The unitary partition sums over Hall-Littlewood values P_lam(1, z, z^2, ...;
 t) at z = -1/q are polynomials in w = 1/q over one denominator: the u
@@ -55,8 +59,8 @@ from .partitions import (Partition, enumerate_partitions, gaussian_binomial,
                          partitions_up_to)
 from .polycount import (_as_scalar, brute_poly_census, count_selfdual_and_pairs,
                         parity_e, to_int)
-from .hl import (_fake_degree, _times_one_minus_zpow, hl_principal_poly,
-                 pochhammer_cd, rs_multi)
+from .hl import (_at_signed_power, _fake_degree, _times_one_minus_zpow,
+                 hl_principal_poly, pochhammer_cd, rs_multi)
 from .qseries import named_gf
 
 
@@ -128,29 +132,77 @@ def u_prefactor_abs(n: int, q=None):
     return _order_value(-1, n, 0, q)
 
 
+def _gauss_row_at(eps: int, n: int) -> list:
+    """The Gaussian binomials [n choose r]_x, r = 0..n, at x = eps*q, as
+    integer coefficient lists in q, by the ratio recurrence
+    [n, r] = [n, r-1] (1 - x^(n-r+1)) / (1 - x^r).  Not memoized: a row
+    costs O(n^3) integer steps, and a memo would hold every row built."""
+    rows = [[1]]
+    for r in range(1, n + 1):
+        m, prev = n - r + 1, rows[-1]
+        co = prev + [0] * m
+        for i, c in enumerate(prev):  # times 1 - x^m: shift and subtract
+            co[i + m] -= eps ** m * c
+        step = eps ** r
+        for i in range(r, len(co) - r):  # over 1 - x^r: strided running sum
+            co[i] += step * co[i - r]
+        rows.append(co[:len(co) - r])
+    return rows
+
+
+def _involution_sum_ic(eps: int, n: int, e: int) -> list:
+    """Integer coefficient list in q of the symbolic involution count."""
+    rows = _gauss_row_at(eps, n)
+    total = []
+
+    def add(co, shift):  # total += q^shift * co
+        total.extend([0] * (shift + len(co) - len(total)))
+        for i, c in enumerate(co):
+            total[shift + i] += c
+
+    if e == 1:
+        for r in range(n // 2 + 1):
+            co = rows[2 * r]
+            for i in range(r + 1, 2 * r + 1):  # times q^i - eps^i
+                co = [a - eps ** i * b for a, b in zip([0] * i + co, co + [0] * i)]
+            add(co, r * (r - 1) // 2)
+    else:
+        for r in range(n + 1):
+            sign = eps ** (r * (n - r))
+            add([sign * c for c in rows[r]], r * (n - r))
+    return total
+
+
 def involution_count(flavor: str, n: int, q=None, parity=None):
     """Number of group elements squaring to the identity, by closed formula.
 
+    With g = gamma (gl) or omega (u):
     Even characteristic:  sum_{r <= n/2} g_n / (q^(r(2n-3r)) g_r g_(n-2r))
     Odd characteristic:   sum_{r <= n}   g_n / (g_r g_(n-r))
-    with g = gamma (gl) or omega (u).  Calls the group-order functions
-    through the module namespace on purpose.
+    At numeric q these quotients are taken exactly, from the group-order
+    functions called through the module namespace.  At q=None the same sums
+    are built without division from the Gaussian binomials at x = eps*q
+    (eps = 1 for gl, -1 for u) of _gauss_row_at, as one integer polynomial:
+    Even characteristic:  sum_{r <= n/2} q^binom(r,2) [n choose 2r]_x
+                                         prod_{i=r+1..2r} (q^i - eps^i)
+    Odd characteristic:   sum_{r <= n}   x^(r(n-r)) [n choose r]_x
     """
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
     _check_rank(n)
     e = parity_e(q, parity)
+    if q is None:
+        ic = _involution_sum_ic(1 if flavor == "gl" else -1, n, e)
+        return RatFunc._mk(QPoly(ic), QPoly.one())
     order = gl_group_order if flavor == "gl" else u_group_order
     qq = _qval(q)
     g = [order(j, q) for j in range(n + 1)]
-    top = g[n] if q is None else Fraction(g[n])  # int / int would be a float
-    total = qq * 0
+    top = Fraction(g[n])  # int / int would be a float
     if e == 1:
-        for r in range(n // 2 + 1):
-            total = total + top / (qq ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
+        total = sum(top / (qq ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
+                    for r in range(n // 2 + 1))
     else:
-        for r in range(n + 1):
-            total = total + top / (g[r] * g[n - r])
+        total = sum(top / (g[r] * g[n - r]) for r in range(n + 1))
     return _finish(total, q)
 
 
@@ -447,7 +499,8 @@ def u_unsumodd_expr(n: int, form: int, q=None):
             else:
                 continue
             nu_sum = nu_sum + c * _hl_at_minus_w(nu, -1, 0)
-        total = total + gaussian_binomial(n, k).eval(-w) * w ** (n - k) * lam_sum * nu_sum
+        weight = _at_signed_power(gaussian_binomial(n, k), -1, 1)  # [n choose k]_(-w)
+        total = total + weight * w ** (n - k) * lam_sum * nu_sum
     expr = _from_w(total, _binom2(n + 1)) / u_prefactor_abs(n, None)
     return expr if q is None else expr.eval(q)
 
@@ -496,7 +549,7 @@ def u_eps_sums_alt_even(n: int, q=None) -> tuple:
             if lam.ell_odd + lam.size == 2 * k:
                 rest = pochhammer_cd((-w) ** (lam.size + 1), -w, 2 * k - lam.size)
                 t_k = t_k + _hl_at_minus_w(lam, 1, 1) * rest
-        t_k = w ** k * gaussian_binomial(n, 2 * k).eval(-w) * t_k
+        t_k = w ** k * _at_signed_power(gaussian_binomial(n, 2 * k), -1, 1) * t_k
         ratio = _from_w(t_k, _binom2(n + 1) - _binom2(n - 2 * k + 1))
         inv = involution_count("u", n - 2 * k, None, "even")
         total = total + (-1) ** _binom2(n - 2 * k) * ratio * inv

@@ -395,11 +395,32 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
+def _signed_power(t):
+    """(sign, k) when t is the QPoly sign * w^k with k >= 1, else None."""
+    if (isinstance(t, QPoly) and len(t.ic) > 1 and t.ic[-1] == 1 and not any(t.ic[:-1])
+            and abs(t.content) == 1):
+        return int(t.content), len(t.ic) - 1
+    return None
+
+
+def _at_signed_power(p: QPoly, sign: int, k: int) -> QPoly:
+    """p(sign * w^k) for a nonzero p and k >= 1: coefficient i of p moves
+    to w^(i*k), times sign^i."""
+    ic = [0] * (k * p.degree() + 1)
+    for i, c in enumerate(p.ic):
+        ic[i * k] = sign ** i * c
+    lead = sign ** p.degree()  # keeps the leading coefficient positive
+    return QPoly._mk(tuple(lead * c for c in ic), lead * p.content)
+
+
 def rogers_szego(m: int, z, t):
-    """H_m(z; t) = sum_j [m choose j]_t z^j."""
+    """H_m(z; t) = sum_j [m choose j]_t z^j.  At t = +-w^k in QPoly each
+    [m choose j]_t is a re-indexing of its coefficients (_at_signed_power)."""
+    power = _signed_power(t)
     acc = None
     for j in range(m, -1, -1):
-        c = gaussian_binomial(m, j).eval(t)
+        b = gaussian_binomial(m, j)
+        c = b.eval(t) if power is None else _at_signed_power(b, *power)
         acc = c if acc is None else acc * z + c
     return acc
 

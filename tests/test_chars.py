@@ -230,6 +230,34 @@ def test_involution_count_symbolic():
             assert involution_count_gf("u", n, None, parity) == sym
 
 
+def _involution_quotient(flavor, n, parity):
+    """The closed involution sum as a sum of RatFunc group-order quotients."""
+    order = gl_group_order if flavor == "gl" else u_group_order
+    g = [order(j) for j in range(n + 1)]
+    if parity == "even":
+        terms = (g[n] / (Q ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
+                 for r in range(n // 2 + 1))
+    else:
+        terms = (g[n] / (g[r] * g[n - r]) for r in range(n + 1))
+    return sum(terms, RatFunc.const(0))
+
+
+@pytest.mark.parametrize("flavor", ["gl", "u"])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_symbolic_involution_count_is_the_group_order_quotient(flavor, parity):
+    # The division-free q-binomial sum against the quotients it replaces:
+    # every canonical field, a polynomial, and the numeric count at each q.
+    qs = (2, 4) if parity == "even" else (3, 5)
+    for n in range(13):
+        got = involution_count(flavor, n, None, parity)
+        assert _fields(got) == _fields(_involution_quotient(flavor, n, parity)), n
+        assert (got.den.ic, got.den.content) == ((1,), 1)
+    for n in range(25):
+        got = involution_count(flavor, n, None, parity)
+        for q in qs:
+            assert got.eval(q) == involution_count(flavor, n, q), (n, q)
+
+
 def test_parity_argument_guards():
     with pytest.raises(ValueError):
         involution_count("u", 2, None, None)

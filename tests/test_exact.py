@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcharsum import _kernel_py, exact
 from qcharsum._kernel import zz_gcd
-from qcharsum.chars import involution_count
+from qcharsum.chars import gl_group_order, u_group_order
 from qcharsum.exact import QPoly, Rat, RatFunc, Series, SymPoly, qpow
 
 
@@ -473,9 +473,10 @@ class TestValuationSplit:
             return _kernel_py.zz_divexact(a, b)
 
         monkeypatch.setattr(exact._k, "zz_divexact", recording)
-        for flavor in ("gl", "u"):
-            involution_count(flavor, 6, None, "odd")
-            involution_count(flavor, 6, None, "even")
+        # group-order quotients: q^v times a non-monomial on both sides
+        for order in (gl_group_order, u_group_order):
+            for r in range(7):
+                order(6) / (order(r) * order(6 - r))
         assert divisors
         assert all(b[0] for b in divisors)
 

@@ -21,7 +21,7 @@ from qcharsum.hl import (
     rogers_szego,
     rs_multi,
 )
-from qcharsum.partitions import Partition, dominates, enumerate_partitions
+from qcharsum.partitions import Partition, dominates, enumerate_partitions, gaussian_binomial
 
 
 def _count_ssyt(lam, mu):
@@ -300,6 +300,21 @@ def test_rogers_szego_recurrence():
             1 - t ** (m - 1)
         ) * z * rogers_szego(m - 2, z, t)
         assert lhs == rhs, m
+
+
+@pytest.mark.parametrize("sign, k", [(1, 1), (-1, 1), (1, 2), (-1, 3)])
+def test_rogers_szego_at_a_signed_power_is_a_reindexing(sign, k):
+    # At t = sign * w^k each Gaussian binomial is re-indexed, not evaluated:
+    # the same canonical polynomial as Horner evaluation of the binomials.
+    w = QPoly.x()
+    t = sign * w ** k
+    assert hl._signed_power(t) == (sign, k)
+    for m in range(7):
+        for z in (1, w, -w):
+            got = rogers_szego(m, z, t)
+            want = sum((gaussian_binomial(m, j).eval(t) * z ** j for j in range(m + 1)),
+                       QPoly.zero())
+            assert (got.ic, got.content) == (want.ic, want.content), (m, z)
 
 
 def test_rs_homog_and_multi():

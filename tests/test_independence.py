@@ -45,7 +45,8 @@ _F_ROUTE = ("chars.u_unsumodd_expr", "chars._hl_at_minus_w", "chars._from_w",
             "hl.hl_principal_poly", "hl._hl_principal_poly", "hl.kostka_foulkes",
             "hl._charge_column", "hl._charge_column.<locals>.place", "hl.charge",
             "hl._fake_degree", "hl._over_one_minus_zpow", "hl._times_one_minus_zpow",
-            "hl._as_partition", "hl.rs_multi", "hl.rogers_szego")
+            "hl._as_partition", "hl.rs_multi", "hl.rogers_szego", "hl._signed_power",
+            "hl._at_signed_power")
 _F_PROBE = "test_verify.py::test_mutation_in_the_unitary_sums_f_lam_is_detected"
 
 # the eps halves and the real degree sum both read the real series _u_real_gf
@@ -59,16 +60,10 @@ _NAMED_GF_PROBE = "test_verify.py::test_eps_split_sum_rows_miss_a_corrupt_real_s
 # (check id, ingredients both sides reach, the probe that shows a corruption
 # of them is still caught)
 SHARED = [
-    ("thm-even", _ORDER, _ORDER_PROBE),
-    ("thm-odd", _ORDER, _ORDER_PROBE),
-    ("prop-involU-even", _ORDER + ("chars._binom2",), _ORDER_PROBE),
-    ("prop-involU-odd", _ORDER + ("chars._binom2",), _ORDER_PROBE),
     ("cor-epsplit-even", _ORDER + ("chars.u_prefactor_abs",), _ORDER_PROBE),
     ("cor-epsplit-even", _NAMED_GF + ("qseries._one_series",), _NAMED_GF_PROBE),
     ("cor-epsplit-odd", _ORDER + ("chars.u_prefactor_abs",), _ORDER_PROBE),
     ("cor-epsplit-odd", _NAMED_GF, _NAMED_GF_PROBE),
-    ("cor-unsumeven-pm", _ORDER, _ORDER_PROBE),
-    ("cor-genfn-even-alt", _ORDER, _ORDER_PROBE),
     ("thm-unsumodd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),
     ("thm-unsumodd", _F_ROUTE, _F_PROBE),
     ("example-u2-odd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),

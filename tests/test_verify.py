@@ -177,11 +177,23 @@ def _corrupt_u_order(monkeypatch):
     monkeypatch.setattr(chars, "u_group_order", corrupted)
 
 
+def _corrupt_gauss_row(monkeypatch, key):
+    # Add 1 to the constant term of every Gaussian binomial in the row at
+    # key = (eps, n), around the binding.
+    real = chars._gauss_row_at
+
+    def corrupted(eps, n):
+        rows = real(eps, n)
+        return [[co[0] + 1] + co[1:] for co in rows] if (eps, n) == key else rows
+
+    monkeypatch.setattr(chars, "_gauss_row_at", corrupted)
+
+
 def test_mutation_is_detected(monkeypatch):
-    # Corrupt the rank-3 group order.  The closed-form involution count uses
-    # it; the generating-function side does not.  The comparison must now
-    # fail exactly at n=3.
-    _corrupt_gl_order(monkeypatch)
+    # Corrupt the rank-3 Gaussian row at x = q.  The closed-form involution
+    # count uses it; the generating-function side does not.  The comparison
+    # must now fail exactly at n=3.
+    _corrupt_gauss_row(monkeypatch, (1, 3))
     r = run_check("thm-even", nmax=4)
     assert r.status == "fail"
     assert "n=3" in r.witness
@@ -192,10 +204,10 @@ def test_mutation_is_detected(monkeypatch):
 
 def test_mutation_is_detected_with_warm_memo(monkeypatch):
     # The generating-function memo holds series only, so with every
-    # expansion already cached the corrupted group order still shows.
+    # expansion already cached the corrupted row still shows.
     for check_id in ("thm-even", "thm-odd"):
         assert run_check(check_id, nmax=4).status == "pass"
-    _corrupt_gl_order(monkeypatch)
+    _corrupt_gauss_row(monkeypatch, (1, 3))
     for check_id in ("thm-even", "thm-odd"):
         r = run_check(check_id, nmax=4)
         assert r.status == "fail"
@@ -203,7 +215,7 @@ def test_mutation_is_detected_with_warm_memo(monkeypatch):
 
 
 def test_mutation_in_u_order_is_detected(monkeypatch):
-    _corrupt_u_order(monkeypatch)
+    _corrupt_gauss_row(monkeypatch, (-1, 2))
     r = run_check("prop-involU-even", nmax=3)
     assert r.status == "fail"
     assert "n=2" in r.witness
@@ -211,10 +223,23 @@ def test_mutation_in_u_order_is_detected(monkeypatch):
 
 def test_mutation_in_u_order_is_detected_with_warm_memo(monkeypatch):
     assert run_check("prop-involU-even", nmax=3).status == "pass"
-    _corrupt_u_order(monkeypatch)
+    _corrupt_gauss_row(monkeypatch, (-1, 2))
     r = run_check("prop-involU-even", nmax=3)
     assert r.status == "fail"
     assert "n=2" in r.witness
+
+
+def test_group_order_mutation_fails_the_brute_oracle(monkeypatch):
+    # The symbolic counts no longer read the group orders; the numeric ones
+    # and the order rows of oracle-brute-involutions do, so the rank-3 gl
+    # and rank-2 u corruptions still fail it, at the corrupted case.
+    for corrupt, case in ((_corrupt_gl_order, "gl(3,"), (_corrupt_u_order, "u(2,")):
+        corrupt(monkeypatch)
+        r = run_check("oracle-brute-involutions")
+        assert r.status == "fail"
+        assert r.witness.startswith(case), r.witness
+        monkeypatch.undo()
+    assert run_check("oracle-brute-involutions").status == "pass"
 
 
 def _corrupt_order_ic(monkeypatch, key):
@@ -230,8 +255,8 @@ def _corrupt_order_ic(monkeypatch, key):
 
 
 def test_mutation_in_order_product_is_detected(monkeypatch):
-    # The rank-3 product reaches both sides of thm-even/thm-odd (group order
-    # and prefactor) but in different ways, so they part exactly at n=3.
+    # The rank-3 product reaches the prefactor of the series side of
+    # thm-even/thm-odd only, so they part exactly at n=3.
     _corrupt_order_ic(monkeypatch, (1, 3))
     for check_id in ("thm-even", "thm-odd"):
         r = run_check(check_id, nmax=4)
@@ -250,7 +275,7 @@ def test_mutation_in_order_product_is_detected(monkeypatch):
     # shared ingredients names _order_ic) still fails at its quick budget:
     # the rank-3 product corrupted for the gl checks, rank 2 for the unitary.
     sharing = sorted({cid for cid, names, _ in SHARED if "chars._order_ic" in names})
-    assert len(sharing) == 11
+    assert len(sharing) == 5
     for check_id in sharing:
         key = (-1, 2) if "u" in REGISTRY[check_id].tags else (1, 3)
         _corrupt_order_ic(monkeypatch, key)
