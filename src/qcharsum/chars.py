@@ -44,6 +44,9 @@ route (u_eps_sums_closed, u_eps_sums_alt_even, u_eps_sums_gf) returns the
 pair (plus, minus) from one computation.  The generating-function values
 (real_degree_sum_gf, involution_count_gf, u_eps_sums_gf) are all read by
 _named_gf_values: prefactor times the u^n coefficient of a named series.
+The series are stored scaled by the prefactor's own product (x;x)_n, so
+each value is one re-indexing of an integer polynomial
+(qseries.named_gf_value); the series themselves, named_gf, are re-exported.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .polycount import (_as_scalar, brute_poly_census, count_selfdual_and_pairs,
                         parity_e, to_int)
 from .hl import (_at_signed_power, _fake_degree, _times_one_minus_zpow,
                  hl_principal_poly, pochhammer_cd, rs_multi)
-from .qseries import named_gf
+from .qseries import named_gf, named_gf_value  # noqa: F401 (named_gf is re-exported)
 
 
 def _binom2(n: int) -> int:
@@ -395,15 +398,18 @@ def real_degree_sum_oracle(flavor: str, n: int, q: int) -> int:
 
 def _named_gf_values(flavor: str, names: tuple, n: int, q, parity, u_sign: int):
     """Prefactor times the u^n coefficient of named_gf(flavor + "_" + name)
-    for each name; the u prefactor is taken with sign u_sign."""
+    for each name; the u prefactor is taken with sign u_sign.  The unsigned
+    prefactor is q^binom(n+1,2) (x;x)_n, x = 1/q (gl) or -1/q (u), the scale
+    the series are stored in, so named_gf_value reads each value off by one
+    re-indexing, with no group-order product and no RatFunc normalization."""
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
     _qval(q)
     _check_rank(n)
     par = _parity_name(q, parity)
-    pref = gl_prefactor(n, None) if flavor == "gl" else u_sign * u_prefactor_abs(n, None)
-    return tuple(_finish(named_gf(f"{flavor}_{name}", par, n).coefficient(n) * pref, q)
-                 for name in names)
+    sign = 1 if flavor == "gl" else u_sign
+    values = (named_gf_value(f"{flavor}_{name}", par, n) for name in names)
+    return tuple(_finish(v if sign > 0 else -v, q) for v in values)
 
 
 def real_degree_sum_gf(flavor: str, n: int, q=None, parity=None):

@@ -1,59 +1,158 @@
-"""Expansion of infinite products into truncated series.
+"""Infinite products as integer Eulerian series.
 
-Two product shapes cover everything needed here:
+Every product here is a series sum_n c_n u^n whose coefficients are
+rational in a base x.  It is stored by its scaled coefficients
+P_n = (x;x)_n c_n, with (x;x)_n = (1 - x)(1 - x^2)...(1 - x^n), which are
+integer polynomials in x, each a dict {exponent: int} without zero entries.
+Two such series multiply by the q-binomial convolution
 
-* single-index geometric products  prod_{i>=0} (1 + sign*c*r^i*u^a)^(+-1),
-  expanded by Euler's two q-exponential identities, giving one closed
-  rational-function coefficient per power of u;
-* products over index pairs  prod_{1<=i<j} (1 + sign*v*x^(i+j))^E,
-  expanded through log -> geometric power sums -> exp, which is exact at
-  every truncation order (truncating the index range instead would give
-  wrong coefficients at every order).
+    (x;x)_n (A B)_n = sum_k [n choose k]_x A_k B_(n-k),
 
-The ratio r (resp. base x) must vanish as q grows so the coefficient sums
-are honest rational functions.  Coefficient scalars may come from Q(q) or
-from the SymPoly ring when the expansion carries the auxiliary symbols.
+over the Gaussian rows of partitions._gauss_row, in integers only.  Two
+factor shapes cover everything needed here:
 
-The named generating functions are expanded once per process and parity.
-Coefficient k of each expansion depends only on input coefficients <= k
-(Euler's closed forms, log -> exp, and series products all truncate that
-way), so a memo keyed by builder and e keeps only the highest-order series
-built so far and answers a lower order by truncating it; a higher order
-expands afresh and replaces the entry.  The four unitary names share one
-`_u_real_gf` and one `_u_invol_gf` expansion per parity.  The memo holds
-at most six series; `_GF_MEMO.clear()` empties it.
+* Euler products  prod_{i>=0} (1 + sign*x^c*x^(r*i)*u^a)^(+-1), expanded by
+  the q-binomial theorem: at n = a*l, P_n is (+-sign)^l x^(c*l) times
+  x^(r*binom(l,2)) (exponent +1 only) times (x;x)_n/(x^r;x^r)_l, which is
+  the product of 1 - x^j over the j <= n left after removing r, 2r, ..., lr
+  (so 1 <= r <= a keeps it a polynomial);
+* pair products  prod_{1<=i<j} (1 + sign*x^c*x^(i+j)*u^a)^E, expanded
+  through log -> exp, which is exact at every truncation order (truncating
+  the index range instead would give wrong coefficients at every order).
+  The log has the u^(am) coefficient E (-1)^(m+1) (sign x^c)^m x^(3m) /
+  (m (1-x^m)(1-x^2m)), and n c_n = sum_k k L_k c_(n-k) becomes
+  n P_n = sum_m a E (-1)^(m+1) (sign x^c)^m x^(3m) W P_(n-am) with
+  W = (1-x^(n-am+1))...(1-x^n) / ((1-x^m)(1-x^2m)), a polynomial for a >= 2
+  (the am factors hold two multiples of m, one of them a multiple of 2m).
+
+A series is lazy: coefficient n is computed on its first request, from
+inputs <= n, so asking for a higher order extends it where it stopped.
+Exponents only ever add, so a caller may ride symbols that each factor
+carries homogeneously (its power tied to the power of u) in high bits of
+the exponent: the Warnaar check of verify packs a^i b^j t^k x^e that way.
+
+The named generating functions are read at x = 1/q (gl) or x = -1/q (u).
+The gl series at x = -1/q is the unitary involution series, so one integer
+series per e serves both, and a memo keyed by builder and e holds at most
+four series (`_GF_MEMO.clear()` empties it); each is built once per process
+and extended on demand; the eps halves are formed on each call from the
+memoized real and involution series, halved exactly in integers.  named_gf
+reads a series over Q(q), c_n = P_n/(x;x)_n, converting each coefficient of
+a memoized series once.  named_gf_value reads the u^n coefficient times
+q^binom(n+1,2) (x;x)_n, which is the gl prefactor or the unsigned u
+prefactor: q^binom(n+1,2) P_n(x), one re-indexing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import wraps
+from functools import reduce, wraps
 
-from .exact import RatFunc, Series, qpow
+from .exact import QPoly, RatFunc, Series
+from .partitions import _gauss_row
 from .polycount import parity_e
 
 
-def _check_small(r: RatFunc, what: str) -> None:
-    if not isinstance(r, RatFunc):
-        raise TypeError(f"{what} must be a RatFunc, got {type(r).__name__}")
-    val = r.valuation_at_infinity()
-    if val is None or val < 1:
-        raise ValueError(f"{what} must vanish at large q (valuation >= 1), got {r}")
+# The polynomial helpers below share no code with hl's, whose F_lam the
+# Warnaar check holds these products against, nor with the Gaussian rows of
+# the closed-form involution counts (chars._gauss_row_at).
+
+def _add_product(acc: dict, a: dict, b: dict) -> None:
+    """acc += a*b for polynomials {exponent: int}."""
+    get = acc.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            acc[e] = get(e, 0) + ca * cb
 
 
-def _one_series(order: int) -> Series:
-    return Series.constant(RatFunc.const(1), order)
+def _one_minus_powers(exponents) -> list:
+    """prod (1 - x^j) over the exponents j, as a coefficient list."""
+    co = [1]
+    for j in exponents:
+        co += [0] * j
+        for i in range(len(co) - 1, j - 1, -1):
+            co[i] -= co[i - j]
+    return co
+
+
+def _over_one_minus(co: list, m: int) -> list:
+    """co / (1 - x^m) for a coefficient list that 1 - x^m divides."""
+    out = co[:]
+    for i in range(m, len(out)):
+        out[i] += out[i - m]
+    if any(out[len(out) - m:]):
+        raise ArithmeticError(f"1 - x^{m} does not divide the polynomial")
+    return out[:len(out) - m]
+
+
+def _shifted(co: list, shift: int, scalar: int) -> dict:
+    """scalar * x^shift * co as a polynomial dict."""
+    return {shift + i: scalar * c for i, c in enumerate(co) if c}
+
+
+class EulerSeries:
+    """A series in u stored by its scaled coefficients P_n = (x;x)_n c_n,
+    computed on demand by next_coefficient(n) once P_0..P_(n-1) are known."""
+
+    __slots__ = ("co", "_next", "_read")
+
+    def __init__(self, next_coefficient):
+        self.co = []
+        self._next = next_coefficient
+        self._read = {}  # sign -> the longest Series read at x = sign/q
+
+    def coefficient(self, n: int) -> dict:
+        co = self.co
+        while len(co) <= n:
+            co.append(self._next(len(co)))
+        return co[n]
+
+    def __mul__(self, other: "EulerSeries") -> "EulerSeries":
+        def product(n):
+            row = _gauss_row(n)
+            acc: dict = {}
+            for k in range(n + 1):
+                a, b = self.coefficient(k), other.coefficient(n - k)
+                if a and b:
+                    ab: dict = {}
+                    _add_product(ab, a, b)
+                    _add_product(acc, ab, dict(enumerate(row[k])))
+            return {e: c for e, c in acc.items() if c}
+        return EulerSeries(product)
+
+    def as_series(self, order: int, sign: int) -> Series:
+        """The series over Q(q) at x = sign/q, to `order`.  Each coefficient
+        is converted once: the longest series read so far is kept."""
+        done = self._read.get(sign)
+        if done is None or done.order < order:
+            co = list(done.co) if done else []
+            for n in range(len(co), order + 1):
+                p = self.coefficient(n)
+                top = max([n * (n + 1) // 2, *p])
+                den = enumerate(_one_minus_powers(range(1, n + 1)))
+                co.append(RatFunc(_in_q(p.items(), sign, top), _in_q(den, sign, top)))
+            done = self._read[sign] = Series(co, order)
+        return done if done.order == order else Series(done.co[:order + 1], order)
+
+
+def _in_q(terms, sign: int, shift: int) -> QPoly:
+    """q^shift p(sign/q) for the polynomial p in x with the (exponent,
+    coefficient) terms, of degree <= shift."""
+    co = [0] * (shift + 1)
+    for e, c in terms:
+        co[shift - e] += -c if sign < 0 and e % 2 else c
+    return QPoly(co)
 
 
 @dataclass(frozen=True)
 class GeometricFactorSpec:
-    """prod_{i>=0} (1 + sign*coeff_base*ratio^i*u^u_power)^exponent_sign."""
+    """prod_{i>=0} (1 + sign*x^coeff*x^(ratio*i)*u^u_power)^exponent_sign."""
 
     sign: int
     u_power: int
-    coeff_base: object  # RatFunc or SymPoly scalar
-    ratio: RatFunc
+    coeff: int
+    ratio: int
     exponent_sign: int
 
     def __post_init__(self):
@@ -61,84 +160,79 @@ class GeometricFactorSpec:
             raise ValueError("sign and exponent_sign must be +1 or -1")
         if self.u_power < 1:
             raise ValueError("u_power must be a positive integer")
-        _check_small(self.ratio, "ratio")
+        if not 1 <= self.ratio <= self.u_power:
+            raise ValueError(f"ratio must be x^r with 1 <= r <= u_power, got r={self.ratio}")
 
 
 @dataclass(frozen=True)
 class PairProductSpec:
-    """prod over 1 <= i < j of (1 + sign*v_coeff*base^(i+j)*u^u_power)^exponent."""
+    """prod over 1 <= i < j of (1 + sign*x^coeff*x^(i+j)*u^u_power)^exponent."""
 
     sign: int
-    v_coeff: object  # RatFunc or SymPoly scalar; may have negative valuation
+    coeff: int
     u_power: int
-    base: RatFunc
     exponent: int
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.u_power < 1:
-            raise ValueError("u_power must be a positive integer")
-        _check_small(self.base, "base")
+        if self.u_power < 2:
+            raise ValueError("u_power must be at least 2")
 
 
-def euler_expand(spec: GeometricFactorSpec, order: int) -> Series:
-    """Expand a GeometricFactorSpec as a series in u up to `order`."""
-    one = RatFunc.const(1)
+def euler_expand(spec: GeometricFactorSpec) -> EulerSeries:
+    """Expand a GeometricFactorSpec by the q-binomial theorem."""
+    a, r = spec.u_power, spec.ratio
+    plus = spec.exponent_sign == 1
+    sign = spec.sign if plus else -spec.sign
+
+    def coefficient(n):
+        l, rest = divmod(n, a)
+        if rest:
+            return {}
+        kept = (j for j in range(1, n + 1) if j % r or j > r * l)
+        shift = spec.coeff * l + (r * l * (l - 1) // 2 if plus else 0)
+        return _shifted(_one_minus_powers(kept), shift, sign ** l)
+    return EulerSeries(coefficient)
+
+
+def pair_expand(spec: PairProductSpec) -> EulerSeries:
+    """Expand a PairProductSpec by log -> exp, in the scaled coefficients."""
     a = spec.u_power
-    w = spec.coeff_base * spec.sign if spec.exponent_sign == 1 else spec.coeff_base * (-spec.sign)
-    zero = one * 0
-    co = [zero] * (order + 1)
-    co[0] = one
-    wl = one + zero  # w^l, promoted lazily on first multiply
-    rtri = one  # ratio^(l(l-1)/2)
-    dprod = one  # (1-r)(1-r^2)...(1-r^l)
-    rl = one  # ratio^l
-    for l in range(1, order // a + 1):
-        wl = wl * w
-        rl = rl * spec.ratio
-        dprod = dprod * (one - rl)
-        if spec.exponent_sign == 1:
-            co[a * l] = wl * rtri / dprod
-            rtri = rtri * rl
-        else:
-            co[a * l] = wl / dprod
-    return Series(co, order)
+
+    def coefficient(n):
+        if n == 0:
+            return {0: 1}
+        acc: dict = {}
+        for m in range(1, n // a + 1):
+            prev = series.co[n - a * m]
+            if not prev:
+                continue
+            window = _one_minus_powers(range(n - a * m + 1, n + 1))
+            w = _over_one_minus(_over_one_minus(window, m), 2 * m)
+            scalar = a * spec.exponent * (-1) ** (m + 1) * spec.sign ** m
+            _add_product(acc, prev, _shifted(w, (spec.coeff + 3) * m, scalar))
+        out = {}
+        for e, c in acc.items():
+            if c:
+                quo, rem = divmod(c, n)
+                if rem:
+                    raise ArithmeticError(f"pair product: u^{n} coefficient not integral")
+                out[e] = quo
+        return out
+    series = EulerSeries(coefficient)  # the recurrence reads its own coefficients
+    return series
 
 
-def pair_expand(spec: PairProductSpec, order: int) -> Series:
-    """Expand a PairProductSpec as a series in u up to `order`."""
-    one = RatFunc.const(1)
-    if spec.exponent == 0:
-        return _one_series(order)
-    a = spec.u_power
-    zero = RatFunc.const(0)
-    log_co = [zero] * (order + 1)
-    v = spec.v_coeff * spec.sign
-    vm = one + zero * 0
-    xm = one
-    for m in range(1, order // a + 1):
-        vm = vm * v
-        xm = xm * spec.base
-        # sum over 1 <= i < j of x^(m(i+j)) = x^3m / ((1-x^m)(1-x^2m))
-        tail = (xm ** 3) / ((one - xm) * (one - xm * xm))
-        log_co[a * m] = vm * tail * Fraction(spec.exponent * (-1) ** (m + 1), m)
-    return Series(log_co, order).exp()
-
-
-def product_of(factors) -> Series:
-    out = None
-    for f in factors:
-        out = f if out is None else out * f
-    if out is None:
+def product_of(factors) -> EulerSeries:
+    factors = list(factors)
+    if not factors:
         raise ValueError("empty product")
-    return out
+    return reduce(EulerSeries.__mul__, factors)
 
 
 # ---------------------------------------------------------------------------
 # Named generating functions.
-#
-# x below always denotes -1/q, so that x^i = 1/(-q)^i exactly.
 # ---------------------------------------------------------------------------
 
 GF_NAMES = (
@@ -154,61 +248,65 @@ GF_NAMES = (
 _GF_MEMO: dict = {}
 
 
-def _truncating_memo(build):
-    """Memoize build(e, order) by (build, e), keeping the highest order."""
+def _memo(build):
+    """Memoize the lazy series build(e) by (build, e)."""
 
     @wraps(build)
-    def memoized(e: int, order: int) -> Series:
+    def memoized(e: int) -> EulerSeries:
         key = (build, e)
-        cached = _GF_MEMO.get(key)
-        if cached is None or cached.order < order:
-            cached = _GF_MEMO[key] = build(e, order)
-        if cached.order == order:
-            return cached
-        return Series(cached.co[:order + 1], order)
+        series = _GF_MEMO.get(key)
+        if series is None:
+            series = _GF_MEMO[key] = build(e)
+        return series
 
     return memoized
 
 
-@_truncating_memo
-def _gl_gf(e: int, order: int) -> Series:
-    invq = qpow(-1)
-    up = euler_expand(GeometricFactorSpec(1, 1, invq, invq, 1), order) ** e
-    down = euler_expand(GeometricFactorSpec(-1, 2, invq, invq, -1), order)
-    return up * down
+@_memo
+def _invol_gf(e: int) -> EulerSeries:
+    """prod_{i>=1} (1 + x^i u)^e / (1 - x^i u^2): the gl series at x = 1/q,
+    the unitary involution series at x = -1/q."""
+    up = euler_expand(GeometricFactorSpec(1, 1, 1, 1, 1))
+    return product_of([up] * e + [euler_expand(GeometricFactorSpec(-1, 2, 1, 1, -1))])
 
 
-@_truncating_memo
-def _u_invol_gf(e: int, order: int) -> Series:
-    x = -qpow(-1)
-    up = euler_expand(GeometricFactorSpec(1, 1, x, x, 1), order) ** e
-    down = euler_expand(GeometricFactorSpec(-1, 2, x, x, -1), order)
-    return up * down
-
-
-@_truncating_memo
-def _u_real_gf(e: int, order: int) -> Series:
-    x = -qpow(-1)
-    xinv = x.reciprocal()
-    return product_of([
-        euler_expand(GeometricFactorSpec(1, 1, x, x, 1), order) ** e,
-        euler_expand(GeometricFactorSpec(1, 2, x, x * x, -1), order),
-        pair_expand(PairProductSpec(1, RatFunc.const(1), 2, x, -e + 1), order),
-        pair_expand(PairProductSpec(-1, RatFunc.const(1), 2, x, e), order),
-        pair_expand(PairProductSpec(1, xinv, 2, x, -1), order),
+@_memo
+def _u_real_gf(e: int) -> EulerSeries:
+    """The unitary real-sum series, read at x = -1/q."""
+    up = euler_expand(GeometricFactorSpec(1, 1, 1, 1, 1))
+    return product_of([up] * e + [
+        euler_expand(GeometricFactorSpec(1, 2, 1, 2, -1)),
+        pair_expand(PairProductSpec(1, 0, 2, 1 - e)),
+        pair_expand(PairProductSpec(-1, 0, 2, e)),
+        pair_expand(PairProductSpec(1, -1, 2, -1)),
     ])
 
 
-def _half_comb(total: Series, invol: Series, plus: bool) -> Series:
-    n = total.order
-    half = Fraction(1, 2)
-    co = []
-    for k in range(n + 1):
-        sgn = -1 if (k * (k - 1) // 2) % 2 else 1
-        if not plus:
-            sgn = -sgn
-        co.append((total.co[k] + invol.co[k] * sgn) * half)
-    return Series(co, n)
+def _half_comb(total: EulerSeries, invol: EulerSeries, plus: bool) -> EulerSeries:
+    """(total +- (-1)^binom(n,2) invol)/2 at u^n, halved exactly."""
+    def half(n):
+        sign = (-1) ** (n * (n - 1) // 2) * (1 if plus else -1)
+        acc = dict(total.coefficient(n))
+        for e, c in invol.coefficient(n).items():
+            acc[e] = acc.get(e, 0) + sign * c
+        if any(c % 2 for c in acc.values()):
+            raise ArithmeticError(f"eps half: odd coefficient at u^{n}")
+        return {e: c // 2 for e, c in acc.items() if c}
+    return EulerSeries(half)
+
+
+def _named(name: str, parity: str) -> tuple:
+    """(scaled series, sign) of a named generating function, read at x = sign/q."""
+    e = parity_e(None, parity)
+    if name == "gl_real_gf" or name == "gl_invol_gf":
+        return _invol_gf(e), 1
+    if name == "u_invol_gf":
+        return _invol_gf(e), -1
+    if name == "u_real_gf":
+        return _u_real_gf(e), -1
+    if name == "u_eps_plus_gf" or name == "u_eps_minus_gf":
+        return _half_comb(_u_real_gf(e), _invol_gf(e), name == "u_eps_plus_gf"), -1
+    raise ValueError(f"unknown generating function {name!r}; known: {GF_NAMES}")
 
 
 def named_gf(name: str, parity: str, order: int) -> Series:
@@ -218,15 +316,17 @@ def named_gf(name: str, parity: str, order: int) -> Series:
     group-order prefactor, yields a real-character degree sum or involution
     count; parity selects e=1 (even characteristic) or e=2 (odd).
     """
-    e = parity_e(None, parity)
-    if name == "gl_real_gf" or name == "gl_invol_gf":
-        return _gl_gf(e, order)
-    if name == "u_invol_gf":
-        return _u_invol_gf(e, order)
-    if name == "u_real_gf":
-        return _u_real_gf(e, order)
-    if name == "u_eps_plus_gf":
-        return _half_comb(_u_real_gf(e, order), _u_invol_gf(e, order), True)
-    if name == "u_eps_minus_gf":
-        return _half_comb(_u_real_gf(e, order), _u_invol_gf(e, order), False)
-    raise ValueError(f"unknown generating function {name!r}; known: {GF_NAMES}")
+    series, sign = _named(name, parity)
+    return series.as_series(order, sign)
+
+
+def named_gf_value(name: str, parity: str, n: int) -> RatFunc:
+    """The u^n coefficient of named_gf(name, parity, n) times
+    q^binom(n+1,2) (x;x)_n, the gl prefactor (x = 1/q) or the unsigned u
+    prefactor (x = -1/q): q^binom(n+1,2) P_n(x), by one re-indexing."""
+    series, sign = _named(name, parity)
+    p, shift = series.coefficient(n), n * (n + 1) // 2
+    top = max(p, default=0)
+    if top <= shift:
+        return RatFunc._mk(_in_q(p.items(), sign, shift), QPoly.one())
+    return RatFunc(_in_q(p.items(), sign, top), QPoly.monomial(top - shift))

@@ -7,12 +7,14 @@ takes the check's parameters and yields (tag, value) rows, one per rank,
 series coefficient or worked value.  One comparison walks both sides in
 step (the tags must match) and reports the first row whose values break
 the check's relation: equality, with the witness "{tag}: lhs=..., rhs=...",
-or for oracle-hl-finite a valuation bound.  A check's note, if it has one,
-is computed after a pass and reported apart from any witness.  Sides look
-up chars.* and this module's imported names at run time, so a patched
-binding reaches the check.  `run_all` executes the registry in order; its
-`budget` argument ("full" by default, or "quick") selects default parameter
-sizes, and callers may override any parameter a check declares.
+for the Warnaar checks equal integer dicts, whose witness names the first
+monomial that differs, or for oracle-hl-finite a valuation bound.  A
+check's note, if it has one, is computed after a pass and reported apart
+from any witness.  Sides look up chars.* and this module's imported names
+at run time, so a patched binding reaches the check.  `run_all` executes
+the registry in order; its `budget` argument ("full" by default, or
+"quick") selects default parameter sizes, and callers may override any
+parameter a check declares.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chars, groups
-from .exact import QPoly, RatFunc, Series, SymPoly, qpow
+from .exact import QPoly, RatFunc, Series, qpow
 from .hl import (hl_finite_oracle, hl_principal, hl_principal_poly,
                  pochhammer_cd, rs_multi)
 from .partitions import Partition, _gauss_row, enumerate_partitions
@@ -213,14 +215,12 @@ def _iden_rhs_coefficient(n: int, squared: bool) -> RatFunc:
 
 
 def _iden_sides(squared: bool) -> tuple:
-    """The product expansion against the gamma-weighted sums, u^n by u^n."""
-    def lhs(order: int):
-        invq = qpow(-1)
-        return _coefficients("", euler_expand(GeometricFactorSpec(1, 1, invq, invq, 1), order)
-                             ** (2 if squared else 1)
-                             * euler_expand(GeometricFactorSpec(-1, 2, invq, invq, -1), order))
-    return lhs, lambda order: ((f"u^{n}", _iden_rhs_coefficient(n, squared))
-                               for n in range(order + 1))
+    """The product expansion, which is the linear-flavor involution series
+    (odd characteristic when squared), against the gamma-weighted sums."""
+    parity = "odd" if squared else "even"
+    return (lambda order: _coefficients("", named_gf("gl_invol_gf", parity, order)),
+            lambda order: ((f"u^{n}", _iden_rhs_coefficient(n, squared))
+                           for n in range(order + 1)))
 
 
 _IGL_TABLE = {
@@ -310,24 +310,22 @@ def _warnaar_weight(lam: Partition, with_b: bool) -> dict:
     return weight
 
 
-def _at_inverse_q(co: dict) -> SymPoly:
-    """{(i, j, k, e): int} read as sum c a^i b^j t^k z^e at z = 1/q.
+# a^i b^j t^k z^e as one exponent e + k*_T + j*_B + i*_A of the integer
+# series products of qseries, which only add exponents.  Packing commutes
+# with the products, and every digit of a u^n coefficient of the product
+# side stays below 2^16 (there e <= binom(n, 2)), so unpacking is exact.
+_T, _B, _A = 1 << 16, 1 << 32, 1 << 48
 
-    Each a^i b^j t^k coefficient becomes one RatFunc over a monomial q^E.
-    """
-    grouped: dict = {}
-    for (i, j, k, e), c in co.items():
-        if c:
-            grouped.setdefault((i, j, k), {})[e] = c
+
+def _unpacked(p: dict) -> dict:
+    """{packed exponent: int} as {(i, j, k, e): int} for a^i b^j t^k z^e."""
     out = {}
-    for key, by_e in grouped.items():
-        top = max(by_e)
-        num = [0] * (top + 1)
-        for e, c in by_e.items():
-            num[top - e] = c
-        out[key] = RatFunc(QPoly(num), QPoly.monomial(top))
-    return SymPoly(out)
-
+    for key, c in p.items():
+        i, key = divmod(key, _A)
+        j, key = divmod(key, _B)
+        k, e = divmod(key, _T)
+        out[i, j, k, e] = c
+    return out
 
 
 def _warnaar_lhs(order: int, with_b: bool):
@@ -336,7 +334,7 @@ def _warnaar_lhs(order: int, with_b: bool):
     The u^n coefficient is sum_{lam |- n} weight(lam) P_lam(1, z, z^2, ...; t),
     so the scaled one is sum weight(lam) F_lam(z, t) with the integer
     F_lam = hl_principal_poly(lam): it is summed in integers, keyed
-    (i, j, k, e) for a^i b^j t^k z^e, and converted to Q(q) once.
+    (i, j, k, e) for a^i b^j t^k z^e.
     """
     for n in range(order + 1):
         acc: dict = {}
@@ -346,33 +344,42 @@ def _warnaar_lhs(order: int, with_b: bool):
                 for (k2, e), c2 in f.items():
                     key = (i, j, k1 + k2, e)
                     acc[key] = acc.get(key, 0) + c1 * c2
-        yield f"u^{n}", _at_inverse_q(acc)
+        yield f"u^{n}", {key: c for key, c in acc.items() if c}
 
 
 def _warnaar_rhs(order: int, with_b: bool):
-    """(z;z)_n times the u^n coefficient of the product side, n = 0..order."""
-    z = qpow(-1)
-    zi = z.reciprocal()
-    a = SymPoly.gen("a")
-    b = SymPoly.gen("b")
-    t = SymPoly.gen("t")
-    factors = [
-        euler_expand(GeometricFactorSpec(1, 1, a, z, 1), order),
-        pair_expand(PairProductSpec(-1, t * zi * zi, 2, z, 1), order),
-        pair_expand(PairProductSpec(-1, zi * zi, 2, z, -1), order),
-    ]
+    """(z;z)_n times the u^n coefficient of the product side, n = 0..order:
+    the scaled coefficients of the integer series product over z = 1/q of
+    prod_{i>=0} (1 + a z^i u), prod_{i<j} (1 - t z^(i+j-2) u^2) /
+    (1 - z^(i+j-2) u^2), and prod_{i>=0} (1 + b z^i u) / ((1 - z^i u)
+    (1 + z^i u)), or prod_{i>=0} 1/(1 - z^(2i) u^2) when b = 0."""
+    # symbol-free factors first: each symbol widens every coefficient of the
+    # running product, so it joins last
+    factors = [pair_expand(PairProductSpec(-1, -2, 2, -1))]
     if with_b:
-        factors.append(euler_expand(GeometricFactorSpec(1, 1, b, z, 1), order))
-        factors.append(euler_expand(GeometricFactorSpec(-1, 1, _ONE, z, -1), order))
-        factors.append(euler_expand(GeometricFactorSpec(1, 1, _ONE, z, -1), order))
+        factors += [euler_expand(GeometricFactorSpec(-1, 1, 0, 1, -1)),
+                    euler_expand(GeometricFactorSpec(1, 1, 0, 1, -1))]
     else:
-        factors.append(euler_expand(GeometricFactorSpec(-1, 2, _ONE, z * z, -1), order))
+        factors.append(euler_expand(GeometricFactorSpec(-1, 2, 0, 2, -1)))
+    factors += [pair_expand(PairProductSpec(-1, _T - 2, 2, 1)),
+                euler_expand(GeometricFactorSpec(1, 1, _A, 1, 1))]
+    if with_b:
+        factors.append(euler_expand(GeometricFactorSpec(1, 1, _B, 1, 1)))
     rhs = product_of(factors)
-    scale = _ONE
     for n in range(order + 1):
-        if n:
-            scale = scale * (1 - z ** n)
-        yield f"u^{n}", rhs.coefficient(n) * scale
+        yield f"u^{n}", _unpacked(rhs.coefficient(n))
+
+
+def _same_monomials(tag, lhs, rhs):
+    """The relation of the Warnaar checks: the integer dicts keyed
+    (i, j, k, e) agree; the witness names the first monomial a^i b^j t^k z^e
+    where they differ."""
+    for key in sorted(lhs.keys() | rhs.keys()):
+        a, b = lhs.get(key, 0), rhs.get(key, 0)
+        if a != b:
+            i, j, k, e = key
+            return f"{tag}: a^{i} b^{j} t^{k} z^{e}: lhs={a}, rhs={b}"
+    return None
 
 
 def _example_u2_even_lhs():
@@ -616,11 +623,13 @@ _register("thm-warid", ("hl", "warnaar"),
           "two-parameter Hall-Littlewood summation under geometric "
           "substitution, symbolic a, b, t",
           {"order": 8}, {"order": 5},
-          lambda order: _warnaar_lhs(order, True), lambda order: _warnaar_rhs(order, True))
+          lambda order: _warnaar_lhs(order, True), lambda order: _warnaar_rhs(order, True),
+          relation=_same_monomials)
 _register("cor-warcor", ("hl", "warnaar"),
           "one-parameter specialization of the summation (b=0)",
           {"order": 8}, {"order": 5},
-          lambda order: _warnaar_lhs(order, False), lambda order: _warnaar_rhs(order, False))
+          lambda order: _warnaar_lhs(order, False), lambda order: _warnaar_rhs(order, False),
+          relation=_same_monomials)
 _register("prop-involU-even", ("u", "closed-form"),
           "even characteristic: unitary involution sum equals signed series "
           "coefficient", {"nmax": 8}, {"nmax": 6},

@@ -25,6 +25,10 @@ from qcharsum.verify import REGISTRY, _params_for
 
 _PACKAGE = Path(qcharsum.__file__).parent
 
+# partitions._gauss_row is read by both sides of thm-warid (the weights and
+# the series products); test_verify.py::
+# test_mutation_in_the_gaussian_rows_fails_the_warnaar_summation shows a
+# corrupt row is still caught
 ALLOWED_MODULES = {"exact", "_kernel", "_kernel_py", "_kernel_cy", "partitions"}
 
 ALLOWED = {
@@ -50,9 +54,15 @@ _F_ROUTE = ("chars.u_unsumodd_expr", "chars._hl_at_minus_w", "chars._from_w",
 _F_PROBE = "test_verify.py::test_mutation_in_the_unitary_sums_f_lam_is_detected"
 
 # the eps halves and the real degree sum both read the real series _u_real_gf
-_NAMED_GF = ("chars._named_gf_values", "qseries.named_gf", "qseries._u_real_gf",
-             "qseries._truncating_memo.<locals>.memoized", "qseries.euler_expand",
-             "qseries.pair_expand", "qseries.product_of", "qseries._check_small",
+# through the integer series products
+_NAMED_GF = ("chars._named_gf_values", "qseries.named_gf_value", "qseries._named",
+             "qseries._memo.<locals>.memoized", "qseries._u_real_gf",
+             "qseries.euler_expand", "qseries.euler_expand.<locals>.coefficient",
+             "qseries.pair_expand", "qseries.pair_expand.<locals>.coefficient",
+             "qseries.product_of", "qseries.EulerSeries.__init__",
+             "qseries.EulerSeries.__mul__", "qseries.EulerSeries.__mul__.<locals>.product",
+             "qseries.EulerSeries.coefficient", "qseries._add_product", "qseries._in_q",
+             "qseries._one_minus_powers", "qseries._over_one_minus", "qseries._shifted",
              "qseries.GeometricFactorSpec.__post_init__",
              "qseries.PairProductSpec.__post_init__")
 _NAMED_GF_PROBE = "test_verify.py::test_eps_split_sum_rows_miss_a_corrupt_real_series"
@@ -60,16 +70,12 @@ _NAMED_GF_PROBE = "test_verify.py::test_eps_split_sum_rows_miss_a_corrupt_real_s
 # (check id, ingredients both sides reach, the probe that shows a corruption
 # of them is still caught)
 SHARED = [
-    ("cor-epsplit-even", _ORDER + ("chars.u_prefactor_abs",), _ORDER_PROBE),
-    ("cor-epsplit-even", _NAMED_GF + ("qseries._one_series",), _NAMED_GF_PROBE),
-    ("cor-epsplit-odd", _ORDER + ("chars.u_prefactor_abs",), _ORDER_PROBE),
+    ("cor-epsplit-even", _NAMED_GF, _NAMED_GF_PROBE),
     ("cor-epsplit-odd", _NAMED_GF, _NAMED_GF_PROBE),
     ("thm-unsumodd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),
     ("thm-unsumodd", _F_ROUTE, _F_PROBE),
     ("example-u2-odd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),
     ("example-u2-odd", _F_ROUTE + ("hl.pochhammer_cd",), _F_PROBE),
-    ("oracle-real-sums", _ORDER + ("chars.gl_prefactor", "chars.u_prefactor_abs"),
-     _ORDER_PROBE),
     ("oracle-hl-finite", ("hl._as_partition", "hl._powers"),
      "test_hl.py::test_finite_oracle_matches_the_ratfunc_symmetrization"),
 ]
@@ -145,4 +151,4 @@ def test_the_sweep_names_an_ingredient_both_sides_reach():
     lhs = lambda nmax: ((f"n={n}", chars.real_degree_sum_gf("gl", n, None, "even"))
                         for n in range(1, nmax + 1))
     shared = _shared_outside_allowlist(dataclasses.replace(spec, sides=(lhs, spec.sides[1])))
-    assert {"chars.real_degree_sum_gf", "qseries.named_gf"} <= shared
+    assert {"chars.real_degree_sum_gf", "qseries.named_gf_value"} <= shared

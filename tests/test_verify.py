@@ -255,51 +255,51 @@ def _corrupt_order_ic(monkeypatch, key):
 
 
 def test_mutation_in_order_product_is_detected(monkeypatch):
-    # The rank-3 product reaches the prefactor of the series side of
-    # thm-even/thm-odd only, so they part exactly at n=3.
+    # The rank-3 product reaches the gamma-weighted sums of cor-iden and
+    # cor-cort only (their product side is the stored series), so they part
+    # exactly at u^3; the rank-2 unitary product reaches the numeric group
+    # orders of oracle-brute-involutions only, at its first U(2, q) row.
     _corrupt_order_ic(monkeypatch, (1, 3))
-    for check_id in ("thm-even", "thm-odd"):
-        r = run_check(check_id, nmax=4)
+    for check_id in ("cor-iden", "cor-cort"):
+        r = run_check(check_id, order=4)
         assert r.status == "fail"
-        assert "n=3" in r.witness
+        assert r.witness.startswith("u^3: ")
     monkeypatch.undo()
     _corrupt_order_ic(monkeypatch, (-1, 2))
-    r = run_check("prop-involU-even", nmax=3)
+    r = run_check("oracle-brute-involutions", budget="quick")
     assert r.status == "fail"
-    assert "n=2" in r.witness
+    assert r.witness.startswith("u(2,2) order: ")
     monkeypatch.undo()
-    for check_id in ("thm-even", "thm-odd"):
-        assert run_check(check_id, nmax=4).status == "pass"
-    assert run_check("prop-involU-even", nmax=3).status == "pass"
-    # Every check whose sides share the product (its row in the table of
-    # shared ingredients names _order_ic) still fails at its quick budget:
-    # the rank-3 product corrupted for the gl checks, rank 2 for the unitary.
+    for check_id in ("cor-iden", "cor-cort"):
+        assert run_check(check_id, order=4).status == "pass"
+    assert run_check("oracle-brute-involutions", budget="quick").status == "pass"
+    # The checks whose sides share the product (their rows in the table of
+    # shared ingredients name _order_ic) read it only as the unitary
+    # prefactor that the odd expressions divide by and the degree sums
+    # multiply back, so a corrupted product cancels there and cannot change
+    # their verdict; oracle-brute-involutions is what catches it.
     sharing = sorted({cid for cid, names, _ in SHARED if "chars._order_ic" in names})
-    assert len(sharing) == 5
+    assert sharing == ["example-u2-odd", "thm-unsumodd"]
+    _corrupt_order_ic(monkeypatch, (-1, 2))
     for check_id in sharing:
-        key = (-1, 2) if "u" in REGISTRY[check_id].tags else (1, 3)
-        _corrupt_order_ic(monkeypatch, key)
-        assert run_check(check_id, budget="quick").status == "fail", check_id
-        monkeypatch.undo()
         assert run_check(check_id, budget="quick").status == "pass", check_id
+    assert run_check("oracle-brute-involutions", budget="quick").status == "fail"
 
 
 def test_mutation_in_named_gf_is_detected_with_warm_memo(monkeypatch):
-    # The u^3 coefficient of the even linear-flavor series off by one, wrapped
-    # around the public binding, outside the memo: the series side of
-    # thm-even must disagree first at n=3, and the memo must stay clean.
+    # The rank-3 value of the even linear-flavor series off by one, wrapped
+    # around the binding the readers call, outside the memo: the series side
+    # of thm-even must disagree first at n=3, and the memo must stay clean.
     assert run_check("thm-even", nmax=4).status == "pass"
-    real = chars.named_gf
+    real = chars.named_gf_value
 
-    def corrupted(name, parity, order):
-        s = real(name, parity, order)
-        if name != "gl_real_gf" or parity != "even" or order < 3:
-            return s
-        co = list(s.co)
-        co[3] = co[3] + 1
-        return Series(co, order)
+    def corrupted(name, parity, n):
+        value = real(name, parity, n)
+        if name != "gl_real_gf" or parity != "even" or n != 3:
+            return value
+        return value + 1
 
-    monkeypatch.setattr(chars, "named_gf", corrupted)
+    monkeypatch.setattr(chars, "named_gf_value", corrupted)
     r = run_check("thm-even", nmax=4)
     assert r.status == "fail"
     assert "n=3" in r.witness
@@ -350,28 +350,68 @@ def test_mutation_in_class_factor_is_detected(monkeypatch):
     assert run_check("oracle-real-sums").status == "pass"
 
 
+def _corrupt_real_series(monkeypatch, by: int):
+    # T's u^3 coefficient moved by `by`, that is (x;x)_3 * by added to its
+    # scaled coefficient, around the binding so the memo stays clean.
+    real = qseries._u_real_gf
+    pochhammer = dict(enumerate(qseries._one_minus_powers((1, 2, 3))))
+
+    def corrupted(e):
+        s = real(e)
+
+        def coefficient(n):
+            p = dict(s.coefficient(n))
+            if n == 3:
+                for k, c in pochhammer.items():
+                    p[k] = p.get(k, 0) + by * c
+            return {k: c for k, c in p.items() if c}
+        return qseries.EulerSeries(coefficient)
+
+    monkeypatch.setattr(qseries, "_u_real_gf", corrupted)
+
+
 def test_eps_split_sum_rows_miss_a_corrupt_real_series(monkeypatch):
     # The eps halves are (T + I)/2 and (T - I)/2 with T the very _u_real_gf
     # series that the "sum" rows of cor-epsplit-* compare their sum with, so
     # those rows cannot see T go wrong.  thm-degreesU and thm-unsumeven hold
-    # T against independent routes: with its u^3 coefficient off by one,
-    # around the binding so the memo stays clean, they fail and the eps-split
-    # checks still pass.
-    real = qseries._u_real_gf
-
-    def corrupted(e, order):
-        s = real(e, order)
-        if order < 3:
-            return s
-        co = list(s.co)
-        co[3] = co[3] + 1
-        return Series(co, order)
-
-    monkeypatch.setattr(qseries, "_u_real_gf", corrupted)
+    # T against independent routes: with its u^3 coefficient off by two (an
+    # odd shift is caught by the exact halving, see below), they fail and
+    # the eps-split checks still pass.
+    _corrupt_real_series(monkeypatch, 2)
     for check_id in ("thm-degreesU", "thm-unsumeven"):
         assert run_check(check_id, budget="quick").status == "fail", check_id
     for check_id in ("cor-epsplit-even", "cor-epsplit-odd"):
         assert run_check(check_id, budget="quick").status == "pass", check_id
+
+
+def test_exact_halving_rejects_a_real_series_off_by_one(monkeypatch):
+    # The eps halves are halved in integers: with T's u^3 coefficient off by
+    # one, (T +- I)/2 has an odd scaled coefficient, and the halving raises.
+    _corrupt_real_series(monkeypatch, 1)
+    for check_id in ("cor-epsplit-even", "cor-epsplit-odd"):
+        r = run_check(check_id, budget="quick")
+        assert r.status == "fail", check_id
+        assert r.witness == "error: ArithmeticError: eps half: odd coefficient at u^3"
+
+
+def test_mutation_in_the_gaussian_rows_fails_the_warnaar_summation(monkeypatch):
+    # Both sides of thm-warid read partitions._gauss_row: the left side's
+    # weights take [m, j]_t over part multiplicities m, the right side's
+    # series products take [n, k]_z.  With [2, 1] moved from 1 + t to 1 + 2t
+    # at both bindings, the sides still part, first at u^2.
+    real = qseries._gauss_row
+
+    def corrupted(n):
+        row = real(n)
+        return (row[0], (1, 2), row[2]) if n == 2 else row
+
+    for module in (verify, qseries):
+        monkeypatch.setattr(module, "_gauss_row", corrupted)
+    r = run_check("thm-warid", order=4)
+    assert r.status == "fail"
+    assert r.witness.startswith("u^2: ")
+    monkeypatch.undo()
+    assert run_check("thm-warid", order=4).status == "pass"
 
 
 def _clear_block_memos():
