@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import lru_cache
 
 from . import chars, groups, verify
 from .exact import RatFunc
@@ -293,6 +294,7 @@ def _add_scale_flags(sub):
                           "(default even)")
 
 
+@lru_cache(maxsize=None)  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcharsum",

@@ -35,6 +35,13 @@ Main entry points:
 * rogers_szego / rs_multi / pochhammer_cd: the small q-series ingredients
   used by the degree-sum formulas.
 
+hl_principal and hl_finite_oracle evaluate their integer polynomials at
+q = 2^s (Kronecker substitution): each polynomial is packed into one Python int per call, every
+product is one int product, and numerator and denominator are read back once
+in balanced base 2^s (_pack, _unpack).  The read is exact because evaluation
+at 2^s is a ring map Z[q] -> Z and s is chosen, from L1 norms, so that every
+coefficient of the result has absolute value < 2^(s-1).
+
 The checks ask for the same values over and over, so the table is
 memoized by n, F_lam by lam and P_lam(z; t) by (lam, z, t), with z and t
 taken as RatFuncs.  The unitary partition sums read F_lam directly, so the
@@ -50,6 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 from types import MappingProxyType
 
 from . import _kernel as _k
@@ -276,6 +284,8 @@ def hl_principal(lam, z, t) -> RatFunc:
     """P_lam(1, z, z^2, ...; t) = F_lam(z, t) / (z;z)_n, n = |lam|.
 
     z and t are taken as RatFuncs, and the value is memoized by (lam, z, t).
+    Numerator and denominator are evaluated at q = 2^s as Python ints and
+    read back once, then normalized once as a RatFunc.
     """
     return _hl_value(_as_partition(lam).parts, RatFunc(z), RatFunc(t))
 
@@ -287,12 +297,27 @@ def _scaled_ic(r: RatFunc) -> tuple:
             _k.zz_mul_scalar(list(r.den.ic), ratio.denominator))
 
 
-def _powers(x: list, m: int) -> list:
-    """[x^0, x^1, ..., x^m] as integer lists."""
-    out = [[1]]
-    for _ in range(m):
-        out.append(_k.zz_mul(out[-1], x))
-    return out
+def _pack(co: list, s: int) -> int:
+    """The integer polynomial co evaluated at q = 2^s."""
+    v = 0
+    for c in reversed(co):
+        v = (v << s) + c
+    return v
+
+
+def _unpack(v: int, s: int) -> list:
+    """The integer polynomial whose value at q = 2^s is v, read in balanced
+    base 2^s: a digit >= 2^(s-1) stands for digit - 2^s.  The read is exact
+    when every coefficient has absolute value < 2^(s-1)."""
+    mask, half, base = (1 << s) - 1, 1 << (s - 1), 1 << s
+    co = []
+    while v:
+        digit = v & mask
+        if digit >= half:
+            digit -= base
+        co.append(digit)
+        v = (v - digit) >> s
+    return co
 
 
 @lru_cache(maxsize=None)
@@ -300,25 +325,25 @@ def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
     # With z = a/b, t = c/d, N = n(n+1)/2 >= deg_z F and K = deg_t F:
     # F(z, t) / (z;z)_n = sum F[k, e] c^k d^(K-k) a^e b^(N-e)
     #                     / (d^K prod_{i<=n} (b^i - a^i)).
+    # Both are evaluated at q = 2^s, with s from L1 norms (|fg|_1 <=
+    # |f|_1 |g|_1), and read back once.
     f = _hl_principal_poly(parts)
     n = sum(parts)
     big_n = n * (n + 1) // 2
     big_k = max(k for k, _ in f)
-    a, b = _scaled_ic(z)
-    c, d = _scaled_ic(t)
-    apow, bpow = _powers(a, big_n), _powers(b, big_n)
-    cpow, dpow = _powers(c, big_k), _powers(d, big_k)
-    ab = [_k.zz_mul(apow[e], bpow[big_n - e]) for e in range(big_n + 1)]
+    (a, b), (c, d) = _scaled_ic(z), _scaled_ic(t)
+    na, nb, nc, nd = (sum(map(abs, co)) for co in (a, b, c, d))
+    num_bound = sum(map(abs, f.values())) * max(nc, nd) ** big_k * max(na, nb) ** big_n
+    den_bound = nd ** big_k * prod(na ** i + nb ** i for i in range(1, n + 1))
+    s = max(num_bound, den_bound).bit_length() + 1
+    a, b, c, d = (_pack(co, s) for co in (a, b, c, d))
+    ab = [a ** e * b ** (big_n - e) for e in range(big_n + 1)]
     by_k = {}
     for (k, e), co in f.items():
-        by_k[k] = _k.zz_add(by_k.get(k, []), _k.zz_mul_scalar(ab[e], co))
-    num = []
-    for k, row in by_k.items():
-        num = _k.zz_add(num, _k.zz_mul(_k.zz_mul(cpow[k], dpow[big_k - k]), row))
-    den = dpow[big_k]
-    for i in range(1, n + 1):
-        den = _k.zz_mul(den, _k.zz_sub(bpow[i], apow[i]))
-    return RatFunc(QPoly(num), QPoly(den))
+        by_k[k] = by_k.get(k, 0) + co * ab[e]
+    num = sum(c ** k * d ** (big_k - k) * row for k, row in by_k.items())
+    den = d ** big_k * prod(b ** i - a ** i for i in range(1, n + 1))
+    return RatFunc(QPoly(_unpack(num, s)), QPoly(_unpack(den, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +363,10 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
     +-(x_i - t x_j) prod_{i<j, e_i = e_j} (x_i - x_j), with -1 where i > j.
     With x_i = a_i/b_i and t = c/d over Z[q], every such term is an integer
     polynomial over the one denominator prod_i b_i^lam_1 d^P prod_{i<j}
-    (a_i b_j - a_j b_i), P the number of pairs with e_i != e_j.  The terms
-    are summed in integers and the quotient is normalized once, so the value
-    is always a RatFunc.
+    (a_i b_j - a_j b_i), P the number of pairs with e_i != e_j.  Each a_i,
+    b_i, c and d is evaluated once at q = 2^s, every term and the denominator
+    are Python int products, num and den are read back once, and the quotient
+    is normalized once, so the value is always a RatFunc.
     """
     lam = _as_partition(lam)
     xs = tuple(RatFunc(x) for x in xs)
@@ -358,36 +384,40 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
         ratio = r.num.content / r.den.content
         a.append(_k.zz_mul_scalar(list(r.num.ic), ratio.numerator))
         b.append(_k.zz_mul_scalar(list(r.den.ic), ratio.denominator))
-    c, d = a.pop(), b.pop()
     top = lam.parts[0] if lam.parts else 0
     padded = lam.parts + (0,) * (m - lam.ell)
+    cosets = set(permutations(padded))
     unequal = sum(padded[i] != padded[j] for i in range(m) for j in range(i))
-    den = _powers(d, unequal)[-1]
-    mono = []  # x_i^k, cleared to a_i^k b_i^(lam_1 - k)
-    for i in range(m):
-        apow, bpow = _powers(a[i], top), _powers(b[i], top)
-        mono.append({k: _k.zz_mul(apow[k], bpow[top - k]) for k in set(padded)})
-        den = _k.zz_mul(den, bpow[top])
-    cross = {(i, j): _k.zz_mul(a[i], b[j])
-             for i in range(m) for j in range(m) if i != j}
+    # Every integer polynomial below is evaluated at q = 2^s, so a product is
+    # one int product, and num and den are read back once.  s comes from L1
+    # norms (|fg|_1 <= |f|_1 |g|_1): a term, and den, are bounded by
+    # prod_i max(|a_i|, |b_i|)^lam_1 times max(|c|, |d|) (|a_i| |b_j| +
+    # |a_j| |b_i|) per pair i < j, and num by the number of cosets times that.
+    na, nb = [sum(map(abs, co)) for co in a], [sum(map(abs, co)) for co in b]
+    ncd = max(na.pop(), nb.pop())
+    bound = len(cosets) * prod(max(na[i], nb[i]) ** top for i in range(m)) * prod(
+        ncd * (na[i] * nb[j] + na[j] * nb[i]) for i in range(m) for j in range(i))
+    s = bound.bit_length() + 1
+    a, b = [_pack(co, s) for co in a], [_pack(co, s) for co in b]
+    c, d = a.pop(), b.pop()
+    # x_i^k, cleared to a_i^k b_i^(lam_1 - k)
+    mono = [{k: a[i] ** k * b[i] ** (top - k) for k in set(padded)} for i in range(m)]
+    cross = {(i, j): a[i] * b[j] for i in range(m) for j in range(m) if i != j}
     moved = {}  # V (x_i - t x_j) / (x_i - x_j), cleared, for e_i > e_j
     for (i, j), ab in cross.items():
-        f = _k.zz_sub(_k.zz_mul(ab, d), _k.zz_mul(c, cross[j, i]))
-        moved[i, j] = _k.zz_neg(f) if i > j else f
-    still = {(i, j): _k.zz_sub(ab, cross[j, i])  # x_i - x_j, cleared
+        f = ab * d - c * cross[j, i]
+        moved[i, j] = -f if i > j else f
+    still = {(i, j): ab - cross[j, i]  # x_i - x_j, cleared
              for (i, j), ab in cross.items() if i < j}
-    num = []
-    for e in set(permutations(padded)):
-        term = [1]
-        for i in range(m):
-            term = _k.zz_mul(term, mono[i][e[i]])
+    num = 0
+    for e in cosets:
+        term = prod(mono[i][e[i]] for i in range(m))
         for i, j in still:  # one factor per pair i < j
-            term = _k.zz_mul(term, moved[i, j] if e[i] > e[j] else
-                             moved[j, i] if e[i] < e[j] else still[i, j])
-        num = _k.zz_add(num, term)
-    for f in still.values():
-        den = _k.zz_mul(den, f)
-    return RatFunc(QPoly(num), QPoly(den))
+            term *= (moved[i, j] if e[i] > e[j] else
+                     moved[j, i] if e[i] < e[j] else still[i, j])
+        num += term
+    den = d ** unequal * prod(b[i] ** top for i in range(m)) * prod(still.values())
+    return RatFunc(QPoly(_unpack(num, s)), QPoly(_unpack(den, s)))
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,6 @@ class Partition:
     def mult(self, j: int) -> int:
         return sum(1 for p in self.parts if p == j)
 
-    def is_even(self) -> bool:
-        """All parts even (the empty partition counts as even)."""
-        return all(p % 2 == 0 for p in self.parts)
-
 
 def enumerate_partitions(n: int) -> list:
     """All partitions of n, reverse-lexicographically: (n) first, (1^n) last."""
@@ -135,19 +131,6 @@ def partitions_up_to(n: int) -> list:
     for k in range(n + 1):
         out.extend(enumerate_partitions(k))
     return out
-
-
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order on partitions of equal size: prefix sums of lam >= mu."""
-    if lam.size != mu.size:
-        raise ValueError("dominance compares partitions of the same size")
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam.parts[i] if i < len(lam) else 0
-        b += mu.parts[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

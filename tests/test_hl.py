@@ -9,8 +9,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcharsum import hl
-from qcharsum import exact
+from qcharsum import _kernel, exact, hl
 from qcharsum.exact import QPoly, Rat, RatFunc, SymPoly, qpow
 from qcharsum.hl import (
     hl_finite_oracle,
@@ -21,7 +20,8 @@ from qcharsum.hl import (
     rogers_szego,
     rs_multi,
 )
-from qcharsum.partitions import Partition, dominates, enumerate_partitions, gaussian_binomial
+from qcharsum.partitions import Partition, enumerate_partitions, gaussian_binomial
+from test_partitions import dominates
 
 
 def _count_ssyt(lam, mu):
@@ -414,6 +414,41 @@ def test_finite_oracle_returns_a_ratfunc_for_scalar_input():
     assert isinstance(got, RatFunc)
     assert got == Fraction(7, 2)
     assert hl_finite_oracle([], (), Fraction(1, 2)) == 1
+
+
+def _random_ic(rng, size, length):
+    co = [rng.randint(-size, size) for _ in range(length)]
+    return _kernel.zz_strip(co)
+
+
+def test_pack_and_unpack_round_trip():
+    rng = random.Random(21)
+    assert hl._pack([], 5) == 0 and hl._unpack(0, 5) == []
+    for _ in range(300):
+        s = rng.randint(2, 40)
+        co = _random_ic(rng, (1 << (s - 1)) - 1, rng.randint(0, 12))
+        assert hl._unpack(hl._pack(co, s), s) == co, (co, s)
+
+
+@pytest.mark.parametrize("s", [2, 3, 8, 17, 64])
+def test_unpack_reads_a_digit_below_half_the_base_and_no_further(s):
+    edge = (1 << (s - 1)) - 1
+    for co in ([edge], [-edge], [edge, -edge, 0, edge], [0, -edge, edge, -edge]):
+        assert hl._unpack(hl._pack(co, s), s) == co, (co, s)
+    for co in ([1 << (s - 1)], [1, 1 << (s - 1)], [1 << (s - 1), -1]):
+        assert hl._unpack(hl._pack(co, s), s) != co, (co, s)
+
+
+def test_a_packed_product_is_the_kernel_product():
+    # s from the L1 bound |fg|_1 <= |f|_1 |g|_1, as both routes choose it
+    rng = random.Random(22)
+    for _ in range(200):
+        f = _random_ic(rng, rng.choice([1, 9, 1000]), rng.randint(0, 10))
+        g = _random_ic(rng, rng.choice([1, 9, 1000]), rng.randint(0, 10))
+        bound = sum(map(abs, f)) * sum(map(abs, g))
+        s = bound.bit_length() + 1
+        got = hl._unpack(hl._pack(f, s) * hl._pack(g, s), s)
+        assert got == _kernel.zz_mul(f, g), (f, g)
 
 
 def _oracle_reference(lam, xs, t):

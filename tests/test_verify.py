@@ -508,6 +508,29 @@ def test_mutation_in_hl_finite_oracle_is_detected(monkeypatch):
     assert r.witness.startswith("lam=[2,1]")
 
 
+def test_mutation_in_the_read_back_fails_the_hl_oracle(monkeypatch):
+    # Both routes read their values back through hl._unpack.  Read without
+    # the balanced digits (every digit taken as nonnegative), the negative
+    # coefficients go wrong on both sides, and not in the same way.
+    def unsigned(v, s):
+        co = []
+        while v > 0:
+            co.append(v & ((1 << s) - 1))
+            v >>= s
+        return co
+
+    hl._hl_value.cache_clear()
+    monkeypatch.setattr(hl, "_unpack", unsigned)
+    try:
+        r = run_check("oracle-hl-finite", sizemax=4)
+    finally:
+        monkeypatch.undo()
+        hl._hl_value.cache_clear()
+    assert r.status == "fail"
+    assert r.witness.startswith("lam=[1] m=2 ")
+    assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
+
+
 @pytest.mark.parametrize("check_id", ["thm-warid", "cor-warcor"])
 def test_mutation_in_hl_principal_poly_is_detected(monkeypatch, check_id):
     # One integer coefficient of F_(2,1) off by one: the scaled left side of
