@@ -6,7 +6,7 @@ import pstats
 
 import pytest
 
-from qcharsum.cli import main, parse_ratfunc
+from qcharsum.cli import build_parser, main, parse_ratfunc
 from qcharsum.exact import RatFunc
 from qcharsum.verify import run_check
 
@@ -188,6 +188,19 @@ def test_missing_scale_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["degree-sum", "--group", "gl", "--n", "2"])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    # a usage error on the shared parser leaves the next parse unchanged
+    assert build_parser() is build_parser()
+    argv = ["degree-sum", "--group", "gl", "--n", "2", "--q", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(argv[:-2])
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_parity_contradiction_is_reported(capsys):
