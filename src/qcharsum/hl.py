@@ -38,7 +38,7 @@ Main entry points:
 hl_principal and hl_finite_oracle evaluate their integer polynomials at
 q = 2^s (Kronecker substitution): each polynomial is packed into one Python int per call, every
 product is one int product, and numerator and denominator are read back once
-in balanced base 2^s (_pack, _unpack).  The read is exact because evaluation
+in balanced base 2^s (_pack, _unpack, _read_back).  The read is exact because evaluation
 at 2^s is a ring map Z[q] -> Z and s is chosen, from L1 norms, so that every
 coefficient of the result has absolute value < 2^(s-1).
 
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import prod
@@ -291,10 +292,11 @@ def hl_principal(lam, z, t) -> RatFunc:
 
 
 def _scaled_ic(r: RatFunc) -> tuple:
-    """Integer lists (a, b) with r = a/b: each content is folded into a and b."""
-    ratio = r.num.content / r.den.content
-    return (_k.zz_mul_scalar(list(r.num.ic), ratio.numerator),
-            _k.zz_mul_scalar(list(r.den.ic), ratio.denominator))
+    """Integer lists (a, b) with r = a/b: each content is folded into a and b,
+    unreduced, since the value is normalized once at the end."""
+    n, d = r.num.content, r.den.content
+    return (_k.zz_mul_scalar(list(r.num.ic), n.numerator * d.denominator),
+            _k.zz_mul_scalar(list(r.den.ic), n.denominator * d.numerator))
 
 
 def _pack(co: list, s: int) -> int:
@@ -320,6 +322,14 @@ def _unpack(v: int, s: int) -> list:
     return co
 
 
+def _read_back(v: int, s: int) -> QPoly:
+    """_unpack(v, s) as a QPoly, its content split off in one kernel pass."""
+    content, ic = _k.zz_primitive(_unpack(v, s))
+    if ic and ic[-1] < 0:
+        content, ic = -content, _k.zz_neg(ic)
+    return QPoly._mk(tuple(ic), Fraction(content))
+
+
 @lru_cache(maxsize=None)
 def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
     # With z = a/b, t = c/d, N = n(n+1)/2 >= deg_z F and K = deg_t F:
@@ -343,7 +353,7 @@ def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
         by_k[k] = by_k.get(k, 0) + co * ab[e]
     num = sum(c ** k * d ** (big_k - k) * row for k, row in by_k.items())
     den = d ** big_k * prod(b ** i - a ** i for i in range(1, n + 1))
-    return RatFunc(QPoly(_unpack(num, s)), QPoly(_unpack(den, s)))
+    return RatFunc(_read_back(num, s), _read_back(den, s))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +388,12 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
         raise ValueError("need at least ell(lam) variables")
     if len(set(xs)) != m:
         raise ValueError("variables must be distinct")
-    # r = a/b with the content ratio folded into the integer lists a and b
+    # r = a/b with the contents folded, unreduced, into the integer lists a and b
     a, b = [], []
     for r in xs + (t,):
-        ratio = r.num.content / r.den.content
-        a.append(_k.zz_mul_scalar(list(r.num.ic), ratio.numerator))
-        b.append(_k.zz_mul_scalar(list(r.den.ic), ratio.denominator))
+        n, d = r.num.content, r.den.content
+        a.append(_k.zz_mul_scalar(list(r.num.ic), n.numerator * d.denominator))
+        b.append(_k.zz_mul_scalar(list(r.den.ic), n.denominator * d.numerator))
     top = lam.parts[0] if lam.parts else 0
     padded = lam.parts + (0,) * (m - lam.ell)
     cosets = set(permutations(padded))
@@ -417,7 +427,7 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
                      moved[j, i] if e[i] < e[j] else still[i, j])
         num += term
     den = d ** unequal * prod(b[i] ** top for i in range(m)) * prod(still.values())
-    return RatFunc(QPoly(_unpack(num, s)), QPoly(_unpack(den, s)))
+    return RatFunc(_read_back(num, s), _read_back(den, s))
 
 
 # ---------------------------------------------------------------------------

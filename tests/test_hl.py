@@ -428,6 +428,9 @@ def test_pack_and_unpack_round_trip():
         s = rng.randint(2, 40)
         co = _random_ic(rng, (1 << (s - 1)) - 1, rng.randint(0, 12))
         assert hl._unpack(hl._pack(co, s), s) == co, (co, s)
+        got, expect = hl._read_back(hl._pack(co, s), s), QPoly(co)
+        assert (got.ic, got.content, type(got.content)) == \
+            (expect.ic, expect.content, type(expect.content)), (co, s)
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 17, 64])

@@ -79,7 +79,7 @@ SHARED = [
     ("oracle-hl-finite", ("hl._as_partition",),
      "test_hl.py::test_finite_oracle_matches_the_ratfunc_symmetrization"),
     # both routes evaluate at q = 2^s and read back with the same helpers
-    ("oracle-hl-finite", ("hl._pack", "hl._unpack"),
+    ("oracle-hl-finite", ("hl._pack", "hl._unpack", "hl._read_back"),
      "test_verify.py::test_mutation_in_the_read_back_fails_the_hl_oracle"),
 ]
 
