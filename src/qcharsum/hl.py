@@ -36,11 +36,12 @@ Main entry points:
   used by the degree-sum formulas.
 
 hl_principal and hl_finite_oracle evaluate their integer polynomials at
-q = 2^s (Kronecker substitution): each polynomial is packed into one Python int per call, every
-product is one int product, and numerator and denominator are read back once
-in balanced base 2^s (_pack, _unpack, _read_back).  The read is exact because evaluation
-at 2^s is a ring map Z[q] -> Z and s is chosen, from L1 norms, so that every
-coefficient of the result has absolute value < 2^(s-1).
+q = 2^s (Kronecker substitution): each polynomial is packed into one Python
+int per call, every product is one int product, and numerator and
+denominator are read back once in balanced base 2^s (_pack, _unpack,
+_read_back).  The read is exact because evaluation at 2^s is a ring map
+Z[q] -> Z and s is chosen, from L1 norms, so that every coefficient of the
+result has absolute value < 2^(s-1).
 
 The checks ask for the same values over and over, so the table is
 memoized by n, F_lam by lam and P_lam(z; t) by (lam, z, t), with z and t
