@@ -4,8 +4,8 @@ Layers, bottom to top:
 
 * :mod:`qcharsum.exact`      -- integer polynomials, rational functions in q,
   truncated power series, and small multivariate polynomials; all arithmetic
-  exact.  A compiled kernel accelerates the polynomial core whenever it is
-  built (``IMPL_NAME`` says which one is active).
+  exact.  The polynomial core is pure Python (``IMPL_NAME`` is always
+  ``"pure"``).
 * :mod:`qcharsum.partitions` -- integer partitions and their statistics.
 * :mod:`qcharsum.qseries`    -- named infinite-product generating functions
   expanded as exact truncated series.

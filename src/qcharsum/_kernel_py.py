@@ -4,9 +4,8 @@ A polynomial is a plain list of Python ints, little-endian (index =
 exponent), normalized so the last entry is nonzero; the zero polynomial is
 the empty list.  Inputs are never mutated.
 
-qcharsum._kernel picks this module or its compiled twin (_kernel_cy.pyx,
-same function-for-function behaviour) at import time.  Keep the two in
-sync; tests/test_kernel.py cross-checks them on random inputs.
+qcharsum._kernel re-exports these functions unchanged; tests/test_kernel.py
+checks them on seeded random inputs against independent references.
 """
 
 from math import gcd

@@ -697,14 +697,6 @@ class Series:
     def __hash__(self):
         return hash((self.order, self.co))
 
-    def first_difference(self, other: "Series"):
-        """Smallest n (up to the common order) where coefficients differ, else None."""
-        n = min(self.order, other.order)
-        for i in range(n + 1):
-            if self.co[i] != other.co[i]:
-                return i
-        return None
-
     def __str__(self):
         shown = []
         for i, c in enumerate(self.co[:5]):

@@ -132,22 +132,6 @@ class FiniteField:
         return out
 
 
-def _mat_mul(F: FiniteField, A, B):
-    n = len(A)
-    add, mul = F.add, F.mul
-    out = []
-    for i in range(n):
-        row_a = A[i]
-        row = []
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc = add[acc][mul[row_a[k]][B[k][j]]]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _squares_to_identity(F: FiniteField, g) -> bool:
     """g*g == I, computed entry by entry and stopped at the first entry
     that differs from the identity matrix."""
@@ -162,10 +146,6 @@ def _squares_to_identity(F: FiniteField, g) -> bool:
             if acc != (1 if i == j else 0):
                 return False
     return True
-
-
-def _identity(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def gl_matrices(n: int, q: int):

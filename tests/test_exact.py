@@ -14,6 +14,15 @@ from qcharsum.chars import gl_group_order, u_group_order
 from qcharsum.exact import QPoly, Rat, RatFunc, Series, SymPoly, qpow
 
 
+def _first_difference(a, b):
+    """Smallest n (up to the common order) where the coefficients of the
+    series a and b differ, else None."""
+    for i in range(min(a.order, b.order) + 1):
+        if a.coefficient(i) != b.coefficient(i):
+            return i
+    return None
+
+
 def test_rat_is_fraction():
     assert Rat is Fraction
 
@@ -184,7 +193,7 @@ class TestSeries:
 
     def test_exp_log_roundtrip(self):
         s = Series([Fraction(0), Fraction(1), Fraction(1, 3)], 10)
-        assert (s.exp().log()).first_difference(s) is None
+        assert _first_difference(s.exp().log(), s) is None
 
     def test_log_requires_unit_constant_term(self):
         with pytest.raises(ValueError):
@@ -208,12 +217,6 @@ class TestSeries:
         assert t.order == 2
         assert [t.coefficient(i) for i in range(3)] == [1, 0, 2]
 
-    def test_first_difference(self):
-        a = Series([Fraction(1), Fraction(2), Fraction(5)], 2)
-        b = Series([Fraction(1), Fraction(2), Fraction(7)], 2)
-        assert a.first_difference(b) == 2
-        assert a.first_difference(a) is None
-
     def test_coefficient_beyond_order_raises(self):
         s = Series([Fraction(1)], 3)
         with pytest.raises(IndexError):
@@ -226,13 +229,13 @@ class TestSeries:
 
     def test_scalar_operations(self):
         s = Series([Fraction(1), Fraction(2)], 1)
-        assert ((s * 3) / 3).first_difference(s) is None
+        assert _first_difference((s * 3) / 3, s) is None
         assert (s + 1).coefficient(0) == 2
 
     def test_pow_negative(self):
         one = Fraction(1)
         s = Series([one, one], 6)
-        assert ((s ** -2) * s * s).first_difference(Series.constant(one, 6)) is None
+        assert _first_difference((s ** -2) * s * s, Series.constant(one, 6)) is None
 
     def test_ratfunc_coefficients(self):
         q = RatFunc.x()
@@ -495,7 +498,7 @@ class TestSeriesProperties:
     @given(frac_series(lambda c: c or Fraction(1)))
     def test_inv_roundtrip(self, s):
         one = Series.constant(Fraction(1), s.order)
-        assert (s * s.inv()).first_difference(one) is None
+        assert _first_difference(s * s.inv(), one) is None
         assert s.inv().inv() == s
 
     @props

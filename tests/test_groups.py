@@ -11,10 +11,29 @@ from qcharsum.groups import (
     gl_matrices,
     group_order,
     u_matrices,
-    _identity,
-    _mat_mul,
     _squares_to_identity,
 )
+
+
+def _mat_mul(F, A, B):
+    """The full matrix product A*B over the field tables of F."""
+    n = len(A)
+    add, mul = F.add, F.mul
+    out = []
+    for i in range(n):
+        row_a = A[i]
+        row = []
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = add[acc][mul[row_a[k]][B[k][j]]]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

@@ -29,7 +29,7 @@ _PACKAGE = Path(qcharsum.__file__).parent
 # the series products); test_verify.py::
 # test_mutation_in_the_gaussian_rows_fails_the_warnaar_summation shows a
 # corrupt row is still caught
-ALLOWED_MODULES = {"exact", "_kernel", "_kernel_py", "_kernel_cy", "partitions"}
+ALLOWED_MODULES = {"exact", "_kernel", "_kernel_py", "partitions"}
 
 ALLOWED = {
     # validators
