@@ -465,12 +465,13 @@ def u_real_sum_even_closed(n: int, q=None):
     return _finish(_from_w(total, _binom2(n + 1)), q)
 
 
-def u_unsumodd_expr(n: int, form: int, q=None):
-    """One of the two partition-pair expressions (form 1 or 2) for the
-    odd-characteristic real degree sum, without the prefactor.
+def _unsumodd_sum(n: int, form: int) -> QPoly:
+    """E, the polynomial in w = 1/q behind one of the two partition-pair
+    expressions (form 1 or 2) for the odd-characteristic real degree sum.
 
-    Each sums weighted terms q^(-|nu|-(l(lam_odd)+|lam|)/2) P_lam(z; 1/q)
-    P_nu(z; -1), z = -1/q, over |lam| + |nu| = n.  Form 1 takes the nu with
+    Each expression sums weighted terms
+    q^(-|nu|-(l(lam_odd)+|lam|)/2) P_lam(z; 1/q) P_nu(z; -1), z = -1/q,
+    over |lam| + |nu| = n.  Form 1 takes the nu with
     all multiplicities even, form 2 the pairs where the odd part of lam and
     the even part of nu have even multiplicities.  Over (-w;-w)_n a pair
     takes the weight [n choose |lam|]_(-w), so the expression is
@@ -507,17 +508,24 @@ def u_unsumodd_expr(n: int, form: int, q=None):
             nu_sum = nu_sum + c * _hl_at_minus_w(nu, -1, 0)
         weight = _at_signed_power(gaussian_binomial(n, k), -1, 1)  # [n choose k]_(-w)
         total = total + weight * w ** (n - k) * lam_sum * nu_sum
-    expr = _from_w(total, _binom2(n + 1)) / u_prefactor_abs(n, None)
+    return total
+
+
+def u_unsumodd_expr(n: int, form: int, q=None):
+    """One of the two partition-pair expressions (form 1 or 2) for the
+    odd-characteristic real degree sum, without the prefactor:
+    q^N E(1/q) / prefactor, with E from `_unsumodd_sum`."""
+    expr = _from_w(_unsumodd_sum(n, form), _binom2(n + 1)) / u_prefactor_abs(n, None)
     return expr if q is None else expr.eval(q)
 
 
 def u_real_sum_odd_closed(n: int, q=None):
-    """Odd-characteristic real degree sum: (-1)^n * prefactor * expr, with
-    the two equivalent expressions asserted equal first."""
-    e1, e2 = u_unsumodd_expr(n, 1), u_unsumodd_expr(n, 2)
+    """Odd-characteristic real degree sum: (-1)^n q^N E(1/q), the prefactor
+    times either expression, with the two forms' E asserted equal first."""
+    e1, e2 = _unsumodd_sum(n, 1), _unsumodd_sum(n, 2)
     if e1 != e2:
         raise AssertionError(f"odd-characteristic expressions disagree at n={n}")
-    return _finish(e1 * u_prefactor_abs(n, None) * (-1) ** n, q)
+    return _finish(_from_w((-1) ** n * e1, _binom2(n + 1)), q)
 
 
 def u_real_sum_closed(n: int, q=None, parity=None):

@@ -19,7 +19,8 @@ Exact values print as integers (numeric q) or rational functions in q
 from __future__ import annotations
 
 import argparse
-import re
+import ast
+import operator
 import sys
 from functools import lru_cache
 
@@ -35,100 +36,44 @@ _WEYL = {"weylA": "A", "weylB": "B", "weylD": "D"}
 # Expression parsing for --z / --t values (integers, q, + - * / ^, parens).
 # ---------------------------------------------------------------------------
 
+_EXPR_CHARS = frozenset("0123456789q+-*/^() \t\n\r\f\v")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
-class _ExprParser:
-    _TOKEN = re.compile(r"\*\*|[-+*/^()]|\d+|[A-Za-z]+")
 
-    def __init__(self, text: str):
-        self.tokens = self._TOKEN.findall(text)
-        if "".join(self.tokens) != re.sub(r"\s+", "", text):
-            raise ValueError(f"cannot tokenize expression {text!r}")
-        self.pos = 0
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _take(self):
-        tok = self._peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def _expect(self, tok: str):
-        got = self._take()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> RatFunc:
-        value = self._expr()
-        if self.pos != len(self.tokens):
-            raise ValueError(f"trailing input at {self.tokens[self.pos]!r}")
-        return value
-
-    def _expr(self) -> RatFunc:
-        value = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._take()
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def _term(self) -> RatFunc:
-        value = self._unary()
-        while self._peek() in ("*", "/"):
-            op = self._take()
-            rhs = self._unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def _unary(self) -> RatFunc:
-        if self._peek() == "-":
-            self._take()
-            return -self._unary()
-        if self._peek() == "+":
-            self._take()
-            return self._unary()
-        return self._power()
-
-    def _power(self) -> RatFunc:
-        base = self._atom()
-        if self._peek() in ("^", "**"):
-            self._take()
-            return base ** self._int_exponent()
-        return base
-
-    def _int_exponent(self) -> int:
-        if self._peek() == "(":
-            self._take()
-            value = self._int_exponent()
-            self._expect(")")
-            return value
-        sign = 1
-        if self._peek() == "-":
-            self._take()
-            sign = -1
-        tok = self._take()
-        if not tok.isdigit():
-            raise ValueError(f"exponent must be an integer, got {tok!r}")
-        return sign * int(tok)
-
-    def _atom(self) -> RatFunc:
-        tok = self._take()
-        if tok == "(":
-            value = self._expr()
-            self._expect(")")
-            return value
-        if tok == "q":
+def _eval(node) -> RatFunc:
+    match node:
+        case ast.BinOp(base, ast.Pow(), ast.Constant(k)) if type(k) is int:
+            return _eval(base) ** k
+        case ast.BinOp(base, ast.Pow(), ast.UnaryOp(ast.USub(), ast.Constant(k))):
+            if type(k) is int:
+                return _eval(base) ** -k
+        case ast.BinOp(left, op, right) if type(op) in _BINOPS:
+            return _BINOPS[type(op)](_eval(left), _eval(right))
+        case ast.UnaryOp(ast.USub(), operand):
+            return -_eval(operand)
+        case ast.UnaryOp(ast.UAdd(), operand):
+            return _eval(operand)
+        case ast.Constant(k) if type(k) is int:
+            return RatFunc.const(k)
+        case ast.Name("q"):
             return RatFunc.x()
-        if tok.isdigit():
-            return RatFunc.const(int(tok))
-        raise ValueError(f"unexpected token {tok!r} (allowed: integers, q)")
+    raise ValueError(f"unexpected {ast.unparse(node)!r} (allowed: integers, q, "
+                     f"+ - * /, ^ with an integer exponent, parentheses)")
 
 
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse an exact rational-function expression in q, e.g. ``-1/q``."""
-    return _ExprParser(text).parse()
+    bad = set(text) - _EXPR_CHARS
+    if bad:
+        raise ValueError(f"unexpected characters {sorted(bad)} in {text!r}")
+    try:
+        return _eval(ast.parse(" ".join(text.split()).replace("^", "**"),
+                               mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("expression is nested too deeply") from None
 
 
 def _parse_int_list(text: str):
@@ -185,10 +130,8 @@ def _cmd_verify(args) -> int:
         print(line)
     passed = sum(r.status == "pass" for r in reports)
     failed = sum(r.status == "fail" for r in reports)
-    skipped = sum(r.status == "skipped" for r in reports)
     total_ms = sum(r.millis for r in reports)
-    print(f"{passed} passed, {failed} failed, {skipped} skipped "
-          f"({total_ms} ms)")
+    print(f"{passed} passed, {failed} failed ({total_ms} ms)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(verify.reports_to_json(reports) + "\n")

@@ -104,9 +104,6 @@ class Partition:
             out[p] = out.get(p, 0) + 1
         return out
 
-    def mult(self, j: int) -> int:
-        return sum(1 for p in self.parts if p == j)
-
 
 def enumerate_partitions(n: int) -> list:
     """All partitions of n, reverse-lexicographically: (n) first, (1^n) last."""

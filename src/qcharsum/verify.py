@@ -1,8 +1,8 @@
 """Named checks: every verified identity, example, and oracle concordance.
 
-Each check has a stable id, runs exact arithmetic only, and either passes,
-fails with a witness, or is skipped with a reason.  A check is two sides,
-lhs and rhs, that reach the same quantities by independent routes: each
+Each check has a stable id, runs exact arithmetic only, and either passes
+or fails with a witness.  A check is two sides, lhs and rhs, that reach
+the same quantities by independent routes: each
 takes the check's parameters and yields (tag, value) rows, one per rank,
 series coefficient or worked value.  One comparison walks both sides in
 step (the tags must match) and reports the first row whose values break
@@ -36,10 +36,6 @@ from .qseries import (GeometricFactorSpec, PairProductSpec, euler_expand,
                       named_gf, pair_expand, product_of)
 
 
-class SkipCheck(Exception):
-    """Raised by a side to mark the check skipped (reason in args)."""
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     """A registered check.  `sides` is (lhs, rhs); `fn(**params)` compares
@@ -58,7 +54,7 @@ class CheckSpec:
 @dataclass
 class CheckReport:
     id: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     params: dict
     witness: str | None
     millis: int
@@ -747,8 +743,6 @@ def run_check(check_id: str, *, budget: str = "full",
             status, witness = "pass", None
         else:
             status, witness = "fail", str(result)
-    except SkipCheck as exc:
-        status, witness = "skipped", str(exc) or "skipped"
     except Exception as exc:  # noqa: BLE001 - a check must never crash the run
         status, witness = "fail", f"error: {type(exc).__name__}: {exc}"
     millis = int((time.perf_counter() - start) * 1000)
@@ -802,6 +796,5 @@ def reports_to_tsv(reports) -> str:
 
 def summary_lines(reports):
     for r in reports:
-        mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[r.status]
-        extra = f"  {r.witness}" if r.witness and r.status != "pass" else ""
-        yield f"[{mark}] {r.id} ({r.millis} ms){extra}"
+        extra = f"  {r.witness}" if r.witness else ""
+        yield f"[{r.status.upper()}] {r.id} ({r.millis} ms){extra}"

@@ -26,7 +26,10 @@ def test_parse_ratfunc_values():
 
 
 def test_parse_ratfunc_rejects_garbage():
-    for bad in ("q+", "x", "2q", "q^q", "1//2", "", "q^(1/2)"):
+    for bad in ("q+", "x", "2q", "q^q", "1//2", "", "q^(1/2)",
+                "(" * 1000 + "q" + ")" * 1000, "-" * 2000 + "q",
+                '__import__("os")', "q.real", "q(2)", "0x10", "1_0", "True",
+                "1e3", "1j", "~q", "q%2", "q<q", "[q]", "q^2^3"):
         with pytest.raises(ValueError):
             parse_ratfunc(bad)
 
@@ -77,7 +80,7 @@ def test_verify_single_check(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "[PASS] weyl-A" in out
     assert "[PASS] weyl-B" in out
-    assert "2 passed, 0 failed, 0 skipped" in out
+    assert "2 passed, 0 failed (" in out
 
     rows = json.loads(json_path.read_text())
     assert [r["id"] for r in rows] == ["weyl-A", "weyl-B"]
@@ -160,6 +163,7 @@ def test_degree_sum_symbolic_default_parity(capsys):
     # every q is validated before the table header is printed
     ["census", "--flavor", "gl", "--dmax", "2", "--q", "1"],
     ["census", "--flavor", "gl", "--dmax", "2", "--q", "2,1", "--source", "both"],
+    ["hl-value", "--lam", "1", "--z", "(" * 1000 + "q" + ")" * 1000, "--t", "1/q"],
 ])
 def test_bad_q_or_rank_is_a_usage_error(capsys, argv):
     rc = main(argv)

@@ -45,7 +45,8 @@ _ORDER = ("chars._order_ic", "chars._order_value")
 _ORDER_PROBE = "test_verify.py::test_mutation_in_order_product_is_detected"
 
 # both odd-characteristic expressions read F_lam through the same route
-_F_ROUTE = ("chars.u_unsumodd_expr", "chars._hl_at_minus_w", "chars._from_w",
+_F_ROUTE = ("chars.u_unsumodd_expr", "chars._unsumodd_sum", "chars._hl_at_minus_w",
+            "chars._from_w",
             "hl.hl_principal_poly", "hl._hl_principal_poly", "hl.kostka_foulkes",
             "hl._charge_column", "hl._charge_column.<locals>.place", "hl.charge",
             "hl._fake_degree", "hl._over_one_minus_zpow", "hl._times_one_minus_zpow",

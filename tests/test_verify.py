@@ -19,8 +19,6 @@ import qcharsum.verify as verify
 from qcharsum.exact import RatFunc, Series, qpow
 from qcharsum.verify import (
     REGISTRY,
-    CheckSpec,
-    SkipCheck,
     _binom_factor_log,
     reports_to_json,
     reports_to_tsv,
@@ -128,25 +126,6 @@ def test_quick_budget_argument():
     assert r.params == {"nmax": 8}
     with pytest.raises(ValueError):
         run_check("weyl-A", budget="bogus")
-
-
-def test_skip_surfaces_as_skipped(monkeypatch):
-    def skipping_runner():
-        raise SkipCheck("needs optional hardware")
-
-    spec = CheckSpec(
-        id="skip-probe",
-        tags=("probe",),
-        description="always skips",
-        params={},
-        quick={},
-        sides=(skipping_runner, skipping_runner),
-        fn=skipping_runner,
-    )
-    monkeypatch.setitem(REGISTRY, "skip-probe", spec)
-    r = run_check("skip-probe")
-    assert r.status == "skipped"
-    assert "hardware" in r.witness
 
 
 def test_crash_surfaces_as_failure():
