@@ -254,9 +254,10 @@ def test_mutation_in_order_product_is_detected(monkeypatch):
     assert run_check("oracle-brute-involutions", budget="quick").status == "pass"
     # The checks whose sides share the product (their rows in the table of
     # shared ingredients name _order_ic) read it only as the unitary
-    # prefactor that the odd expressions divide by and the degree sums
-    # multiply back, so a corrupted product cancels there and cannot change
-    # their verdict; oracle-brute-involutions is what catches it.
+    # prefactor that both odd expressions divide by and that the "vs series
+    # route" rows of thm-unsumodd multiply back, so a corrupted product
+    # cancels there and cannot change their verdict;
+    # oracle-brute-involutions is what catches it.
     sharing = sorted({cid for cid, names, _ in SHARED if "chars._order_ic" in names})
     assert sharing == ["example-u2-odd", "thm-unsumodd"]
     _corrupt_order_ic(monkeypatch, (-1, 2))
@@ -309,6 +310,56 @@ def test_mutation_in_class_counts_is_detected_with_warm_memo(monkeypatch):
     monkeypatch.undo()
     for check_id in ids:
         assert run_check(check_id, order=6).status == "pass"
+
+
+def _one_more_pair_at_2(monkeypatch):
+    # M*(2, q) off by one at the binding the product lemmas read.
+    real = verify.count_selfdual_and_pairs
+
+    def corrupted(*args, **kwargs):
+        counts = real(*args, **kwargs)
+        return dataclasses.replace(counts, m_pairs=counts.m_pairs + 1) if counts.d == 2 else counts
+
+    monkeypatch.setattr(verify, "count_selfdual_and_pairs", corrupted)
+
+
+def _one_more_u_class_at_3(monkeypatch):
+    real = verify.count_u_irreducible
+    monkeypatch.setattr(verify, "count_u_irreducible",
+                        lambda d, q=None: real(d, q) + (d == 3))
+
+
+def _extra_degree_in_s3(monkeypatch):
+    # S_3 given a fourth character of degree 1, around the memo.
+    real = chars._sym_degrees
+    monkeypatch.setattr(chars, "_sym_degrees", lambda m: real(m) + ((1,) if m == 3 else ()))
+
+
+# (corruption of one side's ingredient, check id, the witness it must give)
+_PROBES = [
+    (_one_more_pair_at_2, "lemma-prodlem-1",
+     "identity 1 (symbolic q, parity even): w^2: lhs=q^2 - q + 1, rhs=q^2 - q"),
+    (_one_more_pair_at_2, "u-prodlems",
+     "identity 1 (symbolic q, parity even): w^2: lhs=q^2 - q + 1, rhs=q^2 - q"),
+    (_one_more_pair_at_2, "lemma-prodlem-2",
+     "identity 2 (symbolic q, parity even): w^2: lhs=1, rhs=0"),
+    (_one_more_u_class_at_3, "u-prodlems",
+     "identity 4 (symbolic q, parity even): w^3: lhs=q^3 + q^2 + 1, rhs=q^3 + q^2"),
+    (_extra_degree_in_s3, "weyl-A", "n=3: lhs=5, rhs=4"),
+    (_extra_degree_in_s3, "weyl-B", "n=3: lhs=22, rhs=20"),
+    (_extra_degree_in_s3, "weyl-D", "n=3: lhs=11, rhs=10"),
+]
+
+
+@pytest.mark.parametrize("corrupt, check_id, witness", _PROBES,
+                         ids=[f"{cid}-{fn.__name__}" for fn, cid, _ in _PROBES])
+def test_probe_fails_the_check_with_its_witness(monkeypatch, corrupt, check_id, witness):
+    corrupt(monkeypatch)
+    r = run_check(check_id, budget="quick")
+    assert r.status == "fail"
+    assert r.witness == witness
+    monkeypatch.undo()
+    assert run_check(check_id, budget="quick").status == "pass"
 
 
 def test_mutation_in_class_factor_is_detected(monkeypatch):
