@@ -587,12 +587,6 @@ def _b_degree_sum(n: int) -> int:
                for k in range(n + 1))
 
 
-def _egf_coeff_times_factorial(log_co, n: int) -> int:
-    """n! * [u^n] exp(series with given low-order coefficients)."""
-    s = Series([Fraction(c) for c in log_co] + [Fraction(0)] * (n + 1), n)
-    return to_int(s.exp().coefficient(n) * factorial(n))
-
-
 def weyl_degree_sum(family: str, n: int) -> int:
     """Character degree sum of the Weyl group of rank n in family A
     (symmetric group S_n), B (hyperoctahedral group) or D (its index-two
@@ -619,16 +613,18 @@ def weyl_degree_sum(family: str, n: int) -> int:
 
 
 def weyl_involutions(family: str, n: int) -> int:
-    """Involution count of the Weyl group of rank n in family A, B or D, from
-    exponential generating functions: exp(u + u^2/2) for A, exp(2u + u^2)
-    for B, and exp(u^2) (exp(2u) + 1) / 2 = (exp(2u + u^2) + exp(u^2)) / 2
-    for D."""
+    """Involution count of the Weyl group of rank n in family A, B or D.  The
+    exponential generating functions exp(u + u^2/2) for A and exp(2u + u^2)
+    for B give the recurrences a_n = a_(n-1) + (n-1) a_(n-2) and
+    b_n = 2 b_(n-1) + 2 (n-1) b_(n-2); for D, exp(u^2) (exp(2u) + 1) / 2
+    gives (b_n + [n even] n!/(n/2)!) / 2."""
     _check_rank(n)
-    if family == "A":
-        return _egf_coeff_times_factorial([0, 1, Fraction(1, 2)], n)
-    if family not in ("B", "D"):
+    if family not in ("A", "B", "D"):
         raise ValueError(f"family must be 'A', 'B', or 'D', got {family!r}")
-    b_count = _egf_coeff_times_factorial([0, 2, 1], n)
-    if family == "B":
-        return b_count
-    return (b_count + _egf_coeff_times_factorial([0, 0, 1], n)) // 2
+    c = 1 if family == "A" else 2
+    prev, count = 0, 1
+    for k in range(1, n + 1):
+        prev, count = count, c * (count + (k - 1) * prev)
+    if family != "D":
+        return count
+    return (count + (factorial(n) // factorial(n // 2) if n % 2 == 0 else 0)) // 2

@@ -620,15 +620,9 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.inv()
-        inv = _elem_inv(other)
-        return Series([c * inv for c in self.co], self.order)
-
     def __pow__(self, n: int):
         if n < 0:
-            return self.inv() ** (-n)
+            raise ValueError("negative power of a series")
         return _power(self, n, Series.constant(self.one_elem, self.order))
 
     def inv(self) -> "Series":

@@ -23,7 +23,9 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 
+from . import _kernel as _k
 from . import chars, groups
 from .exact import QPoly, RatFunc, Series, qpow
 from .hl import (hl_finite_oracle, hl_principal, hl_principal_poly,
@@ -114,14 +116,6 @@ def _weyl_sides(family: str) -> tuple:
             _per_rank(lambda n: chars.weyl_involutions(family, n), start=0))
 
 
-def _binom_factor_log(sign: int, d: int, order: int, one) -> Series:
-    """log(1 + sign*w^d) = sum_k -(-sign)^k w^(dk)/k over the ring of `one`."""
-    co = [one * 0] * (order + 1)
-    for k in range(1, order // d + 1):
-        co[d * k] = one * Fraction(-(-sign) ** k, k)
-    return Series(co, order)
-
-
 def _geom_inv(c, order: int, one) -> Series:
     """1/(1 - c*w) over the ring of `one`."""
     co = [one]
@@ -134,23 +128,35 @@ def _geom_inv(c, order: int, one) -> Series:
 
 def _prodlem_lhs(flavor: str, which: int, order: int, q, parity) -> Series:
     """The class-count side of identity `which`:
-    exp(sum_d [-N*(2d) log(1+s1 w^d) - M*(d) log(1+s2 w^d)]) with its signs
-    (s1, s2), or for identity 4 (u, plain counts) prod_d (1-w^d)^(-Nbar(d))."""
-    one = _ONE if q is None else Fraction(1)
-    total = Series.constant(one * 0, order)
+    prod_d (1+s1 w^d)^(-N*(2d)) (1+s2 w^d)^(-M*(d)) with its signs (s1, s2),
+    or for identity 4 (u, plain counts) prod_d (1-w^d)^(-Nbar(d)).  Each
+    factor (1+s w^d)^(-N) is its finite binomial series
+    sum_k (-s)^k N(N+1)...(N+k-1)/k! w^(dk).  With each count N = P/D, P in
+    Z[q] (D = 1 at numeric q), and w scaled to m*w, m = lcm(D)*order!, every
+    coefficient is an integer list; coefficient n is divided by m^n at the end."""
+    factors = []
     for d in range(1, order + 1):
         if which == 4:
-            nbar = count_u_irreducible(d, q)
-            total = total + _binom_factor_log(-1, d, order, one) * (-1 * nbar)
+            factors.append((-1, d, count_u_irreducible(d, q)))
             continue
         s1, s2 = {1: (-1, -1), 2: (1, -1), 3: (1, 1)}[which]
-        nstar2d = count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual
-        mstar = count_selfdual_and_pairs(d, q, flavor, parity).m_pairs
-        if nstar2d:
-            total = total + _binom_factor_log(s1, d, order, one) * (-1 * nstar2d)
-        if mstar:
-            total = total + _binom_factor_log(s2, d, order, one) * (-1 * mstar)
-    return total.exp()
+        factors.append((s1, d, count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual))
+        factors.append((s2, d, count_selfdual_and_pairs(d, q, flavor, parity).m_pairs))
+    polys = [(sign, d, RatFunc(count).as_poly()) for sign, d, count in factors if count]
+    m = lcm(*(p.content.denominator for _, _, p in polys)) * factorial(order)
+    total = [[1]] + [[]] * order
+    for sign, d, p in polys:
+        den = p.content.denominator
+        num = [c * p.content.numerator for c in p.ic]
+        factor = [[1]]  # the scaled w^(dk) coefficients; m^d/(den*k) is an integer
+        for k in range(1, order // d + 1):
+            step = _k.zz_mul_scalar(_k.zz_add(num, [(k - 1) * den]), -sign * m ** d // (den * k))
+            factor.append(_k.zz_mul(factor[-1], step))
+        for n in range(order, d - 1, -1):  # times the factor, in place from the top
+            for k in range(1, n // d + 1):
+                total[n] = _k.zz_add(total[n], _k.zz_mul(total[n - d * k], factor[k]))
+    co = [QPoly(c) * Fraction(1, m ** n) for n, c in enumerate(total)]
+    return Series([RatFunc(c) if q is None else c.coefficient(0) for c in co], order)
 
 
 def _prodlem_rhs(flavor: str, which: int, order: int, q, parity) -> Series:
@@ -167,7 +173,7 @@ def _prodlem_rhs(flavor: str, which: int, order: int, q, parity) -> Series:
         return w_minus if flavor == "gl" else w_plus
     if which == 3:
         return ((w_plus ** e) * Series([one, one * -1 * qq], order)
-                * Series([one, one * 0, one * -1 * qq], order).inv())
+                * _geom_inv(qq, order, one).compose_scale(1, 2))
     return w_plus * _geom_inv(qq, order, one)
 
 
@@ -199,15 +205,19 @@ def _closed_vs_gf(flavor: str, parity: str) -> tuple:
 
 
 def _iden_rhs_coefficient(n: int, squared: bool) -> RatFunc:
-    g = [chars.gl_group_order(j, None) for j in range(n + 1)]
-    total = RatFunc.const(0)
-    if squared:
-        for r in range(n + 1):
-            total = total + Fraction(1) / (g[r] * g[n - r])
-    else:
-        for r in range(n // 2 + 1):
-            total = total + Fraction(1) / (_Q ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
-    return total * _Q ** (n * (n - 1) // 2)
+    """q^binom(n,2) sum_r 1/(gamma_r gamma_b), b = n-r (squared) or n-2r with
+    q^(-r(2n-3r)), over one denominator P_n = prod_{i<=n} (q^i - 1): term r is
+    q^(r(n-r)) or q^binom(r,2) times [n, r]_q prod_{i=b+1..n-r} (q^i - 1)."""
+    row = _gauss_row(n)
+    num = []
+    for r in range(n + 1 if squared else n // 2 + 1):
+        b = n - r if squared else n - 2 * r
+        term = list(row[r])
+        for i in range(b + 1, n - r + 1):
+            term = _k.zz_mul(term, [-1] + [0] * (i - 1) + [1])
+        shift = r * (n - r) if squared else r * (r - 1) // 2
+        num = _k.zz_add(num, [0] * shift + term)
+    return RatFunc(QPoly(num), QPoly(chars._order_ic(1, n)))
 
 
 def _iden_sides(squared: bool) -> tuple:

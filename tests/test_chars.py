@@ -487,6 +487,22 @@ def test_weyl_known_values():
             fn("C", 2)
 
 
+def _egf_coefficient_times_factorial(low, n):
+    """n! [u^n] exp(low[0] + low[1] u + low[2] u^2), by Series.exp."""
+    s = Series([Fraction(c) for c in low] + [Fraction(0)] * n, n)
+    return to_int(s.exp().coefficient(n) * math.factorial(n))
+
+
+def test_weyl_involutions_match_the_exponential_generating_functions():
+    # exp(u + u^2/2) for A, exp(2u + u^2) for B, and
+    # (exp(2u + u^2) + exp(u^2)) / 2 for D
+    for n in range(13):
+        a = _egf_coefficient_times_factorial([0, 1, Fraction(1, 2)], n)
+        b = _egf_coefficient_times_factorial([0, 2, 1], n)
+        d = (b + _egf_coefficient_times_factorial([0, 0, 1], n)) // 2
+        assert [weyl_involutions(f, n) for f in "ABD"] == [a, b, d], n
+
+
 def test_gl_degree_sum_closed_forms():
     # Rank 1: q odd has two linear characters, q even one.
     assert real_degree_sum_gf("gl", 1, None, "odd") == 2 + Q * 0

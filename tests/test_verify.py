@@ -17,9 +17,9 @@ import qcharsum.hl as hl
 import qcharsum.qseries as qseries
 import qcharsum.verify as verify
 from qcharsum.exact import RatFunc, Series, qpow
+from qcharsum.polycount import count_selfdual_and_pairs, count_u_irreducible
 from qcharsum.verify import (
     REGISTRY,
-    _binom_factor_log,
     reports_to_json,
     reports_to_tsv,
     run_all,
@@ -481,17 +481,56 @@ def test_real_sum_oracle_never_reaches_the_class_product(monkeypatch):
     assert run_check("oracle-real-sums").status == "pass"
 
 
-@pytest.mark.parametrize("one", [RatFunc.const(1), Fraction(1)])
-def test_binom_factor_log_matches_series_log(one):
-    # The Mercator coefficients against the generic series logarithm.
-    for order in range(1, 11):
-        for d in range(1, order + 1):
-            for sign in (1, -1):
-                co = [one * 0] * (order + 1)
-                co[0] = one
-                co[d] = one * sign
-                want = Series(co, order).log()
-                assert _binom_factor_log(sign, d, order, one) == want
+def _prodlem_lhs_by_log(flavor, which, order, q, parity):
+    """exp(sum_d -N log(1 + s w^d)) by the generic series log and exp."""
+    one = RatFunc.const(1) if q is None else Fraction(1)
+    total = Series.constant(one * 0, order)
+    for d in range(1, order + 1):
+        if which == 4:
+            terms = [(-1, count_u_irreducible(d, q))]
+        else:
+            s1, s2 = {1: (-1, -1), 2: (1, -1), 3: (1, 1)}[which]
+            terms = [(s1, count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual),
+                     (s2, count_selfdual_and_pairs(d, q, flavor, parity).m_pairs)]
+        for sign, count in terms:
+            co = [one] + [one * 0] * order
+            co[d] = one * sign
+            total = total - Series(co, order).log() * count
+    return total.exp()
+
+
+@pytest.mark.parametrize("flavor, which", [("gl", 1), ("gl", 2), ("u", 1), ("u", 2),
+                                           ("u", 3), ("u", 4)])
+def test_prodlem_lhs_matches_the_series_log_route(flavor, which):
+    settings = [(None, "even"), (None, "odd")] + [(q, None) for q in (2, 3, 4, 5, 9)]
+    for q, parity in settings:
+        want = _prodlem_lhs_by_log(flavor, which, 8, q, parity)
+        assert verify._prodlem_lhs(flavor, which, 8, q, parity) == want, (q, parity)
+
+
+def test_iden_rhs_matches_the_term_by_term_sum():
+    # the gamma-weighted sums added one RatFunc term at a time
+    g = [chars.gl_group_order(j, None) for j in range(11)]
+    for n in range(11):
+        squared = sum((Fraction(1) / (g[r] * g[n - r]) for r in range(n + 1)),
+                      RatFunc.const(0))
+        plain = sum((Fraction(1) / (qpow(r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
+                     for r in range(n // 2 + 1)), RatFunc.const(0))
+        for flag, total in ((True, squared), (False, plain)):
+            assert verify._iden_rhs_coefficient(n, flag) == total * qpow(n * (n - 1) // 2)
+
+
+def test_integer_sides_never_reach_series_exp_log_or_inv(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("these checks must not use Series.exp, log or inv")
+
+    qseries._GF_MEMO.clear()
+    for name in ("exp", "log", "inv"):
+        monkeypatch.setattr(Series, name, forbidden)
+    for check_id in ("lemma-prodlem-1", "lemma-prodlem-2", "u-prodlems", "cor-iden",
+                     "cor-cort", "weyl-A", "weyl-B", "weyl-D"):
+        r = run_check(check_id)
+        assert r.status == "pass", (check_id, r.witness)
 
 
 def _corrupt_hl_principal(monkeypatch):
