@@ -6,11 +6,29 @@ table-driven finite field, with no character theory involved.
 
 * FiniteField(q): q = p^k <= 25, arithmetic via precomputed tables, with
   the modulus found by trial division among monic degree-k polynomials.
+* A vector of F_Q^n is coded as the int a = sum_i d_i Q^i in 0..Q^n - 1,
+  digit i being coordinate i, and a matrix as the tuple of its row codes.
+  The tables digits[a], vadd[a][b] (the code of a + b) and vscale[c][a]
+  (the code of c*a) are built once per (Q, n), one coordinate at a time
+  from the field tables, with rows as arrays of 16-bit codes.
 * The general linear group is enumerated by extending linearly
-  independent rows; the unitary group (Hermitian form = identity, entries
-  conjugated by a -> a^q in F_{q^2}) by extending orthonormal rows.
+  independent rows: a span is a list of codes with a bytearray membership
+  map, and extending it by v takes every s + c*v through the tables.  The
+  unitary group (Hermitian form = identity, entries conjugated by
+  a -> a^q in F_{q^2}) is enumerated by extending orthonormal rows, drawn
+  from the unit vectors, with the unit vectors orthogonal to each listed
+  once.
+* g*g = I is tested row by row: row i of g*g is sum_k g_ik * row_k through
+  the tables, compared with the unit code Q^i.  The enumeration yields
+  frames, the first n - 1 rows with the list of possible last rows, and
+  the count sends to that test only the last rows that make row 0 of g*g
+  the unit code.
 * Budgets: group order <= 1e7, and for the unitary flavor the per-row
-  scan space (q^2)^n <= 1e5.
+  scan space (q^2)^n <= 1e5.  The addition table has at most 2^24 entries
+  (Q^n <= 4096, 32 MiB); of the groups within the first two budgets it
+  leaves out U(3,5) only.
+* gl_matrices, u_matrices and _squares_to_identity give and take matrices
+  as tuples of row tuples, decoded from or encoded to the row codes.
 """
 
 from __future__ import annotations
@@ -132,81 +150,166 @@ class FiniteField:
         return out
 
 
-def _squares_to_identity(F: FiniteField, g) -> bool:
-    """g*g == I, computed entry by entry and stopped at the first entry
-    that differs from the identity matrix."""
-    n = len(g)
-    add, mul = F.add, F.mul
-    for i in range(n):
-        row = g[i]
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc = add[acc][mul[row[k]][g[k][j]]]
-            if acc != (1 if i == j else 0):
-                return False
+class _VectorTables:
+    """F_Q^n with each vector coded as the int a = sum_i d_i Q^i in
+    0..Q^n - 1, digit i being coordinate i.  `digits[a]` is the coordinate
+    tuple of a, `vadd[a][b]` the code of a + b and `vscale[c][a]` that of
+    c*a; `units[i]` = Q^i is the code of the i-th unit vector."""
+
+    __slots__ = ("field", "n", "size", "units", "digits", "vadd", "vscale")
+
+    def __init__(self, Q: int, n: int):
+        if n < 0:
+            raise ValueError(f"rank must be >= 0, got {n}")
+        if Q ** (2 * n) > _TABLE_BUDGET:
+            raise ValueError("vector addition table exceeds budget")
+        # imported here so that importing the package loads no extension
+        # module that only the enumeration needs
+        from array import array
+        F = self.field = FiniteField(Q)
+        self.n, self.size = n, Q ** n
+        self.units = tuple(Q ** i for i in range(n))
+        # one coordinate at a time: the codes of F_Q^(k+1) are a + Q^k x,
+        # with a a code of F_Q^k and x the new top coordinate
+        digits, vadd = [()], [array("H", [0])]
+        vscale = [array("H", [0]) for _ in range(Q)]
+        for top in self.units:
+            digits = [d + (x,) for x in range(Q) for d in digits]
+            highs = [[top * y for y in row] for row in F.add]
+            vadd = [array("H", [t + h for h in highs[x] for t in row])
+                    for x in range(Q) for row in vadd]
+            vscale = [array("H", [s + top * m for m in F.mul[c] for s in vscale[c]])
+                      for c in range(Q)]
+        self.digits, self.vadd, self.vscale = digits, vadd, vscale
+
+    def encode(self, row) -> int:
+        return sum(d * unit for d, unit in zip(row, self.units))
+
+
+@lru_cache(maxsize=1)
+def _vector_tables(Q: int, n: int) -> _VectorTables:
+    return _VectorTables(Q, n)
+
+
+def _rows_square_to_identity(T: _VectorTables, rows) -> bool:
+    """g*g == I for g given by its row codes.  Row i of g*g is
+    sum_k g_ik * row_k, folded through the tables over the nonzero g_ik,
+    and is compared with the unit code Q^i; the test stops at the first row
+    that differs."""
+    digits, vadd, vscale = T.digits, T.vadd, T.vscale
+    for r, unit in zip(rows, T.units):
+        acc = 0
+        for c, row_k in zip(digits[r], rows):
+            if c:
+                acc = vadd[acc][vscale[c][row_k]]
+        if acc != unit:
+            return False
     return True
 
 
-def gl_matrices(n: int, q: int):
-    """Yield every invertible n x n matrix over F_q (budget-guarded)."""
-    F = FiniteField(q)
-    vectors = list(product(range(q), repeat=n))
-    add, mul = F.add, F.mul
+def _gl_frames(T: _VectorTables):
+    """Yield (rows, last) for every choice of the first n - 1 rows of an
+    invertible matrix over F_Q, with `last` the codes of its possible last
+    rows: each row is a vector outside the span of the rows before it.  A
+    span is a list of codes with a bytearray membership map."""
+    n, size, vadd, vscale = T.n, T.size, T.vadd, T.vscale
     rows = []
 
     def rec(span):
-        level = len(rows)
-        for v in vectors:
-            if v in span:
-                continue
+        member = bytearray(size)
+        for s in span:
+            member[s] = 1
+        outside = [v for v in range(size) if not member[v]]
+        if len(rows) == n - 1:
+            yield tuple(rows), outside
+            return
+        for v in outside:
             rows.append(v)
-            if level + 1 == n:
-                yield tuple(rows)
-            else:
-                bigger = set()
-                for s in span:
-                    for c in range(q):
-                        bigger.add(tuple(add[s[i]][mul[c][v[i]]] for i in range(n)))
-                yield from rec(bigger)
+            multiples = [scale[v] for scale in vscale]
+            yield from rec([vadd[s][m] for s in span for m in multiples])
             rows.pop()
 
-    yield from rec({tuple([0] * n)})
+    yield from rec([0])
+
+
+def _u_frames(T: _VectorTables, q: int):
+    """Yield (rows, last) as _gl_frames does, for the matrices over F_Q,
+    Q = q^2, whose rows are orthonormal under
+    herm(x, y) = sum_i x_i * conj(y_i), conj being a -> a^q.  The unit
+    vectors and, for each, the unit vectors orthogonal to it are listed
+    once; each row is then a unit vector orthogonal to every row before it."""
+    F, n, digits = T.field, T.n, T.digits
+    add, mul = F.add, F.mul
+    conj = tuple(F.pow(a, q) for a in range(F.q))
+    norm = [0]  # herm(v, v) for every code v, one coordinate at a time
+    for _ in range(n):
+        norm = [add[mul[x][conj[x]]][s] for x in range(F.q) for s in norm]
+    unit = [v for v in range(T.size) if norm[v] == 1]
+
+    def herm(x, y):
+        acc = 0
+        for a, b in zip(digits[x], digits[y]):
+            acc = add[acc][mul[a][conj[b]]]
+        return acc
+
+    orthogonal = {v: {u for u in unit if herm(u, v) == 0} for v in unit}
+    rows = []
+
+    def rec(candidates):
+        if len(rows) == n - 1:
+            yield tuple(rows), candidates
+            return
+        for v in candidates:
+            rows.append(v)
+            ortho = orthogonal[v]
+            yield from rec([u for u in candidates if u in ortho])
+            rows.pop()
+
+    yield from rec(unit)
+
+
+def _group_frames(flavor: str, n: int, q: int):
+    """The tables of the group's coordinate space and a generator of its
+    frames (rows, last), for n >= 1: the elements are rows + (v,) for v in
+    last."""
+    T = _vector_tables(q if flavor == "gl" else q * q, n)
+    return T, _gl_frames(T) if flavor == "gl" else _u_frames(T, q)
+
+
+def _matrices(flavor: str, n: int, q: int):
+    """Yield every element as a tuple of row tuples, decoded from the frames."""
+    T, frames = _group_frames(flavor, n, q)
+    if n == 0:
+        yield ()  # the empty matrix
+        return
+    for rows, last in frames:
+        head = tuple(T.digits[r] for r in rows)
+        for v in last:
+            yield head + (T.digits[v],)
+
+
+def _squares_to_identity(F: FiniteField, g) -> bool:
+    """g*g == I for g a tuple of row tuples over F, by the row-code test."""
+    T = _vector_tables(F.q, len(g))
+    return _rows_square_to_identity(T, tuple(T.encode(row) for row in g))
+
+
+def gl_matrices(n: int, q: int):
+    """Yield every invertible n x n matrix over F_q as a tuple of row
+    tuples (the vector tables are budget-guarded)."""
+    return _matrices("gl", n, q)
 
 
 def u_matrices(n: int, q: int):
     """Yield every matrix g over F_{q^2} with conj(g)^T g = I, where
     conj is a -> a^q; equivalently the rows are orthonormal under
     herm(x, y) = sum_i x_i * conj(y_i)."""
-    F = FiniteField(q * q)
-    conj = tuple(F.pow(a, q) for a in range(F.q))
-    add, mul = F.add, F.mul
-    vectors = list(product(range(F.q), repeat=n))
-
-    def herm(x, y):
-        acc = 0
-        for i in range(n):
-            acc = add[acc][mul[x[i]][conj[y[i]]]]
-        return acc
-
-    unit = [v for v in vectors if herm(v, v) == 1]
-    rows = []
-
-    def rec():
-        for v in unit:
-            if all(herm(v, r) == 0 for r in rows):
-                rows.append(v)
-                if len(rows) == n:
-                    yield tuple(rows)
-                else:
-                    yield from rec()
-                rows.pop()
-
-    yield from rec()
+    return _matrices("u", n, q)
 
 
 _ORDER_BUDGET = 10 ** 7
 _SCAN_BUDGET = 10 ** 5
+_TABLE_BUDGET = 2 ** 24  # entries of vadd, (Q^n)^2
 
 
 def _theoretical_order(flavor: str, n: int, q: int) -> int:
@@ -233,14 +336,27 @@ def _check_budget(flavor: str, n: int, q: int) -> None:
 @lru_cache(maxsize=None)
 def _enumerate_stats(flavor: str, n: int, q: int):
     _check_budget(flavor, n, q)
-    gen = gl_matrices(n, q) if flavor == "gl" else u_matrices(n, q)
-    F = FiniteField(q if flavor == "gl" else q * q)
-    order = 0
-    sqrts = 0
-    for g in gen:
-        order += 1
-        if _squares_to_identity(F, g):
-            sqrts += 1
+    if n == 0:
+        return 1, 1  # the empty matrix, its own square
+    T, frames = _group_frames(flavor, n, q)
+    digits, vadd, vscale = T.digits, T.vadd, T.vscale
+    order = sqrts = 0
+    for rows, last in frames:
+        order += len(last)
+        if rows:
+            # Row 0 of g*g is sum_k g_0k * row_k: the terms of the frame's
+            # rows, then g_0,n-1 times the last row.  Only the last rows
+            # that make it the unit code 1 can pass the full test.
+            g0 = digits[rows[0]]
+            acc = 0
+            for c, row_k in zip(g0, rows):
+                if c:
+                    acc = vadd[acc][vscale[c][row_k]]
+            plus, times = vadd[acc], vscale[g0[-1]]
+            last = [v for v in last if plus[times[v]] == 1]
+        for v in last:
+            if _rows_square_to_identity(T, rows + (v,)):
+                sqrts += 1
     return order, sqrts
 
 

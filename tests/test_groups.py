@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import qcharsum.groups as groups
 from qcharsum.chars import gl_group_order, u_group_order
 from qcharsum.groups import (
     FiniteField,
@@ -13,6 +14,7 @@ from qcharsum.groups import (
     u_matrices,
     _squares_to_identity,
 )
+from qcharsum.verify import REGISTRY
 
 
 def _mat_mul(F, A, B):
@@ -169,3 +171,116 @@ def test_enumeration_budget_guards():
         group_order("gl", 6, 5)
     with pytest.raises(ValueError):
         group_order("u", 4, 5)
+
+
+# The enumeration before the row codes: rows as tuples, spans as sets of
+# tuples rebuilt level by level, g*g = I entry by entry.  Kept as the
+# reference the row-code route must reproduce.
+
+
+def _reference_gl_matrices(n, q):
+    F = FiniteField(q)
+    vectors = list(itertools.product(range(q), repeat=n))
+    add, mul = F.add, F.mul
+    rows = []
+
+    def rec(span):
+        level = len(rows)
+        for v in vectors:
+            if v in span:
+                continue
+            rows.append(v)
+            if level + 1 == n:
+                yield tuple(rows)
+            else:
+                bigger = set()
+                for s in span:
+                    for c in range(q):
+                        bigger.add(tuple(add[s[i]][mul[c][v[i]]] for i in range(n)))
+                yield from rec(bigger)
+            rows.pop()
+
+    yield from rec({tuple([0] * n)})
+
+
+def _reference_u_matrices(n, q):
+    F = FiniteField(q * q)
+    conj = tuple(F.pow(a, q) for a in range(F.q))
+    add, mul = F.add, F.mul
+    vectors = list(itertools.product(range(F.q), repeat=n))
+
+    def herm(x, y):
+        acc = 0
+        for i in range(n):
+            acc = add[acc][mul[x[i]][conj[y[i]]]]
+        return acc
+
+    unit = [v for v in vectors if herm(v, v) == 1]
+    rows = []
+
+    def rec():
+        for v in unit:
+            if all(herm(v, r) == 0 for r in rows):
+                rows.append(v)
+                if len(rows) == n:
+                    yield tuple(rows)
+                else:
+                    yield from rec()
+                rows.pop()
+
+    yield from rec()
+
+
+def _reference_stats(flavor, n, q):
+    F = FiniteField(q if flavor == "gl" else q * q)
+    mats = _reference_gl_matrices(n, q) if flavor == "gl" else _reference_u_matrices(n, q)
+    ident = _identity(n)
+    order = sqrts = 0
+    for g in mats:
+        order += 1
+        sqrts += _mat_mul(F, g, g) == ident
+    return order, sqrts
+
+
+@pytest.mark.parametrize("flavor,n,q", [("gl", 2, 3), ("gl", 3, 2), ("u", 2, 2), ("u", 2, 3)])
+def test_row_codes_list_the_reference_matrices(flavor, n, q):
+    route = gl_matrices(n, q) if flavor == "gl" else u_matrices(n, q)
+    reference = (_reference_gl_matrices(n, q) if flavor == "gl"
+                 else _reference_u_matrices(n, q))
+    assert set(route) == set(reference)
+
+
+def test_row_codes_count_as_the_reference_on_the_oracle_cases():
+    cases = REGISTRY["oracle-brute-involutions"].params["cases"]
+    assert len(cases) == 10
+    for flavor, n, q in cases:
+        assert groups._enumerate_stats(flavor, n, q) == _reference_stats(flavor, n, q), (
+            flavor, n, q)
+
+
+def test_budgets_refuse_before_any_vector_table_is_built(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a vector table was built")
+
+    monkeypatch.setattr(groups, "_VectorTables", forbidden)
+    groups._vector_tables.cache_clear()
+    with pytest.raises(ValueError, match="order"):
+        group_order("gl", 6, 5)
+    with pytest.raises(ValueError, match="order"):
+        group_order("u", 4, 5)
+    monkeypatch.undo()
+    # U(3,5) meets the order and scan budgets; its addition table would
+    # have 15625^2 entries, and is refused before even the field is built
+    with pytest.raises(ValueError, match="vector addition table"):
+        group_order("u", 3, 5)
+    monkeypatch.setattr(groups, "FiniteField", forbidden)
+    with pytest.raises(ValueError, match="vector addition table"):
+        groups._VectorTables(25, 3)
+
+
+@pytest.mark.parametrize("flavor", ["gl", "u"])
+def test_rank_zero_is_the_trivial_group(flavor):
+    mats = gl_matrices(0, 2) if flavor == "gl" else u_matrices(0, 2)
+    assert list(mats) == [()]
+    assert group_order(flavor, 0, 3) == 1
+    assert count_square_roots_of_identity(flavor, 0, 3) == 1

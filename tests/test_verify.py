@@ -7,12 +7,15 @@ a quantity with itself.
 """
 
 import dataclasses
+import inspect
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import qcharsum.chars as chars
+import qcharsum.groups as groups
 import qcharsum.hl as hl
 import qcharsum.qseries as qseries
 import qcharsum.verify as verify
@@ -335,6 +338,58 @@ def _extra_degree_in_s3(monkeypatch):
     monkeypatch.setattr(chars, "_sym_degrees", lambda m: real(m) + ((1,) if m == 3 else ()))
 
 
+def _square_test_rejects_the_identity(monkeypatch):
+    # The row-code test of g*g = I answers no on the identity, behind a
+    # fresh memo of the enumeration so the cached counts stay clean.
+    real = groups._rows_square_to_identity
+    monkeypatch.setattr(groups, "_rows_square_to_identity",
+                        lambda T, rows: rows != T.units and real(T, rows))
+    monkeypatch.setattr(groups, "_enumerate_stats",
+                        lru_cache(maxsize=None)(groups._enumerate_stats.__wrapped__))
+
+
+def _one_more_selfdual_census_class_at_2(monkeypatch):
+    # The orbit census finds one self-dual class too many at degree 2.
+    real = verify.brute_poly_census
+
+    def corrupted(d, q, flavor="gl"):
+        counts = real(d, q, flavor)
+        return dataclasses.replace(counts, n_selfdual=counts.n_selfdual + 1) if d == 2 else counts
+
+    monkeypatch.setattr(verify, "brute_poly_census", corrupted)
+
+
+def _gauss_row_off_at_u2(monkeypatch):
+    _corrupt_gauss_row(monkeypatch, (-1, 2))
+
+
+def _gauss_row_off_at_gl3(monkeypatch):
+    _corrupt_gauss_row(monkeypatch, (1, 3))
+
+
+def _corrupt_f_lam(monkeypatch, key):
+    # F_key[0, 1] off by one at the binding the unitary partition sums read.
+    real = chars.hl_principal_poly
+
+    def corrupted(lam):
+        f = real(lam)
+        if tuple(lam) != key:
+            return f
+        f = dict(f)
+        f[0, 1] = f.get((0, 1), 0) + 1
+        return f
+
+    monkeypatch.setattr(chars, "hl_principal_poly", corrupted)
+
+
+def _f_lam_off_at_11(monkeypatch):
+    _corrupt_f_lam(monkeypatch, (1, 1))
+
+
+def _f_lam_off_at_21(monkeypatch):
+    _corrupt_f_lam(monkeypatch, (2, 1))
+
+
 # (corruption of one side's ingredient, check id, the witness it must give)
 _PROBES = [
     (_one_more_pair_at_2, "lemma-prodlem-1",
@@ -348,7 +403,47 @@ _PROBES = [
     (_extra_degree_in_s3, "weyl-A", "n=3: lhs=5, rhs=4"),
     (_extra_degree_in_s3, "weyl-B", "n=3: lhs=22, rhs=20"),
     (_extra_degree_in_s3, "weyl-D", "n=3: lhs=11, rhs=10"),
+    (_square_test_rejects_the_identity, "oracle-brute-involutions",
+     "gl(2,2) involutions: lhs=3, rhs=4"),
+    (_one_more_selfdual_census_class_at_2, "oracle-poly-census",
+     "gl d=2 q=2 n_selfdual: lhs=1, rhs=2"),
+    (_gauss_row_off_at_u2, "prop-involU-odd", "n=2: lhs=q^2 - 2*q + 4, rhs=q^2 - q + 2"),
+    (_gauss_row_off_at_u2, "cor-unsumeven-pm", "n=2 sign +1: lhs=3/2*q^2, rhs=q^2"),
+    (_gauss_row_off_at_gl3, "remark-igl-table",
+     "n=3: lhs=q^4 + q^3 + q^2 - q, rhs=q^4 + q^3 - q"),
+    (_f_lam_off_at_11, "example-u2-even", "degree sum: lhs=q^2 - 1, rhs=q^2"),
+    (_f_lam_off_at_21, "example-u3-even",
+     "eps=+1: lhs=q^4 - 3/2*q^3 + q^2, rhs=q^4 - q^3 + q^2"),
+    (_f_lam_off_at_11, "example-u2-odd",
+     "degree sum: lhs=(q^3 + q^2 - q - 1)/q, rhs=q^2 + q"),
 ]
+
+# The checks whose probe is a test of its own in this file: check id -> the
+# test that corrupts an ingredient of one side and asserts the check fails.
+_PROBED_BY_TEST = {
+    "thm-genfnGL": "test_mutation_in_class_counts_is_detected_with_warm_memo",
+    "thm-even": "test_mutation_is_detected",
+    "thm-odd": "test_mutation_is_detected",
+    "cor-iden": "test_mutation_in_order_product_is_detected",
+    "cor-cort": "test_mutation_in_order_product_is_detected",
+    "thm-degreesU": "test_mutation_in_class_counts_is_detected_with_warm_memo",
+    "thm-warid": "test_mutation_in_the_gaussian_rows_fails_the_warnaar_summation",
+    "cor-warcor": "test_mutation_in_hl_principal_poly_is_detected",
+    "prop-involU-even": "test_mutation_in_u_order_is_detected",
+    "cor-epsplit-even": "test_exact_halving_rejects_a_real_series_off_by_one",
+    "cor-epsplit-odd": "test_exact_halving_rejects_a_real_series_off_by_one",
+    "thm-unsumeven": "test_mutation_in_the_unitary_sums_f_lam_is_detected",
+    "cor-genfn-even-alt": "test_mutation_in_the_unitary_sums_f_lam_is_detected",
+    "thm-unsumodd": "test_mutation_in_the_unitary_sums_f_lam_is_detected",
+    "oracle-real-sums": "test_mutation_in_class_factor_is_detected",
+    "oracle-hl-finite": "test_mutation_in_hl_principal_is_detected",
+}
+
+
+def test_every_check_has_a_probe():
+    assert {cid for _, cid, _ in _PROBES} | set(_PROBED_BY_TEST) == set(REGISTRY)
+    for check_id, name in _PROBED_BY_TEST.items():
+        assert f'"{check_id}"' in inspect.getsource(globals()[name]), (check_id, name)
 
 
 @pytest.mark.parametrize("corrupt, check_id, witness", _PROBES,
@@ -629,17 +724,7 @@ def test_mutation_in_the_unitary_sums_f_lam_is_detected(monkeypatch, check_id, w
     # The unitary partition sums read F_lam through chars.hl_principal_poly;
     # with F_(2,1)[0, 1] off by one, each check must fail at the first rank
     # whose sum contains (2,1), and pass again once the binding is restored.
-    real = chars.hl_principal_poly
-
-    def corrupted(lam):
-        f = real(lam)
-        if tuple(lam) != (2, 1):
-            return f
-        f = dict(f)
-        f[0, 1] += 1
-        return f
-
-    monkeypatch.setattr(chars, "hl_principal_poly", corrupted)
+    _f_lam_off_at_21(monkeypatch)
     r = run_check(check_id, nmax=4)
     assert r.status == "fail"
     assert r.witness.startswith(witness)
