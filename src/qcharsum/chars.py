@@ -111,7 +111,7 @@ def _order_value(eps: int, n: int, shift: int, q):
     _check_rank(n)
     ic = (0,) * shift + _order_ic(eps, n)
     if q is None:
-        return RatFunc._mk(QPoly._mk(ic, Fraction(1)), QPoly.one())
+        return RatFunc.from_ic(ic, (1,))
     return sum(c * q ** k for k, c in enumerate(ic) if c)
 
 
@@ -196,7 +196,7 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
     e = parity_e(q, parity)
     if q is None:
         ic = _involution_sum_ic(1 if flavor == "gl" else -1, n, e)
-        return RatFunc._mk(QPoly(ic), QPoly.one())
+        return RatFunc.from_ic(ic, (1,))
     order = gl_group_order if flavor == "gl" else u_group_order
     qq = _qval(q)
     g = [order(j, q) for j in range(n + 1)]
@@ -448,9 +448,9 @@ def _hl_at_minus_w(lam: Partition, sign: int, deg: int) -> QPoly:
 
 def _from_w(p: QPoly, shift: int) -> RatFunc:
     """q^shift * p(1/q) for a polynomial p in w = 1/q, normalized once."""
-    e = shift - p.degree()
-    num = QPoly([0] * max(e, 0) + [p.content * c for c in reversed(p.ic)])
-    return RatFunc(num, QPoly.monomial(max(-e, 0)))
+    e, c = shift - p.degree(), p.content
+    return RatFunc.from_ic([0] * max(e, 0) + [c.numerator * v for v in reversed(p.ic)],
+                           [0] * max(-e, 0) + [c.denominator])
 
 
 def u_real_sum_even_closed(n: int, q=None):

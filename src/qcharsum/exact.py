@@ -13,7 +13,10 @@ QPoly      coefficients are exact rationals, stored as a primitive integer
            coefficient tuple `ic` (little-endian, positive leading entry,
            trailing entry nonzero) times a single Fraction `content`.  The
            zero polynomial is `ic=(), content=0`.
-RatFunc    num/den with gcd(num, den) = 1 and den monic; zero is 0/1.
+RatFunc    a pair of integer coefficient tuples n/d (little-endian, no
+           trailing zero), coprime in Z[q], with gcd of all their entries 1
+           and d[-1] > 0; zero is n=(), d=(1,).  This is FLINT's fmpz_poly_q
+           form.  `num`/`den` give the value as QPolys over a monic den.
 Series     explicit truncation order; length of the coefficient tuple is
            order + 1; arithmetic truncates to the minimum operand order.
 SymPoly    polynomials in the auxiliary symbols (a, b, t) whose
@@ -195,15 +198,6 @@ class QPoly:
             raise ValueError("negative power of a polynomial; use RatFunc")
         return _power(self, n, QPoly.one())
 
-    def div_exact(self, other: "QPoly") -> "QPoly":
-        """Exact quotient; ValueError if the division leaves a remainder."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return QPoly.zero()
-        return QPoly._mk(_divexact_ic(self.ic, other.ic),
-                         self.content / other.content)
-
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic gcd over Q (1 for coprime inputs, 0 only for gcd(0, 0))."""
         other = self._coerce(other)
@@ -259,56 +253,71 @@ class QPoly:
 
 
 class RatFunc:
-    """Element of Q(q): quotient of two QPoly in canonical reduced form."""
+    """Element of Q(q), stored as a coprime pair of integer polynomials n/d.
 
-    __slots__ = ("num", "den")
+    `num` and `den` read the value back as two QPolys, `den` monic.
+    """
+
+    __slots__ = ("n", "d")
 
     def __init__(self, num=0, den=None):
         if isinstance(num, RatFunc):
             if den is not None:
                 raise ValueError("cannot combine a RatFunc numerator with a denominator")
-            self.num, self.den = num.num, num.den
+            self.n, self.d = num.n, num.d
             return
-        numq = QPoly._coerce(num)
-        if numq is None:
-            raise TypeError(f"cannot build RatFunc from {type(num).__name__}")
-        if den is None:
-            denq = QPoly.one()
-        else:
-            denq = QPoly._coerce(den)
-            if denq is None:
-                raise TypeError(f"cannot build RatFunc from {type(den).__name__}")
-        r = _ratfunc_normalize(numq, denq)
-        self.num, self.den = r.num, r.den
+        a, b = _pair(num), _pair(1 if den is None else den)
+        if a is None or b is None:
+            raise TypeError(f"cannot build RatFunc from {type(den if a else num).__name__}")
+        r = RatFunc.from_ic(_k.zz_mul(a[0], b[1]), _k.zz_mul(a[1], b[0]))
+        self.n, self.d = r.n, r.d
 
     @classmethod
-    def _mk(cls, num: QPoly, den: QPoly) -> "RatFunc":
+    def _mk(cls, n: tuple, d: tuple) -> "RatFunc":
         r = cls.__new__(cls)
-        r.num = num
-        r.den = den
+        r.n = n
+        r.d = d
         return r
 
     @classmethod
+    def from_ic(cls, n, d) -> "RatFunc":
+        """n/d for integer coefficient sequences n and d (little-endian,
+        d nonzero), brought to the canonical form."""
+        n, d = tuple(_k.zz_strip(list(n))), tuple(_k.zz_strip(list(d)))
+        if not d:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if not n:
+            return cls._mk((), (1,))
+        return _reduced(*_cancel(n, d))
+
+    @classmethod
     def x(cls) -> "RatFunc":
-        return cls._mk(QPoly.x(), QPoly.one())
+        return cls._mk((0, 1), (1,))
 
     @classmethod
     def const(cls, c) -> "RatFunc":
-        c = Fraction(c)
-        num = QPoly._mk((1,), c) if c else QPoly.zero()
-        return cls._mk(num, QPoly.one())
+        return cls._mk(*_pair(c if isinstance(c, (int, Fraction)) else Fraction(c)))
 
     # -- queries ---------------------------------------------------------
 
     @property
+    def num(self) -> QPoly:
+        """The numerator over the monic denominator `den`."""
+        return _qpoly_over(self.n, self.d[-1])
+
+    @property
+    def den(self) -> QPoly:
+        return _qpoly_over(self.d, self.d[-1])
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.n
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self.n)
 
     def as_poly(self) -> QPoly:
-        if not self.den.is_one:
+        if len(self.d) > 1:
             raise ValueError(f"not a polynomial: {self}")
         return self.num
 
@@ -316,18 +325,16 @@ class RatFunc:
         """deg(den) - deg(num); None for zero.  Positive means vanishing as q grows."""
         if self.is_zero:
             return None
-        return self.den.degree() - self.num.degree()
+        return len(self.d) - len(self.n)
 
     # -- coercion ----------------------------------------------------------
 
-    def _coerce(self, x):
+    @staticmethod
+    def _coerce(x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, QPoly):
-            return RatFunc._mk(x, QPoly.one())
-        if isinstance(x, (int, Fraction)):
-            return RatFunc.const(x)
-        return None
+        p = _pair(x)
+        return None if p is None else RatFunc._mk(*p)
 
     # -- field operations ----------------------------------------------------
 
@@ -335,39 +342,36 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero:
+        if not self.n:
             return other
-        if other.is_zero:
+        if not other.n:
             return self
-        d1, d2 = self.den, other.den
-        if d1.ic == d2.ic:
-            # both are monic, so equal tuples are equal denominators
-            g = den = d1
-            num = self.num + other.num
+        n1, d1, n2, d2 = self.n, self.d, other.n, other.d
+        if d1 == d2:
+            g = d = d1
+            n = _k.zz_add(n1, n2)
+            if not n:
+                return RatFunc._mk((), (1,))
         else:
-            g = d1.gcd(d2)
-            if g.degree() == 0:
-                num = self.num * d2 + other.num * d1
-                den = d1 * d2
-                if num.is_zero:
-                    return RatFunc.const(0)
-                return _monicized(num, den)
-            d1r = d1.div_exact(g)
-            d2r = d2.div_exact(g)
-            num = self.num * d2r + other.num * d1r
-            den = d1 * d2r
-        if num.is_zero:
-            return RatFunc.const(0)
-        h = num.gcd(g)
-        if h.degree() > 0:
-            num = num.div_exact(h)
-            den = den.div_exact(h)
-        return _monicized(num, den)
+            # x + y is zero only for equal denominators, so n is nonzero
+            g = _gcd_ic(d1, d2)
+            if len(g) == 1:
+                return _reduced(_k.zz_add(_k.zz_mul(n1, d2), _k.zz_mul(n2, d1)),
+                                _k.zz_mul(d1, d2))
+            d1r = _divexact_ic(d1, g)
+            d2r = _divexact_ic(d2, g)
+            n = _k.zz_add(_k.zz_mul(n1, d2r), _k.zz_mul(n2, d1r))
+            d = _k.zz_mul(d1, d2r)
+        # a common factor of n and d divides g
+        h = _gcd_ic(n, g)
+        if len(h) > 1:
+            n, d = _divexact_ic(n, h), _divexact_ic(d, h)
+        return _reduced(n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._mk(-self.num, self.den)
+        return RatFunc._mk(tuple(-c for c in self.n), self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -382,19 +386,21 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatFunc.const(0)
-        # cross-cancellation keeps the product already reduced
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
-        return _monicized(n1 * n2, d1 * d2)
+        if not self.n or not other.n:
+            return RatFunc._mk((), (1,))
+        # cross-cancellation keeps the product reduced over Q
+        n1, d2 = _cancel(self.n, other.d)
+        n2, d1 = _cancel(other.n, self.d)
+        return _reduced(_k.zz_mul(n1, n2), _k.zz_mul(d1, d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RatFunc":
-        if self.is_zero:
+        if not self.n:
             raise ZeroDivisionError("inverting zero rational function")
-        return _monicized(self.den, self.num)
+        if self.n[-1] < 0:
+            return RatFunc._mk(tuple(-c for c in self.d), tuple(-c for c in self.n))
+        return RatFunc._mk(self.d, self.n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -427,13 +433,13 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
         # a polynomial equals its numerator QPoly, so it hashes as one
-        if self.den.is_one:
+        if len(self.d) == 1:
             return hash(self.num)
-        return hash((self.num, self.den))
+        return hash((self.n, self.d))
 
     def __str__(self):
         if self.den.is_one:
@@ -450,31 +456,39 @@ class RatFunc:
         return f"RatFunc({self!s})"
 
 
-def _ratfunc_normalize(num: QPoly, den: QPoly) -> RatFunc:
-    if den.is_zero:
-        raise ZeroDivisionError("rational function with zero denominator")
-    if num.is_zero:
-        return RatFunc._mk(QPoly.zero(), QPoly.one())
-    return _monicized(*_cancel(num, den))
+def _pair(x):
+    """(n, d) of an int, Fraction or QPoly in the RatFunc form; else None."""
+    if isinstance(x, QPoly):
+        c = x.content
+        return tuple(c.numerator * v for v in x.ic), (c.denominator,)
+    if isinstance(x, (int, Fraction)):
+        return ((x.numerator,) if x else ()), (x.denominator,)
+    return None
 
 
-def _monicized(num: QPoly, den: QPoly) -> RatFunc:
-    """Build a RatFunc from an already-coprime num/den pair."""
-    c = den.content
-    if c.numerator == 1 and c.denominator == den.ic[-1]:
-        return RatFunc._mk(num, den)  # den is monic already
-    lead = c * den.ic[-1]
-    den = QPoly._mk(den.ic, Fraction(1, den.ic[-1]))
-    num = QPoly._mk(num.ic, num.content / lead)
-    return RatFunc._mk(num, den)
+def _qpoly_over(ic: tuple, s: int) -> QPoly:
+    """The QPoly ic/s, for integer coefficients ic and an int s > 0."""
+    p = QPoly(ic)
+    return QPoly._mk(p.ic, p.content / s)
 
 
-def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
-    g = _gcd_ic(a.ic, b.ic)
+def _cancel(a, b) -> tuple:
+    """a/g and b/g for the primitive gcd g of a and b."""
+    g = _gcd_ic(a, b)
     if len(g) <= 1:
         return a, b
-    return (QPoly._mk(_divexact_ic(a.ic, g), a.content),
-            QPoly._mk(_divexact_ic(b.ic, g), b.content))
+    return _divexact_ic(a, g), _divexact_ic(b, g)
+
+
+def _reduced(n, d) -> RatFunc:
+    """n/d as a RatFunc, for n nonzero and coprime to d over Q: the gcd of
+    all their coefficients, with the sign of d[-1], is divided out."""
+    c = _igcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c == 1:
+        return RatFunc._mk(tuple(n), tuple(d))
+    return RatFunc._mk(tuple(v // c for v in n), tuple(v // c for v in d))
 
 
 # Every integer-polynomial gcd and exact division of this module goes through
@@ -483,8 +497,8 @@ def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
 # answer needs no remainder sequence, so both take it without the kernel.
 
 
-def _gcd_ic(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd of two integer coefficient tuples, as `zz_gcd` gives it.
+def _gcd_ic(a, b) -> tuple:
+    """Primitive gcd of two integer coefficient sequences, as `zz_gcd` gives it.
 
     With a monomial c*q^k on either side the gcd is q^min(val a, val b).
     """
@@ -506,8 +520,8 @@ def _gcd_ic(a: tuple, b: tuple) -> tuple:
 # first: the v low entries of a must be zero, and a/b = (a/q^v)/(b/q^v).
 
 
-def _divexact_ic(a: tuple, b: tuple) -> tuple:
-    """Exact quotient a/b of integer coefficient tuples, as `zz_divexact` gives it.
+def _divexact_ic(a, b) -> tuple:
+    """Exact quotient a/b of integer coefficient sequences, as `zz_divexact` gives it.
 
     Dividing by q^k drops k leading entries, which must all be zero.
     """
@@ -516,26 +530,20 @@ def _divexact_ic(a: tuple, b: tuple) -> tuple:
         v += 1
     if any(a[:v]):
         raise ValueError("inexact polynomial division")
-    if b[v:] == (1,):
-        return a[v:]
+    if len(b) == v + 1 and b[v] == 1:
+        return tuple(a[v:])
     return tuple(_k.zz_divexact(list(a[v:]), list(b[v:])))
 
 
 def qpow(k: int) -> RatFunc:
     """q^k as a RatFunc, any integer k."""
     if k >= 0:
-        return RatFunc._mk(QPoly.monomial(k), QPoly.one())
-    return RatFunc._mk(QPoly.one(), QPoly.monomial(-k))
+        return RatFunc._mk((0,) * k + (1,), (1,))
+    return RatFunc._mk((1,), (0,) * -k + (1,))
 
 
 def _elem_inv(c):
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    if isinstance(c, RatFunc):
-        return c.reciprocal()
-    return 1 / c
+    return Fraction(1, c) if isinstance(c, int) else 1 / c
 
 
 def _elem_div_int(c, n: int):

@@ -56,6 +56,13 @@ def _prime_power(q: int):
     return q, 1
 
 
+def _field_size(q: int):
+    """(p, k) with q = p^k <= 25, the sizes the field tables support."""
+    if q > 25:
+        raise ValueError("field tables support q <= 25")
+    return _prime_power(q)
+
+
 def _poly_rem(num, den, p):
     num = list(num)
     dq = len(den) - 1
@@ -95,9 +102,7 @@ class FiniteField:
     __slots__ = ("q", "p", "k", "add", "mul", "neg", "inv")
 
     def __init__(self, q: int):
-        if q > 25:
-            raise ValueError("field tables support q <= 25")
-        p, k = _prime_power(q)
+        p, k = _field_size(q)
         self.q, self.p, self.k = q, p, k
         modulus = _find_modulus(p, k) if k > 1 else (0, 1)
 
@@ -330,7 +335,7 @@ def _check_budget(flavor: str, n: int, q: int) -> None:
         raise ValueError("group order exceeds enumeration budget")
     if flavor == "u" and (q * q) ** n > _SCAN_BUDGET:
         raise ValueError("unitary row-scan space exceeds budget")
-    FiniteField(q * q if flavor == "u" else q)  # validates field size
+    _field_size(q * q if flavor == "u" else q)
 
 
 @lru_cache(maxsize=None)

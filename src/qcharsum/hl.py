@@ -292,14 +292,6 @@ def hl_principal(lam, z, t) -> RatFunc:
     return _hl_value(_as_partition(lam).parts, RatFunc(z), RatFunc(t))
 
 
-def _scaled_ic(r: RatFunc) -> tuple:
-    """Integer lists (a, b) with r = a/b: each content is folded into a and b,
-    unreduced, since the value is normalized once at the end."""
-    n, d = r.num.content, r.den.content
-    return (_k.zz_mul_scalar(list(r.num.ic), n.numerator * d.denominator),
-            _k.zz_mul_scalar(list(r.den.ic), n.denominator * d.numerator))
-
-
 def _pack(co: list, s: int) -> int:
     """The integer polynomial co evaluated at q = 2^s."""
     v = 0
@@ -342,7 +334,7 @@ def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
     n = sum(parts)
     big_n = n * (n + 1) // 2
     big_k = max(k for k, _ in f)
-    (a, b), (c, d) = _scaled_ic(z), _scaled_ic(t)
+    (a, b), (c, d) = (z.n, z.d), (t.n, t.d)
     na, nb, nc, nd = (sum(map(abs, co)) for co in (a, b, c, d))
     num_bound = sum(map(abs, f.values())) * max(nc, nd) ** big_k * max(na, nb) ** big_n
     den_bound = nd ** big_k * prod(na ** i + nb ** i for i in range(1, n + 1))
@@ -389,12 +381,8 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
         raise ValueError("need at least ell(lam) variables")
     if len(set(xs)) != m:
         raise ValueError("variables must be distinct")
-    # r = a/b with the contents folded, unreduced, into the integer lists a and b
-    a, b = [], []
-    for r in xs + (t,):
-        n, d = r.num.content, r.den.content
-        a.append(_k.zz_mul_scalar(list(r.num.ic), n.numerator * d.denominator))
-        b.append(_k.zz_mul_scalar(list(r.den.ic), n.denominator * d.numerator))
+    # r = a/b, the integer pair that r stores
+    a, b = [r.n for r in xs + (t,)], [r.d for r in xs + (t,)]
     top = lam.parts[0] if lam.parts else 0
     padded = lam.parts + (0,) * (m - lam.ell)
     cosets = set(permutations(padded))

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce, wraps
 
-from .exact import QPoly, RatFunc, Series
+from .exact import RatFunc, Series
 from .partitions import _gauss_row
 from .polycount import parity_e
 
@@ -131,18 +131,18 @@ class EulerSeries:
                 p = self.coefficient(n)
                 top = max([n * (n + 1) // 2, *p])
                 den = enumerate(_one_minus_powers(range(1, n + 1)))
-                co.append(RatFunc(_in_q(p.items(), sign, top), _in_q(den, sign, top)))
+                co.append(RatFunc.from_ic(_in_q(p.items(), sign, top), _in_q(den, sign, top)))
             done = self._read[sign] = Series(co, order)
         return done if done.order == order else Series(done.co[:order + 1], order)
 
 
-def _in_q(terms, sign: int, shift: int) -> QPoly:
-    """q^shift p(sign/q) for the polynomial p in x with the (exponent,
-    coefficient) terms, of degree <= shift."""
+def _in_q(terms, sign: int, shift: int) -> list:
+    """q^shift p(sign/q), as an integer coefficient list, for the polynomial
+    p in x with the (exponent, coefficient) terms, of degree <= shift."""
     co = [0] * (shift + 1)
     for e, c in terms:
         co[shift - e] += -c if sign < 0 and e % 2 else c
-    return QPoly(co)
+    return co
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,5 @@ def named_gf_value(name: str, parity: str, n: int) -> RatFunc:
     prefactor (x = -1/q): q^binom(n+1,2) P_n(x), by one re-indexing."""
     series, sign = _named(name, parity)
     p, shift = series.coefficient(n), n * (n + 1) // 2
-    top = max(p, default=0)
-    if top <= shift:
-        return RatFunc._mk(_in_q(p.items(), sign, shift), QPoly.one())
-    return RatFunc(_in_q(p.items(), sign, top), QPoly.monomial(top - shift))
+    top = max([shift, *p])
+    return RatFunc.from_ic(_in_q(p.items(), sign, top), (0,) * (top - shift) + (1,))

@@ -27,7 +27,7 @@ from math import factorial, lcm
 
 from . import _kernel as _k
 from . import chars, groups
-from .exact import QPoly, RatFunc, Series, qpow
+from .exact import RatFunc, Series, qpow
 from .hl import (hl_finite_oracle, hl_principal, hl_principal_poly,
                  pochhammer_cd, rs_multi)
 from .partitions import Partition, _gauss_row, enumerate_partitions
@@ -142,12 +142,13 @@ def _prodlem_lhs(flavor: str, which: int, order: int, q, parity) -> Series:
         s1, s2 = {1: (-1, -1), 2: (1, -1), 3: (1, 1)}[which]
         factors.append((s1, d, count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual))
         factors.append((s2, d, count_selfdual_and_pairs(d, q, flavor, parity).m_pairs))
-    polys = [(sign, d, RatFunc(count).as_poly()) for sign, d, count in factors if count]
-    m = lcm(*(p.content.denominator for _, _, p in polys)) * factorial(order)
+    counts = [(sign, d, RatFunc(count)) for sign, d, count in factors if count]
+    if any(len(r.d) > 1 for _, _, r in counts):
+        raise ValueError("a class count is not a polynomial")
+    m = lcm(*(r.d[0] for _, _, r in counts)) * factorial(order)
     total = [[1]] + [[]] * order
-    for sign, d, p in polys:
-        den = p.content.denominator
-        num = [c * p.content.numerator for c in p.ic]
+    for sign, d, r in counts:
+        (den,), num = r.d, list(r.n)
         factor = [[1]]  # the scaled w^(dk) coefficients; m^d/(den*k) is an integer
         for k in range(1, order // d + 1):
             step = _k.zz_mul_scalar(_k.zz_add(num, [(k - 1) * den]), -sign * m ** d // (den * k))
@@ -155,8 +156,9 @@ def _prodlem_lhs(flavor: str, which: int, order: int, q, parity) -> Series:
         for n in range(order, d - 1, -1):  # times the factor, in place from the top
             for k in range(1, n // d + 1):
                 total[n] = _k.zz_add(total[n], _k.zz_mul(total[n - d * k], factor[k]))
-    co = [QPoly(c) * Fraction(1, m ** n) for n, c in enumerate(total)]
-    return Series([RatFunc(c) if q is None else c.coefficient(0) for c in co], order)
+    if q is None:
+        return Series([RatFunc.from_ic(c, (m ** n,)) for n, c in enumerate(total)], order)
+    return Series([Fraction(c[0] if c else 0, m ** n) for n, c in enumerate(total)], order)
 
 
 def _prodlem_rhs(flavor: str, which: int, order: int, q, parity) -> Series:
@@ -217,7 +219,7 @@ def _iden_rhs_coefficient(n: int, squared: bool) -> RatFunc:
             term = _k.zz_mul(term, [-1] + [0] * (i - 1) + [1])
         shift = r * (n - r) if squared else r * (r - 1) // 2
         num = _k.zz_add(num, [0] * shift + term)
-    return RatFunc(QPoly(num), QPoly(chars._order_ic(1, n)))
+    return RatFunc.from_ic(num, chars._order_ic(1, n))
 
 
 def _iden_sides(squared: bool) -> tuple:
@@ -242,14 +244,14 @@ _IGL_TABLE = {
 
 def _igl_tabulated(n: int) -> RatFunc:
     shift, coeffs = _IGL_TABLE[n]
-    return RatFunc.const(1) * QPoly(list(coeffs)) * qpow(shift)
+    return RatFunc.from_ic(coeffs, (1,)) * qpow(shift)
 
 
 def _igl_observation(nmax: int, observe_nmax: int) -> str:
     """Reported, not gating: whether the coefficients stay in {-1, 0, 1}."""
     for n in range(1, observe_nmax + 1):
-        p = chars.involution_count("gl", n, None, "even").as_poly()
-        if abs(p.content) != 1 or any(c not in (-1, 0, 1) for c in p.ic):
+        r = chars.involution_count("gl", n, None, "even")
+        if r.d != (1,) or any(c not in (-1, 0, 1) for c in r.n):
             return (f"observation: coefficients leave {{-1,0,1}} at rank "
                     f"{n} (checked up to {observe_nmax})")
     return f"observation: coefficients in {{-1,0,1}} up to rank {observe_nmax}"

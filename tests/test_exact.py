@@ -1,6 +1,7 @@
 """Exact arithmetic layers: integer polynomials, rational functions in q,
 truncated series, and small multivariate polynomials."""
 
+import fractions
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -106,6 +107,29 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc.const(1) / RatFunc.const(0)
 
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        # the operands are built first: two with non-monomial denominators,
+        # two over q^k, with integer contents on both sides
+        q = RatFunc.x()
+        ops = [(2 * q + 4) / (3 * q ** 2 - 3), (q ** 2 + 1) / (6 * q + 2),
+               Fraction(5, 2) * qpow(-3), (4 * q - 6) * qpow(-2) / 9]
+        made = []
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+        for a in ops:
+            for b in ops:
+                a + b, a - b, a * b, a / b
+            a ** 3, a ** -2, a.reciprocal(), -a
+            2 + a, a + 2, 3 - a, a - 3, 4 * a, a * 4, 5 / a, a / 5
+        qpow(4), qpow(-4), qpow(0)
+        monkeypatch.undo()
+        assert made == []
+
 
 class TestLaurentFastPath:
     """Against a monomial q^k, gcds and exact divisions skip the kernel."""
@@ -148,9 +172,9 @@ class TestLaurentFastPath:
         assert QPoly([0, 0, 3, 6]).gcd(QPoly.monomial(5)) == QPoly.monomial(2)
         assert QPoly.monomial(1, 7).gcd(QPoly([0, 0, 3, 6])) == QPoly.x()
         assert QPoly([1, 2]).gcd(QPoly.monomial(3)) == QPoly.one()
-        assert QPoly([0, 0, 3, 6]).div_exact(QPoly.monomial(2, 3)) == QPoly([1, 2])
+        assert exact._divexact_ic((0, 0, 1, 2), (0, 0, 1)) == (1, 2)
         with pytest.raises(ValueError):
-            QPoly([1, 1]).div_exact(QPoly.x())
+            exact._divexact_ic((1, 1), (0, 1))
 
 
 class TestEqualDenominators:
@@ -295,6 +319,15 @@ nonzero_ratfuncs = ratfuncs.filter(bool)
 
 
 def assert_canonical(r: RatFunc):
+    # the stored pair: equality compares it, so it must be unique per value
+    n, d = r.n, r.d
+    assert type(n) is tuple and type(d) is tuple
+    assert (not n or n[-1]) and d[-1] > 0  # so no trailing zero either
+    assert gcd(*n, *d) == 1
+    assert len(zz_gcd(list(n), list(d))) == 1
+    if not n:
+        assert d == (1,)
+    # and the QPoly fields read back from it
     for p in (r.num, r.den):
         assert isinstance(p.content, Fraction)
         if p.ic:

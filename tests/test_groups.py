@@ -278,6 +278,19 @@ def test_budgets_refuse_before_any_vector_table_is_built(monkeypatch):
         groups._VectorTables(25, 3)
 
 
+def test_budget_check_validates_q_without_building_a_field(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(groups, "FiniteField", forbidden)
+    groups._enumerate_stats.cache_clear()
+    assert group_order("gl", 0, 4) == 1
+    with pytest.raises(ValueError, match="not a prime power"):
+        group_order("gl", 0, 6)
+    with pytest.raises(ValueError, match="q <= 25"):
+        group_order("gl", 1, 27)
+
+
 @pytest.mark.parametrize("flavor", ["gl", "u"])
 def test_rank_zero_is_the_trivial_group(flavor):
     mats = gl_matrices(0, 2) if flavor == "gl" else u_matrices(0, 2)

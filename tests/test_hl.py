@@ -381,7 +381,7 @@ def test_finite_oracle_columns_where_v_lam_vanishes(monkeypatch):
         raise AssertionError("finite oracle must not use the tableau route")
 
     for name in ("hl_principal", "kostka_foulkes", "_hl_principal_poly",
-                 "_hl_value", "_scaled_ic"):
+                 "_hl_value"):
         monkeypatch.setattr(hl, name, forbidden)
     q = RatFunc.x()
     xs = (q, q + 1, 1 - q, q + 2)

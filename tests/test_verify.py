@@ -806,7 +806,7 @@ def test_hl_finite_oracle_check_never_reaches_hl_principal_poly(monkeypatch):
         raise AssertionError("oracle-hl-finite must not use the integer F_lam")
 
     monkeypatch.setattr(verify, "hl_principal", lambda lam, z, t: seen[tuple(lam), z, t])
-    for name in ("hl_principal", "_hl_value", "_scaled_ic", "hl_principal_poly",
+    for name in ("hl_principal", "_hl_value", "hl_principal_poly",
                  "_hl_principal_poly", "kostka_foulkes"):
         monkeypatch.setattr(hl, name, forbidden)
     monkeypatch.setattr(verify, "hl_principal_poly", forbidden)
