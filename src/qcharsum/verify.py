@@ -143,12 +143,10 @@ def _prodlem_lhs(flavor: str, which: int, order: int, q, parity) -> Series:
         factors.append((s1, d, count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual))
         factors.append((s2, d, count_selfdual_and_pairs(d, q, flavor, parity).m_pairs))
     counts = [(sign, d, RatFunc(count)) for sign, d, count in factors if count]
-    if any(len(r.d) > 1 for _, _, r in counts):
-        raise ValueError("a class count is not a polynomial")
     m = lcm(*(r.d[0] for _, _, r in counts)) * factorial(order)
     total = [[1]] + [[]] * order
     for sign, d, r in counts:
-        (den,), num = r.d, list(r.n)
+        (den,), num = r.d, list(r.n)  # r = P/D has the one-entry denominator D
         factor = [[1]]  # the scaled w^(dk) coefficients; m^d/(den*k) is an integer
         for k in range(1, order // d + 1):
             step = _k.zz_mul_scalar(_k.zz_add(num, [(k - 1) * den]), -sign * m ** d // (den * k))

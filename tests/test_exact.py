@@ -1,7 +1,6 @@
 """Exact arithmetic layers: integer polynomials, rational functions in q,
 truncated series, and small multivariate polynomials."""
 
-import fractions
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -120,7 +119,7 @@ class TestRatFunc:
             made.append(args)
             return real(cls, *args, **kwargs)
 
-        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         for a in ops:
             for b in ops:
                 a + b, a - b, a * b, a / b
