@@ -18,10 +18,11 @@ class (Green's degree formula, char_degree).  Two routes sum those degrees:
 * real_sum_gf_from_classes factors the generating function over
   self-conjugate classes and pairs.  Its per-class blocks are built from the
   fake-degree polynomials f_mu(y) = (y;y)_n s_mu(1, y, ...) of the hl module
-  at y = +-q^d, one integer-polynomial ratio per coefficient.  They and their
-  logarithms are memoized, since they do not depend on the parity of q; the
-  class counts come through the count_selfdual_and_pairs binding on every
-  call.
+  at y = x^d, x = +-q, and raised to the symbolic class counts by finite
+  binomial series, all in integer lists scaled by (x;x)_n.  The powers of
+  the blocks are memoized, since they depend neither on q nor on its
+  parity; the class counts come through the count_selfdual_and_pairs
+  binding on every call.
 
 Everything is exact: integers at numeric q, RatFunc values symbolically
 (q=None).  The closed-form involution count is the paper's sum of group-order
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from . import _kernel as _k
 from .exact import QPoly, RatFunc, Series
@@ -269,94 +270,126 @@ def char_degree(param: CharParam, q=None):
 # ---------------------------------------------------------------------------
 
 
-def assignment_block_gf(flavor: str, d: int, order: int, q=None):
-    """(T_d, G_d): per-class generating functions in u.
+def _eulerian_product(a: list, b: list, rows: list) -> list:
+    """(x;x)_n (AB)_n = sum_j [n choose j]_x A_j B_(n-j) for series stored
+    by their scaled coefficients A_n = (x;x)_n a_n, integer lists in x."""
+    out = []
+    for n, row in enumerate(rows):
+        acc = []
+        for j in range(n + 1):
+            if a[j] and b[n - j]:
+                acc = _k.zz_add(acc, _k.zz_mul(row[j], _k.zz_mul(a[j], b[n - j])))
+        out.append(acc)
+    return out
 
-    T_d = sum_lam u^(d|lam|) f(d,lam) for one self-conjugate class,
-    G_d = sum_lam u^(2d|lam|) f(d,lam)^2 for one conjugate pair,
-    where f is the class factor entering the degree formula (_class_factor).
 
-    Put y = eps*q^d, with eps = -1 for u at odd d and +1 otherwise.  Since
-    lam and lam' have the same hooks, f(d,lam) = sigma_lam f_lam'(y)/(y;y)_m
-    for |lam| = m, with the fake degree f_mu(y) = (y;y)_m s_mu(1, y, y^2, ...)
-    of hl._fake_degree (Stanley, EC2, Cor. 7.21.5) and sigma_lam = (-1)^m, or
-    (-1)^n(lam) for u at odd d.  So the u^(dm) coefficient of T_d is the
-    integer polynomial sum_lam sigma_lam f_lam'(y) over (y;y)_m, and the
-    u^(2dm) coefficient of G_d is sum_lam f_lam'(y)^2 over (y;y)_m^2: one
-    normalization, or one exact evaluation at numeric q, per coefficient.
+def _at_power(co: list, d: int) -> list:
+    """co(x^d) for an integer coefficient list co in x."""
+    out = [0] * (d * (len(co) - 1) + 1)
+    out[::d] = co
+    return out
 
-    The blocks do not depend on the parity of q.  They are memoized per
-    (flavor, d, order, q), so a second call returns the same pair.
-    """
-    if flavor not in ("gl", "u"):
-        raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
-    _qval(q)
-    return _assignment_blocks(flavor, d, order, q)
+
+def _signed(co, eps: int) -> list:
+    """p(eps*x) for the integer coefficient list co of p: a list in
+    x = eps*q read in q, or the other way round."""
+    return [-c if eps < 0 and i % 2 else c for i, c in enumerate(co)]
 
 
 @lru_cache(maxsize=None)
-def _assignment_blocks(flavor: str, d: int, order: int, q):
-    one = _qval(q) ** 0
-    eps = -1 if flavor == "u" and d % 2 else 1
-    t_co = [one] + [one * 0] * order
-    g_co = list(t_co)
-    den = [1]  # (y;y)_m
+def _assignment_blocks(flavor: str, d: int, order: int) -> tuple:
+    """The powers (T_d - 1)^k and (G_d - 1)^k, k = 0, 1, ..., of the
+    per-class generating functions in u
+
+    T_d = sum_lam u^(d|lam|) f(d,lam) for one self-conjugate class,
+    G_d = sum_lam u^(2d|lam|) f(d,lam)^2 for one conjugate pair,
+
+    f the class factor of the degree formula (_class_factor).  A power is
+    the list over n <= order of its scaled coefficients (x;x)_n c_n, integer
+    lists in x = q (gl) or -q (u); k runs while u^k(d or 2d) <= u^order.
+
+    Put y = x^d.  Since lam and lam' have the same hooks, f(d,lam) =
+    sigma_lam f_lam'(y)/(y;y)_m for |lam| = m, with the fake degree
+    f_mu(y) = (y;y)_m s_mu(1, y, y^2, ...) of hl._fake_degree (Stanley, EC2,
+    Cor. 7.21.5) and sigma_lam = (-1)^m, or (-1)^n(lam) for u at odd d.  So
+    T_d holds at u^(dm) the sum of sigma_lam f_lam'(y) prod_(i <= dm, d not
+    dividing i) (1 - x^i), and G_d at u^(2dm) the sum of f_lam'(y)^2 times
+    [2m, m]_y and that product up to 2dm.  The powers depend neither on q
+    nor on its parity, so they are memoized per (flavor, d, order).
+    """
+    odd_u = flavor == "u" and d % 2 == 1
+    rows = [_gauss_row_at(1, n) for n in range(order + 1)]
+    kept = [[1]]  # kept[n] = prod_(i <= n, d not dividing i) (1 - x^i)
+    for i in range(1, order + 1):
+        kept.append(kept[-1] if i % d == 0 else _times_one_minus_zpow(kept[-1], i))
+    t_one, g_one = [[] for _ in rows], [[] for _ in rows]  # T_d - 1, G_d - 1
     for m in range(1, order // d + 1):
         paired = 2 * d * m <= order
         t_sum, g_sum = [], []
         for lam in enumerate_partitions(m):
             f = _fake_degree(lam.conjugate().parts)
-            sign = (-1) ** (lam.n_stat() if eps < 0 else m)
+            sign = (-1) ** (lam.n_stat() if odd_u else m)
             t_sum = _k.zz_add(t_sum, _k.zz_mul_scalar(f, sign))
             if paired:
                 g_sum = _k.zz_add(g_sum, _k.zz_mul(f, f))
-        den = _times_one_minus_zpow(den, m)
-        t_co[d * m] = _at_y(t_sum, den, d, eps, q)
+        t_one[d * m] = _k.zz_mul(_at_power(t_sum, d), kept[d * m])
         if paired:
-            g_co[2 * d * m] = _at_y(g_sum, _k.zz_mul(den, den), d, eps, q)
-    return Series(t_co, order), Series(g_co, order)
-
-
-@lru_cache(maxsize=None)
-def _assignment_block_logs(flavor: str, d: int, order: int, q) -> tuple:
-    """(log T_d, log G_d), memoized like the blocks: they too do not depend
-    on the parity of q."""
-    return tuple(block.log() for block in _assignment_blocks(flavor, d, order, q))
-
-
-def _at_y(num: list, den: list, d: int, eps: int, q):
-    """num(y)/den(y) at y = eps*q^d, for integer coefficient lists in y."""
-    def in_q(co):
-        out = [0] * (d * (len(co) - 1) + 1)
-        for k, c in enumerate(co):
-            out[d * k] = -c if eps < 0 and k % 2 else c
-        return QPoly(out)
-
-    num_q, den_q = in_q(num), in_q(den)
-    return RatFunc(num_q, den_q) if q is None else num_q.eval(q) / den_q.eval(q)
+            g_sum = _at_power(_k.zz_mul(g_sum, rows[2 * m][m]), d)
+            g_one[2 * d * m] = _k.zz_mul(g_sum, kept[2 * d * m])
+    blocks = []
+    for one, step in ((t_one, d), (g_one, 2 * d)):
+        powers = [[[1]] + [[] for _ in range(order)]]
+        for _ in range(order // step):
+            powers.append(_eulerian_product(powers[-1], one, rows))
+        blocks.append(powers)
+    return tuple(blocks)
 
 
 def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Series:
     """Generating function sum_n u^n * (real degree sum at rank n)/prefactor,
-    assembled from the class-count formulas (count_selfdual_and_pairs,
-    symbolic q allowed) and the per-class blocks: the product over d of
-    T_d^N*(d) G_d^M*(d), with each non-integer (symbolic) count taken through
-    one exp of the summed count * log(block).
+    assembled from the class-count formulas (count_selfdual_and_pairs at
+    symbolic q) and the per-class blocks: the product over d of
+    T_d^N*(d) G_d^M*(d).  A block B with count N = P/D, P in Z[q], enters as
+    B^N = sum_k C(N, k) (B - 1)^k over the powers of _assignment_blocks.
+    With u scaled by M = lcm(D)*order!, coefficient n of a factor is
+    sum_k P(P-D)...(P-(k-1)D) M^n/(D^k k!) (B - 1)^k_n, an integer list in
+    x = eps*q (eps = 1 for gl, -1 for u).  The factors multiply by the
+    q-binomial convolution, and coefficient n of the product is normalized
+    once, over (x;x)_n M^n.  At numeric q the coefficients are evaluated.
     """
     par = _parity_name(q, parity)
-    qq = _qval(q)
-    out = Series.constant(qq ** 0, order)
-    log_sum = out * 0  # sum of count * log(block) over the non-integer counts
+    _qval(q)
+    eps = 1 if flavor == "gl" else -1
+    factors = []
     for d in range(1, order + 1):
-        cc = count_selfdual_and_pairs(d, q, flavor, parity=par)
-        blocks = assignment_block_gf(flavor, d, order, q)
-        for k, count in enumerate((cc.n_selfdual, cc.m_pairs)):
-            if not isinstance(count, int):
-                log = _assignment_block_logs(flavor, d, order, q)[k]
-                log_sum = log_sum + log * count
-            elif count:
-                out = out * blocks[k] ** count
-    return out * log_sum.exp()
+        cc = count_selfdual_and_pairs(d, None, flavor, parity=par)
+        for powers, count in zip(_assignment_blocks(flavor, d, order),
+                                 (cc.n_selfdual, cc.m_pairs)):
+            if count and len(powers) > 1:
+                factors.append((powers, RatFunc(count)))
+    big_m = lcm(*(r.d[0] for _, r in factors)) * factorial(order)
+    rows = [_gauss_row_at(1, n) for n in range(order + 1)]
+    total = [[1]] + [[] for _ in range(order)]
+    for powers, r in factors:
+        (den,), num = r.d, _signed(r.n, eps)  # r = P/D, P as a list in x
+        factor = [[] for _ in rows]
+        binom = [1]  # P(P-D)...(P-(k-1)D)
+        for k, power in enumerate(powers):
+            if k:
+                binom = _k.zz_mul(binom, _k.zz_add(num, [(1 - k) * den]))
+            scale = den ** k * factorial(k)
+            for n, co in enumerate(power):
+                if co:
+                    term = _k.zz_mul_scalar(_k.zz_mul(binom, co), big_m ** n // scale)
+                    factor[n] = _k.zz_add(factor[n], term)
+        total = _eulerian_product(total, factor, rows)
+    co, pochhammer = [], [1]  # (x;x)_n
+    for n, p in enumerate(total):
+        if n:
+            pochhammer = _times_one_minus_zpow(pochhammer, n)
+        den = _k.zz_mul_scalar(_signed(pochhammer, eps), big_m ** n)
+        co.append(RatFunc.from_ic(_signed(p, eps), den))
+    return Series(co if q is None else [c.eval(q) for c in co], order)
 
 
 def _labels(slots: list, start: int, n: int):

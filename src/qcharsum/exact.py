@@ -546,12 +546,6 @@ def _elem_inv(c):
     return Fraction(1, c) if isinstance(c, int) else 1 / c
 
 
-def _elem_div_int(c, n: int):
-    if isinstance(c, int):
-        return Fraction(c, n)
-    return c / n
-
-
 class Series:
     """Truncated power series in u: known coefficients 0..order inclusive.
 
@@ -645,32 +639,6 @@ class Series:
                 if a[k]:
                     acc = acc + a[k] * out[n - k]
             out.append(-acc * b0 if acc else acc)
-        return Series(out, self.order)
-
-    def exp(self) -> "Series":
-        a = self.co
-        if a[0] != a[0] * 0:
-            raise ValueError("series exp needs constant term 0")
-        out = [self.one_elem]
-        for n in range(1, self.order + 1):
-            acc = self.zero_elem
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc = acc + (a[k] * k) * out[n - k]
-            out.append(_elem_div_int(acc, n))
-        return Series(out, self.order)
-
-    def log(self) -> "Series":
-        a = self.co
-        if a[0] != a[0] * 0 + 1:
-            raise ValueError("series log needs constant term 1")
-        out = [self.zero_elem]
-        for n in range(1, self.order + 1):
-            acc = self.zero_elem
-            for k in range(1, n):
-                if out[k] and a[n - k]:
-                    acc = acc + (out[k] * k) * a[n - k]
-            out.append(a[n] - _elem_div_int(acc, n))
         return Series(out, self.order)
 
     def compose_scale(self, c, k: int = 1) -> "Series":

@@ -38,8 +38,8 @@ Main entry points:
 hl_principal and hl_finite_oracle evaluate their integer polynomials at
 q = 2^s (Kronecker substitution): each polynomial is packed into one Python
 int per call, every product is one int product, and numerator and
-denominator are read back once in balanced base 2^s (_pack, _unpack,
-_read_back).  The read is exact because evaluation at 2^s is a ring map
+denominator are read back once in balanced base 2^s (_pack, _unpack) and
+normalized once.  The read is exact because evaluation at 2^s is a ring map
 Z[q] -> Z and s is chosen, from L1 norms, so that every coefficient of the
 result has absolute value < 2^(s-1).
 
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import prod
@@ -315,14 +314,6 @@ def _unpack(v: int, s: int) -> list:
     return co
 
 
-def _read_back(v: int, s: int) -> QPoly:
-    """_unpack(v, s) as a QPoly, its content split off in one kernel pass."""
-    content, ic = _k.zz_primitive(_unpack(v, s))
-    if ic and ic[-1] < 0:
-        content, ic = -content, _k.zz_neg(ic)
-    return QPoly._mk(tuple(ic), Fraction(content))
-
-
 @lru_cache(maxsize=None)
 def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
     # With z = a/b, t = c/d, N = n(n+1)/2 >= deg_z F and K = deg_t F:
@@ -346,7 +337,7 @@ def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
         by_k[k] = by_k.get(k, 0) + co * ab[e]
     num = sum(c ** k * d ** (big_k - k) * row for k, row in by_k.items())
     den = d ** big_k * prod(b ** i - a ** i for i in range(1, n + 1))
-    return RatFunc(_read_back(num, s), _read_back(den, s))
+    return RatFunc.from_ic(_unpack(num, s), _unpack(den, s))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +407,7 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
                      moved[j, i] if e[i] < e[j] else still[i, j])
         num += term
     den = d ** unequal * prod(b[i] ** top for i in range(m)) * prod(still.values())
-    return RatFunc(_read_back(num, s), _read_back(den, s))
+    return RatFunc.from_ic(_unpack(num, s), _unpack(den, s))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from qcharsum.chars import (
     _class_factor,
     _order_ic,
     _qval,
-    assignment_block_gf,
     char_degree,
     gl_group_order,
     gl_prefactor,
@@ -36,6 +35,7 @@ from qcharsum.exact import RatFunc, Series, qpow
 from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
 from qcharsum.partitions import enumerate_partitions, partitions_up_to
 from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs, to_int
+from _series_ref import exp, log
 
 
 Q = RatFunc.x()
@@ -488,9 +488,9 @@ def test_weyl_known_values():
 
 
 def _egf_coefficient_times_factorial(low, n):
-    """n! [u^n] exp(low[0] + low[1] u + low[2] u^2), by Series.exp."""
+    """n! [u^n] exp(low[0] + low[1] u + low[2] u^2), by the series exp."""
     s = Series([Fraction(c) for c in low] + [Fraction(0)] * n, n)
-    return to_int(s.exp().coefficient(n) * math.factorial(n))
+    return to_int(exp(s).coefficient(n) * math.factorial(n))
 
 
 def test_weyl_involutions_match_the_exponential_generating_functions():
@@ -531,61 +531,68 @@ def _blocks_from_class_factors(flavor, d, order, q):
     return Series(t_co, order), Series(g_co, order)
 
 
+def _scaled_block(flavor, scaled, q):
+    """The series with scaled coefficients (x;x)_n c_n, integer lists in
+    x = q (gl) or -q (u), read at q; None is symbolic q."""
+    x = _qval(q) * (1 if flavor == "gl" else -1)
+    co, pochhammer = [], x ** 0
+    for n, p in enumerate(scaled):
+        if n:
+            pochhammer = pochhammer * (1 - x ** n)
+        co.append(sum((c * x ** i for i, c in enumerate(p)), x * 0) / pochhammer)
+    return Series(co, len(scaled) - 1)
+
+
 @pytest.mark.parametrize("q", [None, 2, 3, 4, 5])
 @pytest.mark.parametrize("flavor", ["gl", "u"])
 def test_assignment_blocks_match_class_factor_sums(flavor, q):
     # The fake-degree route against the hook-product definition, coefficient
-    # for coefficient; the memo returns the same pair on a second call.
+    # for coefficient: power 1 of each memoized block is the block minus 1.
     for d in range(1, 9):
-        blocks = assignment_block_gf(flavor, d, 8, q)
-        for got, want in zip(blocks, _blocks_from_class_factors(flavor, d, 8, q)):
+        blocks = chars._assignment_blocks(flavor, d, 8)
+        for powers, want in zip(blocks, _blocks_from_class_factors(flavor, d, 8, q)):
+            scaled = powers[1] if len(powers) > 1 else [[]] * 9
+            got = _scaled_block(flavor, scaled, q) + 1
             assert got.order == want.order == 8
             assert got.co == want.co, (flavor, d, q)
-        assert assignment_block_gf(flavor, d, 8, q) is blocks
 
 
 def _gf_block_by_block(flavor, order, q, parity, counts):
-    """The class product with each block raised to its own class count."""
+    """The class product with each block, summed from the hook-product class
+    factors, raised to its own class count, by exp(count*log(block)) where
+    the count is not an integer."""
     qq = _qval(q)
     out = Series.constant(qq ** 0, order)
     for d in range(1, order + 1):
         cc = (brute_poly_census(d, q, flavor) if counts == "census"
               else count_selfdual_and_pairs(d, q, flavor, parity=parity))
-        for block, count in zip(assignment_block_gf(flavor, d, order, q),
+        for block, count in zip(_blocks_from_class_factors(flavor, d, order, q),
                                 (cc.n_selfdual, cc.m_pairs)):
             if isinstance(count, int):
                 out = out * block ** count
             else:
-                out = out * (block.log() * count).exp()
+                out = out * exp(log(block) * count)
     return out
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("flavor", ["gl", "u"])
 def test_class_product_takes_one_exp_of_the_summed_logs(flavor, parity):
-    # exp(sum count*log(block)) against the per-block powers, coefficient for
-    # coefficient at symbolic q.
+    # The integer binomial series against the per-block exp(count*log(block))
+    # of the generic series calculus, coefficient for coefficient at symbolic q.
     got = real_sum_gf_from_classes(flavor, 8, None, parity)
     assert got == _gf_block_by_block(flavor, 8, None, parity, "formula")
 
 
-def test_block_logs_are_taken_once_per_block(monkeypatch):
-    # Both parities at symbolic q read the same memoized logs: one
-    # Series.log per block, T_d and G_d for d = 1..6, and none the second time.
-    calls = []
-    real_log = Series.log
-
-    def counting(self):
-        calls.append(self)
-        return real_log(self)
-
-    chars._assignment_block_logs.cache_clear()
-    monkeypatch.setattr(Series, "log", counting)
+def test_block_powers_are_built_once_per_block():
+    # Both parities at symbolic q read the same memoized block powers: one
+    # entry per d = 1..6 on the first parity, and none more on the second.
+    chars._assignment_blocks.cache_clear()
     even = real_sum_gf_from_classes("u", 6, None, "even")
-    assert len(calls) == 2 * 6
+    assert chars._assignment_blocks.cache_info().currsize == 6
     odd = real_sum_gf_from_classes("u", 6, None, "odd")
-    assert len(calls) == 2 * 6
-    monkeypatch.undo()
+    info = chars._assignment_blocks.cache_info()
+    assert (info.currsize, info.misses) == (6, 6)
     assert even == _gf_block_by_block("u", 6, None, "even", "formula")
     assert odd == _gf_block_by_block("u", 6, None, "odd", "formula")
 

