@@ -306,13 +306,14 @@ def _assignment_blocks(flavor: str, d: int, order: int) -> tuple:
 
     f the class factor of the degree formula (_class_factor).  A power is
     the list over n <= order of its scaled coefficients (x;x)_n c_n, integer
-    lists in x = q (gl) or -q (u); k runs while u^k(d or 2d) <= u^order.
+    lists in x = q (gl) or -q (u); k runs to order // d for T_d and to
+    order // (2d) for G_d, the last powers below u^(order+1).
 
     Put y = x^d.  Since lam and lam' have the same hooks, f(d,lam) =
     sigma_lam f_lam'(y)/(y;y)_m for |lam| = m, with the fake degree
     f_mu(y) = (y;y)_m s_mu(1, y, y^2, ...) of hl._fake_degree (Stanley, EC2,
     Cor. 7.21.5) and sigma_lam = (-1)^m, or (-1)^n(lam) for u at odd d.  So
-    T_d holds at u^(dm) the sum of sigma_lam f_lam'(y) prod_(i <= dm, d not
+    scaled T_d holds at u^(dm) the sum of sigma_lam f_lam'(y) prod_(i <= dm, d not
     dividing i) (1 - x^i), and G_d at u^(2dm) the sum of f_lam'(y)^2 times
     [2m, m]_y and that product up to 2dm.  The powers depend neither on q
     nor on its parity, so they are memoized per (flavor, d, order).
