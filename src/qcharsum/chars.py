@@ -36,7 +36,8 @@ The unitary partition sums over Hall-Littlewood values P_lam(1, z, z^2, ...;
 t) at z = -1/q are polynomials in w = 1/q over one denominator: the u
 prefactor is q^N (-w;-w)_n, N = binom(n+1, 2), and P_lam = F_lam(-w, t) /
 (-w;-w)_|lam| with the integer F_lam of hl_principal_poly.  They are summed
-in QPoly (as the ring Z[w]) and turned into Q(q) once per result (_from_w).
+as integer lists in w, with the Gaussian rows of partitions (_rs_at_wpow),
+and turned into Q(q) once per result (_from_w).
 
 The eps-split of U(n, q) is a pair: the degree sums over the real
 characters with indicator +1 and with indicator -1, whose sum is the real
@@ -54,17 +55,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, lcm, prod
 
 from . import _kernel as _k
-from .exact import QPoly, RatFunc, Series
-from .partitions import (Partition, enumerate_partitions, gaussian_binomial,
-                         partitions_up_to)
+from .exact import RatFunc, Series
+from .partitions import Partition, _gauss_row, enumerate_partitions, partitions_up_to
 from .polycount import (_as_scalar, brute_poly_census, count_selfdual_and_pairs,
                         parity_e, to_int)
-from .hl import (_at_signed_power, _fake_degree, _times_one_minus_zpow,
-                 hl_principal_poly, pochhammer_cd, rs_multi)
+from .hl import _fake_degree, _times_one_minus_zpow, hl_principal_poly
 from .qseries import named_gf, named_gf_value  # noqa: F401 (named_gf is re-exported)
 
 
@@ -152,6 +151,12 @@ def _gauss_row_at(eps: int, n: int) -> list:
             co[i] += step * co[i - r]
         rows.append(co[:len(co) - r])
     return rows
+
+
+@lru_cache(maxsize=None)
+def _gauss_rows(order: int) -> tuple:
+    """The rows _gauss_row_at(1, n), n <= order, of the class product."""
+    return tuple(_gauss_row_at(1, n) for n in range(order + 1))
 
 
 def _involution_sum_ic(eps: int, n: int, e: int) -> list:
@@ -319,7 +324,7 @@ def _assignment_blocks(flavor: str, d: int, order: int) -> tuple:
     nor on its parity, so they are memoized per (flavor, d, order).
     """
     odd_u = flavor == "u" and d % 2 == 1
-    rows = [_gauss_row_at(1, n) for n in range(order + 1)]
+    rows = _gauss_rows(order)
     kept = [[1]]  # kept[n] = prod_(i <= n, d not dividing i) (1 - x^i)
     for i in range(1, order + 1):
         kept.append(kept[-1] if i % d == 0 else _times_one_minus_zpow(kept[-1], i))
@@ -369,7 +374,7 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Se
             if count and len(powers) > 1:
                 factors.append((powers, RatFunc(count)))
     big_m = lcm(*(r.d[0] for _, r in factors)) * factorial(order)
-    rows = [_gauss_row_at(1, n) for n in range(order + 1)]
+    rows = _gauss_rows(order)
     total = [[1]] + [[] for _ in range(order)]
     for powers, r in factors:
         (den,), num = r.d, _signed(r.n, eps)  # r = P/D, P as a list in x
@@ -471,20 +476,25 @@ def u_eps_sums_gf(n: int, q=None, parity=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _hl_at_minus_w(lam: Partition, sign: int, deg: int) -> QPoly:
-    """F_lam(-w, t) at t = sign * w^deg, as a polynomial in w = 1/q."""
-    co = {}
+def _hl_at_minus_w(lam: Partition, sign: int, deg: int) -> list:
+    """F_lam(-w, t) at t = sign * w^deg, as an integer list in w = 1/q."""
+    co = []
     for (k, e), c in hl_principal_poly(lam).items():
         i = deg * k + e
-        co[i] = co.get(i, 0) + c * sign ** k * (-1) ** e
-    return QPoly([co.get(i, 0) for i in range(max(co) + 1)])
+        co.extend([0] * (i + 1 - len(co)))
+        co[i] += c * sign ** k * (-1) ** e
+    return _k.zz_strip(co)
 
 
-def _from_w(p: QPoly, shift: int) -> RatFunc:
-    """q^shift * p(1/q) for a polynomial p in w = 1/q, normalized once."""
-    e, c = shift - p.degree(), p.content
-    return RatFunc.from_ic([0] * max(e, 0) + [c.numerator * v for v in reversed(p.ic)],
-                           [0] * max(-e, 0) + [c.denominator])
+def _from_w(co: list, shift: int) -> RatFunc:
+    """q^shift * p(1/q) for the integer list co of p in w = 1/q, normalized once."""
+    e = shift - len(co) + 1
+    return RatFunc.from_ic([0] * max(e, 0) + co[::-1], [0] * max(-e, 0) + [1])
+
+
+def _rs_at_wpow(m: int, s: int) -> list:
+    """The Rogers-Szego polynomial H_m(w^s; w) = sum_j w^(s*j) [m choose j]_w."""
+    return reduce(_k.zz_add, ([0] * (s * j) + list(b) for j, b in enumerate(_gauss_row(m))), [])
 
 
 def u_real_sum_even_closed(n: int, q=None):
@@ -492,15 +502,14 @@ def u_real_sum_even_closed(n: int, q=None):
     |lam| = n of q^(-(l(lam_odd)+n)/2) P_lam(z; 1/q), z = -1/q, which is
     q^N sum_lam w^((l(lam_odd)+n)/2) F_lam(-w, w): no denominator is left."""
     _check_rank(n)
-    w = QPoly.x()
-    total = QPoly.zero()
+    total = []
     for lam in enumerate_partitions(n):
-        total = total + w ** ((lam.ell_odd + n) // 2) * _hl_at_minus_w(lam, 1, 1)
+        total = _k.zz_add(total, [0] * ((lam.ell_odd + n) // 2) + _hl_at_minus_w(lam, 1, 1))
     return _finish(_from_w(total, _binom2(n + 1)), q)
 
 
-def _unsumodd_sum(n: int, form: int) -> QPoly:
-    """E, the polynomial in w = 1/q behind one of the two partition-pair
+def _unsumodd_sum(n: int, form: int) -> list:
+    """E, the integer list in w = 1/q behind one of the two partition-pair
     expressions (form 1 or 2) for the odd-characteristic real degree sum.
 
     Each expression sums weighted terms
@@ -515,22 +524,21 @@ def _unsumodd_sum(n: int, form: int) -> QPoly:
     _check_rank(n)
     if form not in (1, 2):
         raise ValueError(f"form must be 1 or 2, got {form!r}")
-    w = QPoly.x()
-    total = QPoly.zero()
+    total = []
     for k in range(n + 1):
-        lam_sum = nu_sum = QPoly.zero()
+        lam_sum, nu_sum = [], []
         for lam in enumerate_partitions(k):
-            lam_o = lam.odd_part()
-            if form == 1:
-                weight = (-1) ** lam.ell_odd * rs_multi(lam_o, 1, w)
-            elif all(m % 2 == 0 for m in lam_o.mults().values()):
-                weight = (-1) ** (lam.ell_odd // 2) * prod(
-                    (pochhammer_cd(w, w * w, m // 2) for m in lam_o.mults().values()),
-                    start=QPoly.one())
+            odd = lam.odd_part().mults().values()
+            if form == 1:  # H_m(1; w) per multiplicity m of lam_odd
+                weight = reduce(_k.zz_mul, (_rs_at_wpow(m, 0) for m in odd), [(-1) ** lam.ell_odd])
+            elif all(m % 2 == 0 for m in odd):  # (w; w^2)_(m/2): 1 - w^i, i < m odd
+                weight = reduce(_times_one_minus_zpow, (i for m in odd for i in range(1, m, 2)),
+                                [(-1) ** (lam.ell_odd // 2)])
             else:
                 continue
-            lam_sum = lam_sum + (w ** ((lam.ell_odd + k) // 2) * weight
-                                 * rs_multi(lam.even_part(), w, w) * _hl_at_minus_w(lam, 1, 1))
+            even = (_rs_at_wpow(m, 1) for m in lam.even_part().mults().values())
+            term = _k.zz_mul(reduce(_k.zz_mul, even, weight), _hl_at_minus_w(lam, 1, 1))
+            lam_sum = _k.zz_add(lam_sum, [0] * ((lam.ell_odd + k) // 2) + term)
         for nu in enumerate_partitions(n - k):
             if form == 1 and all(m % 2 == 0 for m in nu.mults().values()):
                 c = (-1) ** (nu.size // 2) * 2 ** (nu.ell // 2)
@@ -539,9 +547,9 @@ def _unsumodd_sum(n: int, form: int) -> QPoly:
                      * 2 ** sum((m + 1) // 2 for m in nu.mults().values()))
             else:
                 continue
-            nu_sum = nu_sum + c * _hl_at_minus_w(nu, -1, 0)
-        weight = _at_signed_power(gaussian_binomial(n, k), -1, 1)  # [n choose k]_(-w)
-        total = total + weight * w ** (n - k) * lam_sum * nu_sum
+            nu_sum = _k.zz_add(nu_sum, _k.zz_mul_scalar(_hl_at_minus_w(nu, -1, 0), c))
+        weight = _signed(_gauss_row(n)[k], -1)  # [n choose k]_(-w)
+        total = _k.zz_add(total, [0] * (n - k) + _k.zz_mul(weight, _k.zz_mul(lam_sum, nu_sum)))
     return total
 
 
@@ -559,7 +567,7 @@ def u_real_sum_odd_closed(n: int, q=None):
     e1, e2 = _unsumodd_sum(n, 1), _unsumodd_sum(n, 2)
     if e1 != e2:
         raise AssertionError(f"odd-characteristic expressions disagree at n={n}")
-    return _finish(_from_w((-1) ** n * e1, _binom2(n + 1)), q)
+    return _finish(_from_w(_k.zz_mul_scalar(e1, (-1) ** n), _binom2(n + 1)), q)
 
 
 def u_real_sum_closed(n: int, q=None, parity=None):
@@ -588,16 +596,15 @@ def u_eps_sums_alt_even(n: int, q=None) -> tuple:
     prefactor(n-2k) * T_k is q^(N_n - N_(n-2k)) [n choose 2k]_(-w) sum_lam
     w^k F_lam(-w, w) prod_{i=|lam|+1..2k} (1 - (-w)^i), N_m = binom(m+1, 2).
     The sum is built once; only the sign * I(n) term differs between the two."""
-    w = QPoly.x()
     inv_n = involution_count("u", n, None, "even")
     total = (-1) ** _binom2(n) * inv_n
     for k in range(1, n // 2 + 1):
-        t_k = QPoly.zero()
+        t_k = []
         for lam in partitions_up_to(2 * k):
             if lam.ell_odd + lam.size == 2 * k:
-                rest = pochhammer_cd((-w) ** (lam.size + 1), -w, 2 * k - lam.size)
-                t_k = t_k + _hl_at_minus_w(lam, 1, 1) * rest
-        t_k = w ** k * _at_signed_power(gaussian_binomial(n, 2 * k), -1, 1) * t_k
+                rest = reduce(_times_one_minus_zpow, range(lam.size + 1, 2 * k + 1), [1])
+                t_k = _k.zz_add(t_k, _k.zz_mul(_hl_at_minus_w(lam, 1, 1), _signed(rest, -1)))
+        t_k = [0] * k + _k.zz_mul(_signed(_gauss_row(n)[2 * k], -1), t_k)
         ratio = _from_w(t_k, _binom2(n + 1) - _binom2(n - 2 * k + 1))
         inv = involution_count("u", n - 2 * k, None, "even")
         total = total + (-1) ** _binom2(n - 2 * k) * ratio * inv

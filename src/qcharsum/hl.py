@@ -32,8 +32,9 @@ Main entry points:
   taken in integers and normalized once; the value is always a RatFunc.
   The `oracle-hl-finite` check compares it with hl_principal, and so checks
   F_lam and the Kostka-Foulkes table behind it.
-* rogers_szego / rs_multi / pochhammer_cd: the small q-series ingredients
-  used by the degree-sum formulas.
+* rogers_szego / rs_multi / pochhammer_cd: small q-series ingredients in
+  any ring, for the worked examples; the unitary partition sums of chars
+  build their weights in integer lists.
 
 hl_principal and hl_finite_oracle evaluate their integer polynomials at
 q = 2^s (Kronecker substitution): each polynomial is packed into one Python
@@ -62,7 +63,7 @@ from math import prod
 from types import MappingProxyType
 
 from . import _kernel as _k
-from .exact import QPoly, RatFunc
+from .exact import RatFunc
 from .partitions import Partition, enumerate_partitions, gaussian_binomial
 
 _KOSTKA_BUDGET = 12
@@ -415,32 +416,11 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-def _signed_power(t):
-    """(sign, k) when t is the QPoly sign * w^k with k >= 1, else None."""
-    if (isinstance(t, QPoly) and len(t.ic) > 1 and t.ic[-1] == 1 and not any(t.ic[:-1])
-            and abs(t.content) == 1):
-        return int(t.content), len(t.ic) - 1
-    return None
-
-
-def _at_signed_power(p: QPoly, sign: int, k: int) -> QPoly:
-    """p(sign * w^k) for a nonzero p and k >= 1: coefficient i of p moves
-    to w^(i*k), times sign^i."""
-    ic = [0] * (k * p.degree() + 1)
-    for i, c in enumerate(p.ic):
-        ic[i * k] = sign ** i * c
-    lead = sign ** p.degree()  # keeps the leading coefficient positive
-    return QPoly._mk(tuple(lead * c for c in ic), lead * p.content)
-
-
 def rogers_szego(m: int, z, t):
-    """H_m(z; t) = sum_j [m choose j]_t z^j.  At t = +-w^k in QPoly each
-    [m choose j]_t is a re-indexing of its coefficients (_at_signed_power)."""
-    power = _signed_power(t)
+    """H_m(z; t) = sum_j [m choose j]_t z^j, by Horner's rule in z."""
     acc = None
     for j in range(m, -1, -1):
-        b = gaussian_binomial(m, j)
-        c = b.eval(t) if power is None else _at_signed_power(b, *power)
+        c = gaussian_binomial(m, j).eval(t)
         acc = c if acc is None else acc * z + c
     return acc
 

@@ -278,16 +278,22 @@ def _eps_pairs(pairs):
                          for sign, value in zip((1, -1), pairs(n)))
 
 
+def _unsumodd_form(n: int, form: int):
+    """(-1)^n q^N E(1/q), N = binom(n+1, 2): the real degree sum from the
+    integer sum E of one odd expression, with no unitary prefactor."""
+    return (-1) ** n * chars._from_w(chars._unsumodd_sum(n, form), n * (n + 1) // 2)
+
+
 def _unsumodd_lhs(nmax: int):
     for n in range(1, nmax + 1):
-        e1 = chars.u_unsumodd_expr(n, 1)
+        e1 = _unsumodd_form(n, 1)
         yield f"n={n} expressions", e1
-        yield f"n={n} vs series route", e1 * chars.u_prefactor_abs(n, None) * (-1) ** n
+        yield f"n={n} vs series route", e1
 
 
 def _unsumodd_rhs(nmax: int):
     for n in range(1, nmax + 1):
-        yield f"n={n} expressions", chars.u_unsumodd_expr(n, 2)
+        yield f"n={n} expressions", _unsumodd_form(n, 2)
         yield f"n={n} vs series route", chars.real_degree_sum_gf("u", n, None, "odd")
 
 
@@ -446,7 +452,7 @@ def _example_u2_odd_lhs():
     yield ("term lam=(1,1)", pochhammer_cd(t, t * t, 1) * hl_principal([1, 1], z, t)
            * qpow(-2) * (-1))
     yield "term nu=(1,1)", 2 * hl_principal([1, 1], z, Fraction(-1)) * qpow(-2)
-    yield "expressions", chars.u_unsumodd_expr(2, 1)
+    yield "expressions", _unsumodd_form(2, 1)
     yield "degree sum", chars.u_real_sum_closed(2, None, "odd")
     yield "degree sum series", chars.real_degree_sum_gf("u", 2, None, "odd")
     yield "involutions", chars.involution_count("u", 2, None, "odd")
@@ -460,7 +466,7 @@ def _example_u2_odd_rhs():
     yield "term lam=(2)", (q ** 2 + 1) / (q * (q ** 2 - 1))
     yield "term lam=(1,1)", 1 / (q * (q + 1) ** 2)
     yield "term nu=(1,1)", -2 / ((q + 1) * (q ** 2 - 1))
-    yield "expressions", chars.u_unsumodd_expr(2, 2)
+    yield "expressions", _unsumodd_form(2, 2)
     yield "degree sum", q ** 2 + q
     yield "degree sum series", q ** 2 + q
     yield "involutions", q ** 2 - q + 2

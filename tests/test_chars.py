@@ -31,7 +31,8 @@ from qcharsum.chars import (
     weyl_degree_sum,
     weyl_involutions,
 )
-from qcharsum.exact import RatFunc, Series, qpow
+from qcharsum import hl
+from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
 from qcharsum.partitions import enumerate_partitions, partitions_up_to
 from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs, to_int
@@ -406,6 +407,15 @@ def test_unitary_sums_take_a_fixed_number_of_ratfunc_operations(monkeypatch):
     assert max(seen.values()) <= 4, seen
     for name in sums:
         assert len({seen[name, n] for n in range(1, 7)}) == 1, seen
+
+
+def test_rogers_szego_at_a_power_of_w_matches_hl():
+    # H_m(w^s; w) summed from the Gaussian rows, against hl's Horner route.
+    w = QPoly.x()
+    for s in (0, 1):
+        for m in range(9):
+            want = hl.rogers_szego(m, w ** s, w).coefficients
+            assert chars._rs_at_wpow(m, s) == list(want), (m, s)
 
 
 def _perm_compose(p, r):

@@ -304,11 +304,10 @@ def test_rogers_szego_recurrence():
 
 @pytest.mark.parametrize("sign, k", [(1, 1), (-1, 1), (1, 2), (-1, 3)])
 def test_rogers_szego_at_a_signed_power_is_a_reindexing(sign, k):
-    # At t = sign * w^k each Gaussian binomial is re-indexed, not evaluated:
-    # the same canonical polynomial as Horner evaluation of the binomials.
+    # At t = sign * w^k, Horner's rule in z gives the same canonical
+    # polynomial as the sum of the evaluated binomials times z^j.
     w = QPoly.x()
     t = sign * w ** k
-    assert hl._signed_power(t) == (sign, k)
     for m in range(7):
         for z in (1, w, -w):
             got = rogers_szego(m, z, t)

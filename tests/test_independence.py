@@ -41,17 +41,13 @@ ALLOWED = {
     "verify._group_side.<locals>.side", "verify._prodlem_sides.<locals>.side.<locals>.rows",
 }
 
-_ORDER = ("chars._order_ic", "chars._order_value")
-_ORDER_PROBE = "test_verify.py::test_mutation_in_order_product_is_detected"
-
 # both odd-characteristic expressions read F_lam through the same route
-_F_ROUTE = ("chars.u_unsumodd_expr", "chars._unsumodd_sum", "chars._hl_at_minus_w",
-            "chars._from_w",
+_F_ROUTE = ("verify._unsumodd_form", "chars._unsumodd_sum", "chars._hl_at_minus_w",
+            "chars._from_w", "chars._rs_at_wpow", "chars._signed",
             "hl.hl_principal_poly", "hl._hl_principal_poly", "hl.kostka_foulkes",
             "hl._charge_column", "hl._charge_column.<locals>.place", "hl.charge",
             "hl._fake_degree", "hl._over_one_minus_zpow", "hl._times_one_minus_zpow",
-            "hl._as_partition", "hl.rs_multi", "hl.rogers_szego", "hl._signed_power",
-            "hl._at_signed_power")
+            "hl._as_partition")
 _F_PROBE = "test_verify.py::test_mutation_in_the_unitary_sums_f_lam_is_detected"
 
 # the eps halves and the real degree sum both read the real series _u_real_gf
@@ -73,10 +69,8 @@ _NAMED_GF_PROBE = "test_verify.py::test_eps_split_sum_rows_miss_a_corrupt_real_s
 SHARED = [
     ("cor-epsplit-even", _NAMED_GF, _NAMED_GF_PROBE),
     ("cor-epsplit-odd", _NAMED_GF, _NAMED_GF_PROBE),
-    ("thm-unsumodd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),
     ("thm-unsumodd", _F_ROUTE, _F_PROBE),
-    ("example-u2-odd", _ORDER + ("chars._binom2", "chars.u_prefactor_abs"), _ORDER_PROBE),
-    ("example-u2-odd", _F_ROUTE + ("hl.pochhammer_cd",), _F_PROBE),
+    ("example-u2-odd", _F_ROUTE, _F_PROBE),
     ("oracle-hl-finite", ("hl._as_partition",),
      "test_hl.py::test_finite_oracle_matches_the_ratfunc_symmetrization"),
     # both routes evaluate at q = 2^s and read back with the same helpers

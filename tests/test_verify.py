@@ -19,7 +19,7 @@ import qcharsum.groups as groups
 import qcharsum.hl as hl
 import qcharsum.qseries as qseries
 import qcharsum.verify as verify
-from qcharsum.exact import RatFunc, Series, qpow
+from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.polycount import count_selfdual_and_pairs, count_u_irreducible
 from qcharsum.verify import (
     REGISTRY,
@@ -30,7 +30,7 @@ from qcharsum.verify import (
     summary_lines,
 )
 from _series_ref import exp, log
-from test_independence import SHARED
+from test_independence import SHARED, _cold
 
 
 FROZEN_IDS = [
@@ -256,17 +256,20 @@ def test_mutation_in_order_product_is_detected(monkeypatch):
     for check_id in ("cor-iden", "cor-cort"):
         assert run_check(check_id, order=4).status == "pass"
     assert run_check("oracle-brute-involutions", budget="quick").status == "pass"
-    # The checks whose sides share the product (their rows in the table of
-    # shared ingredients name _order_ic) read it only as the unitary
-    # prefactor that both odd expressions divide by and that the "vs series
-    # route" rows of thm-unsumodd multiply back, so a corrupted product
-    # cancels there and cannot change their verdict;
-    # oracle-brute-involutions is what catches it.
-    sharing = sorted({cid for cid, names, _ in SHARED if "chars._order_ic" in names})
-    assert sharing == ["example-u2-odd", "thm-unsumodd"]
-    _corrupt_order_ic(monkeypatch, (-1, 2))
-    for check_id in sharing:
+    # No two sides share the product (no row of the table of shared
+    # ingredients names _order_ic): the odd expressions of thm-unsumodd and
+    # example-u2-odd compare (-1)^n q^N E(1/q), with no unitary prefactor, so
+    # neither check reads it, and oracle-brute-involutions still catches it.
+    assert not any("chars._order_ic" in names for _, names, _ in SHARED)
+
+    def unread(eps, n):
+        raise AssertionError("_order_ic read")
+
+    monkeypatch.setattr(chars, "_order_ic", unread)
+    for check_id in ("thm-unsumodd", "example-u2-odd"):
         assert run_check(check_id, budget="quick").status == "pass", check_id
+    monkeypatch.undo()
+    _corrupt_order_ic(monkeypatch, (-1, 2))
     assert run_check("oracle-brute-involutions", budget="quick").status == "fail"
 
 
@@ -737,6 +740,26 @@ def test_mutation_in_the_unitary_sums_f_lam_is_detected(monkeypatch, check_id, w
     assert r.witness.startswith(witness)
     monkeypatch.undo()
     assert run_check(check_id, nmax=4).status == "pass"
+
+
+def test_unitary_partition_sum_checks_take_no_qpoly_route(monkeypatch):
+    # The unitary partition sums run in integer lists in w = 1/q.  With
+    # QPoly arithmetic and the Rogers-Szego and Pochhammer helpers of hl
+    # raising, and every memo cold, the four checks built on them still pass.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("QPoly route reached")
+
+    _cold()
+    for name in ("__add__", "__sub__", "__mul__", "__pow__", "eval"):
+        monkeypatch.setattr(QPoly, name, unreachable)
+    for name in ("rs_multi", "rogers_szego", "pochhammer_cd"):
+        for module in (hl, chars):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    for check_id in ("thm-unsumeven", "cor-unsumeven-pm", "cor-genfn-even-alt",
+                     "thm-unsumodd"):
+        r = run_check(check_id, budget="quick")
+        assert r.status == "pass", (check_id, r.witness)
 
 
 def test_eps_split_checks_take_the_shared_values_once(monkeypatch):
