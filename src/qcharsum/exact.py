@@ -224,10 +224,12 @@ class QPoly:
         return self.ic == other.ic and self.content == other.content
 
     def __hash__(self):
-        # a constant equals its Fraction (and int), so it hashes as one
+        # a constant equals its Fraction (and int), so it hashes as one; any
+        # other polynomial equals a RatFunc, so it hashes as that one's pair
         if len(self.ic) <= 1:
             return hash(self.coefficient(0))
-        return hash((self.ic, self.content))
+        c = self.content
+        return hash((tuple(c.numerator * v for v in self.ic), (c.denominator,)))
 
     def __str__(self):
         if self.is_zero:
@@ -436,9 +438,11 @@ class RatFunc:
         return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        # a polynomial equals its numerator QPoly, so it hashes as one
-        if len(self.d) == 1:
-            return hash(self.num)
+        # a constant equals its int or Fraction, so it hashes as one; QPoly
+        # hashes every other polynomial as this same pair
+        if len(self.n) <= 1 and len(self.d) == 1:
+            c = self.n[0] if self.n else 0
+            return hash(c if self.d == (1,) else Fraction(c, self.d[0]))
         return hash((self.n, self.d))
 
     def __str__(self):

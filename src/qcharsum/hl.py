@@ -2,6 +2,15 @@
 
 Main entry points:
 
+* hl_principal_poly(lam): P_lam(1, z, z^2, ...; t) cleared of denominators,
+  F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t) with n = |lam| <= 12, as a
+  map {(t-exponent, z-exponent): int}.  It is built by the branching rule
+  for Hall-Littlewood functions (Macdonald III (5.8'), (5.11')): peeling
+  x_1 = 1 off P_lam gives F_lam as a sum over the horizontal strips lam/mu
+  of psi_(lam/mu)(t) z^|mu| F_mu prod_(i=|mu|+1)^(n-1) (1 - z^i), so no
+  tableau is walked, no matrix inverted and no rational arithmetic done.
+  Each t-coefficient is kept as one int, the z-polynomial evaluated at
+  z = 2^32, and the map is read back from it once.
 * kostka_foulkes(n): the full transition matrix K_{lam,mu}(t) between Schur
   and Hall-Littlewood bases at size n, together with its inverse (both are
   unitriangular in dominance order, hence in the reverse-lexicographic
@@ -9,15 +18,10 @@ Main entry points:
   horizontal strips, which meets every semistandard tableau of content mu,
   of every shape, exactly once; its charge (Lascoux-Schutzenberger) goes
   into the bucket of its shape.  Entries are integer coefficient tuples in
-  t, and the inverse is solved in integers.
-* hl_principal_poly(lam): P_lam(1, z, z^2, ...; t) cleared of denominators,
-  F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t) with n = |lam|, as a map
-  {(t-exponent, z-exponent): int}.  It is sum_mu K_inv(lam, mu)(t) f_mu(z),
-  where f_mu(z) = (z;z)_n s_mu(1, z, ...) = z^n(mu) (z;z)_n / prod_b
-  (1 - z^h(b)) is the major-index generating function of the standard
-  tableaux of shape mu (Stanley, EC2, Cor. 7.21.5), so it has integer
-  coefficients.  It is built by exact synthetic division, with no rational
-  arithmetic at all.
+  t, and the inverse is solved in integers.  No library route reads it:
+  the tests check F_lam against sum_mu K_inv(lam, mu)(t) f_mu(z), where
+  f_mu(z) = (z;z)_n s_mu(1, z, ...) = z^n(mu) (z;z)_n / prod_b (1 - z^h(b))
+  (_fake_degree, Stanley, EC2, Cor. 7.21.5).
 * hl_principal(lam, z, t): P_lam(1, z, z^2, ...; t) = F_lam(z, t) / (z;z)_n
   at any z and t in Q(q).  With z = a/b and t = c/d over Z[q], numerator
   and denominator are integer polynomials built with no gcd, and the
@@ -31,7 +35,7 @@ Main entry points:
   term is an integer polynomial over one common denominator, so the sum is
   taken in integers and normalized once; the value is always a RatFunc.
   The `oracle-hl-finite` check compares it with hl_principal, and so checks
-  F_lam and the Kostka-Foulkes table behind it.
+  F_lam and the branching rule behind it.
 * rogers_szego / rs_multi / pochhammer_cd: small q-series ingredients in
   any ring, for the worked examples; the unitary partition sums of chars
   build their weights in integer lists.
@@ -44,13 +48,13 @@ normalized once.  The read is exact because evaluation at 2^s is a ring map
 Z[q] -> Z and s is chosen, from L1 norms, so that every coefficient of the
 result has absolute value < 2^(s-1).
 
-The checks ask for the same values over and over, so the table is
-memoized by n, F_lam by lam and P_lam(z; t) by (lam, z, t), with z and t
-taken as RatFuncs.  The unitary partition sums read F_lam directly, so the
+The checks ask for the same values over and over, so the t-rows of F_lam
+and its map are memoized by lam, and P_lam(z; t) by (lam, z, t), with z and
+t taken as RatFuncs.  The unitary partition sums read F_lam directly, so the
 P_lam memo serves the oracle check, the worked examples and the CLI.
-Outside this module the memos are reached only through kostka_foulkes,
-hl_principal_poly and hl_principal, so patching one of those names in a
-caller's namespace intercepts every call it makes.
+Outside this module the memos are reached only through hl_principal_poly
+and hl_principal, so patching one of those names in a caller's namespace
+intercepts every call it makes.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import product
 from math import prod
 from types import MappingProxyType
 
@@ -250,31 +254,83 @@ def _fake_degree(parts: tuple) -> tuple:
 
 
 def hl_principal_poly(lam) -> MappingProxyType:
-    """F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t), n = |lam|, over the integers.
+    """F_lam(z, t) = (z;z)_n P_lam(1, z, z^2, ...; t), n = |lam| <= 12, over the integers.
 
-    A read-only map {(t-exponent, z-exponent): nonzero int}, built as
-    sum_mu K_inv(lam, mu)(t) f_mu(z) with no rational arithmetic.  It is
-    memoized, so a second call returns the same object.
+    A read-only map {(t-exponent, z-exponent): nonzero int}, read once from
+    the t-rows of _hl_rows.  It is memoized, so a second call returns the
+    same object.
     """
     return _hl_principal_poly(_as_partition(lam).parts)
 
 
 @lru_cache(maxsize=None)
 def _hl_principal_poly(parts: tuple) -> MappingProxyType:
-    table = kostka_foulkes(sum(parts))
-    acc: dict = {}
-    for mu in table.order:
-        c = table.K_inv.get((parts, mu.parts))
-        if c is None:
-            continue
-        f = _fake_degree(mu.parts)
-        for k, ck in enumerate(c):
-            if not ck:
-                continue
-            for e, fe in enumerate(f):
-                if fe:
-                    acc[k, e] = acc.get((k, e), 0) + ck * fe
-    return MappingProxyType({key: c for key, c in acc.items() if c})
+    if sum(parts) > _KOSTKA_BUDGET:
+        raise ValueError(f"hl_principal_poly supports |lam| <= {_KOSTKA_BUDGET}")
+    return MappingProxyType({(k, e): c for k, row in enumerate(_hl_rows(parts))
+                             for e, c in enumerate(_unpack(row, _ROW_BITS)) if c})
+
+
+# Row k of F_lam is its t^k coefficient, a polynomial in z, evaluated at
+# z = 2^_ROW_BITS.  The read-back is exact while every coefficient of F_lam
+# is below 2^31 in absolute value; for |lam| <= 12 the recursive L1 bound of
+# the branching rule is below 2^29.
+_ROW_BITS = 32
+
+
+def _strips_below(lam: tuple):
+    """The mu != lam for which lam/mu is a horizontal strip: lam_(i+1) <= mu_i <= lam_i."""
+    for mu in product(*(range(low, high + 1) for low, high in zip(lam[1:] + (0,), lam))):
+        if mu != lam:
+            yield mu[:len(mu) - mu.count(0)]
+
+
+def _strip_weight(lam: tuple, mu: tuple) -> list:
+    """psi_(lam/mu)(t) for a horizontal strip lam/mu (Macdonald III (5.8')).
+
+    It is the product of 1 - t^(m_j(mu)) over the columns j >= 1 that hold
+    no cell of the strip while column j + 1 does, as an integer list in t.
+    """
+    cols = {c for i, part in enumerate(lam)
+            for c in range((mu[i] if i < len(mu) else 0) + 1, part + 1)}
+    psi = [1]
+    for c in cols:
+        if c > 1 and c - 1 not in cols:
+            psi = _times_one_minus_zpow(psi, mu.count(c - 1))
+    return psi
+
+
+@lru_cache(maxsize=None)
+def _hl_rows(lam: tuple) -> tuple:
+    """F_lam as a tuple of t-rows, each an int (see _ROW_BITS), by the branching rule.
+
+    Peeling x_1 = 1 off P_lam = sum_T psi_T(t) x^T (Macdonald III (5.11'))
+    gives P_lam(1, z, ...) = sum_mu psi_(lam/mu)(t) z^|mu| P_mu(1, z, ...)
+    over the horizontal strips lam/mu.  The mu = lam term moved left, and
+    both sides times (z;z)_(n-1):
+    F_lam = sum_(mu != lam) psi_(lam/mu)(t) z^|mu| F_mu prod_(i=|mu|+1)^(n-1) (1 - z^i).
+    The mu are grouped by size m, and the factors applied by Horner's rule.
+    """
+    n = sum(lam)
+    if not n:
+        return (1,)
+    by_size: dict = {}
+    for mu in _strips_below(lam):
+        acc = by_size.setdefault(sum(mu), [])
+        rows = _hl_rows(mu)
+        for j, c in enumerate(_strip_weight(lam, mu)):
+            if c:
+                acc.extend([0] * (j + len(rows) - len(acc)))
+                for k, row in enumerate(rows, j):
+                    acc[k] += c * row
+    out: list = []
+    for m in range(min(by_size), n):
+        out = [row - (row << _ROW_BITS * m) for row in out]  # times 1 - z^m
+        g = by_size.get(m, ())
+        out.extend([0] * (len(g) - len(out)))
+        for k, row in enumerate(g):
+            out[k] += row << _ROW_BITS * m
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +402,24 @@ def _hl_value(parts: tuple, z: RatFunc, t: RatFunc) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
+def _rearrangements(parts: tuple):
+    """The distinct orderings of parts, each once, in lexicographic order
+    (the next-permutation step: raise the last ascent, reverse the tail)."""
+    word = sorted(parts)
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+
+
 def hl_finite_oracle(lam, xs, t) -> RatFunc:
     """P_lam(x_1..x_m; t) by symmetrizing over the cosets S_m / S_m^lam (m <= 6).
 
@@ -377,7 +451,7 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
     a, b = [r.n for r in xs + (t,)], [r.d for r in xs + (t,)]
     top = lam.parts[0] if lam.parts else 0
     padded = lam.parts + (0,) * (m - lam.ell)
-    cosets = set(permutations(padded))
+    cosets = list(_rearrangements(padded))
     unequal = sum(padded[i] != padded[j] for i in range(m) for j in range(i))
     # Every integer polynomial below is evaluated at q = 2^s, so a product is
     # one int product, and num and den are read back once.  s comes from L1

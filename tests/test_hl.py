@@ -380,7 +380,7 @@ def test_finite_oracle_columns_where_v_lam_vanishes(monkeypatch):
         raise AssertionError("finite oracle must not use the tableau route")
 
     for name in ("hl_principal", "kostka_foulkes", "_hl_principal_poly",
-                 "_hl_value"):
+                 "_hl_rows", "_strips_below", "_strip_weight", "_hl_value"):
         monkeypatch.setattr(hl, name, forbidden)
     q = RatFunc.x()
     xs = (q, q + 1, 1 - q, q + 2)
@@ -388,6 +388,12 @@ def test_finite_oracle_columns_where_v_lam_vanishes(monkeypatch):
         expect = sum(prod(c) for c in combinations(xs, k))
         for t in (Fraction(-1), Fraction(0), 1 / q):
             assert hl_finite_oracle([1] * k, xs, t) == expect, (k, t)
+
+
+def test_rearrangements_are_the_distinct_permutations():
+    for parts in ((), (0,), (1, 0), (2, 2, 0, 0), (1, 1, 1, 1, 0), (3, 2, 2, 1, 0, 0)):
+        got = list(hl._rearrangements(parts))
+        assert len(got) == len(set(got)) and set(got) == set(permutations(parts)), parts
 
 
 def test_finite_oracle_rejects_bad_input():
@@ -645,6 +651,37 @@ def test_hl_principal_poly_over_z_pochhammer_is_hl_principal():
                 got = _eval_principal_poly(hl_principal_poly(lam), z, t) / poch
                 assert got == want, (lam, z, t)
                 assert hl_principal(lam, z, t) == want, (lam, z, t)
+
+
+def test_branching_rule_f_lam_is_the_kostka_route():
+    # The second route to F_lam: sum_mu K_inv(lam, mu)(t) f_mu(z), with K_inv
+    # from the charge walk and f_mu the cleared hook product.
+    for n in range(9):
+        table = kostka_foulkes(n)
+        for lam in table.order:
+            want = {}
+            for mu in table.order:
+                for k, ck in enumerate(table.K_inv.get((lam.parts, mu.parts), ())):
+                    for e, fe in enumerate(hl._fake_degree(mu.parts)):
+                        want[k, e] = want.get((k, e), 0) + ck * fe
+            assert hl_principal_poly(lam) == {key: c for key, c in want.items() if c}, lam
+
+
+def test_branching_rule_rows_read_back_exactly_up_to_the_budget():
+    # ||F_lam||_1 <= sum_mu ||psi_(lam/mu)||_1 ||F_mu||_1 2^(n-1-|mu|), from
+    # the branching rule and ||1 - z^i||_1 = 2.  Below 2^(S-1) every
+    # coefficient reads back from its base-2^S digit.
+    bound = {(): 1}
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            bound[lam.parts] = sum(
+                sum(map(abs, hl._strip_weight(lam.parts, mu))) * bound[mu] * 2 ** (n - 1 - sum(mu))
+                for mu in hl._strips_below(lam.parts))
+            assert bound[lam.parts] < 2 ** (hl._ROW_BITS - 1), lam
+    with pytest.raises(ValueError):
+        hl_principal_poly([13])
+    with pytest.raises(ValueError):
+        hl_principal_poly([7, 6])
 
 
 def test_fake_degree_is_the_cleared_hook_product():

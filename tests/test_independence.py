@@ -44,10 +44,9 @@ ALLOWED = {
 # both odd-characteristic expressions read F_lam through the same route
 _F_ROUTE = ("verify._unsumodd_form", "chars._unsumodd_sum", "chars._hl_at_minus_w",
             "chars._from_w", "chars._rs_at_wpow", "chars._signed",
-            "hl.hl_principal_poly", "hl._hl_principal_poly", "hl.kostka_foulkes",
-            "hl._charge_column", "hl._charge_column.<locals>.place", "hl.charge",
-            "hl._fake_degree", "hl._over_one_minus_zpow", "hl._times_one_minus_zpow",
-            "hl._as_partition")
+            "hl.hl_principal_poly", "hl._hl_principal_poly", "hl._hl_rows",
+            "hl._strips_below", "hl._strip_weight", "hl._times_one_minus_zpow",
+            "hl._unpack", "hl._as_partition")
 _F_PROBE = "test_verify.py::test_mutation_in_the_unitary_sums_f_lam_is_detected"
 
 # the eps halves and the real degree sum both read the real series _u_real_gf

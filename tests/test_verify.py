@@ -781,40 +781,55 @@ def test_eps_split_checks_take_the_shared_values_once(monkeypatch):
     assert len(calls["u_real_sum_closed"]) == 6
 
 
-def _clear_kostka_memos():
-    for memo in (hl._hl_value, hl._hl_principal_poly):
+def _clear_f_lam_memos():
+    for memo in (hl._hl_value, hl._hl_principal_poly, hl._hl_rows):
         memo.cache_clear()
 
 
-def test_mutation_in_kostka_inverse_is_detected(monkeypatch):
-    # K_inv((3,1), (2,2)) at n = 4 moved from -t to -2t, around the binding
-    # so the table's own memo stays clean.  The memos that read the table are
-    # cleared, so both P_lam (oracle-hl-finite) and F_lam (thm-warid) are
-    # rebuilt from the corrupted entry.
-    real = hl.kostka_foulkes
-    key = ((3, 1), (2, 2))
+def test_mutation_in_a_branching_weight_is_detected(monkeypatch):
+    # psi_((3,1)/(2))(t) = 1 - t at n = 4 moved to 1 - t^2, around the
+    # binding, so the memos that read it are cleared: both P_lam
+    # (oracle-hl-finite) and F_lam (thm-warid) are rebuilt from the
+    # corrupted weight.
+    real = hl._strip_weight
+    key = ((3, 1), (2,))
 
-    def corrupted(n):
-        table = real(n)
-        if n != 4:
-            return table
-        assert table.K_inv[key] == (0, -1)
-        return dataclasses.replace(table, K_inv={**table.K_inv, key: (0, -2)})
+    def corrupted(lam, mu):
+        if (lam, mu) != key:
+            return real(lam, mu)
+        assert real(lam, mu) == [1, -1]
+        return [1, 0, -1]
 
-    _clear_kostka_memos()
-    monkeypatch.setattr(hl, "kostka_foulkes", corrupted)
+    _clear_f_lam_memos()
+    monkeypatch.setattr(hl, "_strip_weight", corrupted)
     try:
         r = run_check("oracle-hl-finite", sizemax=4)
         assert r.status == "fail"
-        assert r.witness.startswith("lam=[3,1]")
+        assert r.witness.startswith("lam=[3,1] m=3 t=-1: ")
         r = run_check("thm-warid", order=4)
         assert r.status == "fail"
         assert r.witness.startswith("u^4: ")
     finally:
         monkeypatch.undo()
-        _clear_kostka_memos()
+        _clear_f_lam_memos()
     assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
     assert run_check("thm-warid", order=4).status == "pass"
+
+
+def test_hl_checks_take_no_charge_walk(monkeypatch):
+    # F_lam comes from the branching rule: with the Kostka-Foulkes table and
+    # the charge walk raising, and every memo cold, the checks that read
+    # F_lam or P_lam still pass.
+    def unreachable(*args):
+        raise AssertionError("charge walk reached")
+
+    _cold()
+    for name in ("kostka_foulkes", "_charge_column", "charge"):
+        monkeypatch.setattr(hl, name, unreachable)
+    for check_id in ("thm-warid", "cor-warcor", "thm-unsumeven", "thm-unsumodd",
+                     "example-u2-even", "oracle-hl-finite"):
+        r = run_check(check_id, budget="quick")
+        assert r.status == "pass", (check_id, r.witness)
 
 
 def test_hl_finite_oracle_check_never_reaches_hl_principal_poly(monkeypatch):
@@ -837,7 +852,8 @@ def test_hl_finite_oracle_check_never_reaches_hl_principal_poly(monkeypatch):
 
     monkeypatch.setattr(verify, "hl_principal", lambda lam, z, t: seen[tuple(lam), z, t])
     for name in ("hl_principal", "_hl_value", "hl_principal_poly",
-                 "_hl_principal_poly", "kostka_foulkes"):
+                 "_hl_principal_poly", "_hl_rows", "_strips_below", "_strip_weight",
+                 "kostka_foulkes"):
         monkeypatch.setattr(hl, name, forbidden)
     monkeypatch.setattr(verify, "hl_principal_poly", forbidden)
     assert run_check("oracle-hl-finite", sizemax=4).status == "pass"
