@@ -24,13 +24,13 @@ class (Green's degree formula, char_degree).  Two routes sum those degrees:
   parity; the class counts come through the count_selfdual_and_pairs
   binding on every call.
 
-Everything is exact: integers at numeric q, RatFunc values symbolically
-(q=None).  The closed-form involution count is the paper's sum of group-order
-quotients.  At numeric q it divides the group orders, read through the
-module namespace; at q=None it is the same sum written without division, as
-signed q-binomial sums in integer lists (_gauss_row_at), so it shares no
-group-order code with the generating-function side it is checked against.
-A rank n < 0 raises ValueError (_check_rank).
+Everything is exact: RatFunc values symbolically (q=None), and at integer q
+the symbolic value for q's parity evaluated at q, an int (polycount._finish).
+The closed-form involution count is the paper's sum of group-order
+quotients, written without division as signed q-binomial sums in integer
+lists (_gauss_row_at), so it shares no group-order code with the
+generating-function side it is checked against.  A rank n < 0 raises
+ValueError (_check_rank).
 
 The unitary partition sums over Hall-Littlewood values P_lam(1, z, z^2, ...;
 t) at z = -1/q are polynomials in w = 1/q over one denominator: the u
@@ -61,8 +61,8 @@ from math import comb, factorial, lcm, prod
 from . import _kernel as _k
 from .exact import RatFunc, Series
 from .partitions import Partition, _gauss_row, enumerate_partitions, partitions_up_to
-from .polycount import (_as_scalar, brute_poly_census, count_selfdual_and_pairs,
-                        parity_e, to_int)
+from .polycount import (_as_scalar, _finish, brute_poly_census, count_selfdual_and_pairs,
+                        parity_e)
 from .hl import _fake_degree, _times_one_minus_zpow, hl_principal_poly
 from .qseries import named_gf, named_gf_value  # noqa: F401 (named_gf is re-exported)
 
@@ -73,8 +73,8 @@ def _binom2(n: int) -> int:
 
 def _qval(q):
     """Symbolic q for None, else q as a Fraction (validated by _as_scalar)."""
-    qq, numeric = _as_scalar(q)
-    return Fraction(qq) if numeric else qq
+    _as_scalar(q)
+    return RatFunc.x() if q is None else Fraction(q)
 
 
 def _check_rank(n: int) -> None:
@@ -85,15 +85,6 @@ def _check_rank(n: int) -> None:
 
 def _parity_name(q, parity) -> str:
     return {1: "even", 2: "odd"}[parity_e(q, parity)]
-
-
-def _finish(x, q):
-    """Symbolic results stay RatFunc; numeric results become ints."""
-    if q is None:
-        return x
-    if isinstance(x, RatFunc):
-        x = x.eval(q)
-    return to_int(x)
 
 
 @lru_cache(maxsize=None)
@@ -109,10 +100,7 @@ def _order_value(eps: int, n: int, shift: int, q):
     """q^shift * prod_{i=1..n} (q^i - eps^i): an int, or a RatFunc at q=None."""
     _qval(q)
     _check_rank(n)
-    ic = (0,) * shift + _order_ic(eps, n)
-    if q is None:
-        return RatFunc.from_ic(ic, (1,))
-    return sum(c * q ** k for k, c in enumerate(ic) if c)
+    return _finish(RatFunc.from_ic((0,) * shift + _order_ic(eps, n), (1,)), q)
 
 
 def gl_group_order(n: int, q=None):
@@ -188,10 +176,9 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
     With g = gamma (gl) or omega (u):
     Even characteristic:  sum_{r <= n/2} g_n / (q^(r(2n-3r)) g_r g_(n-2r))
     Odd characteristic:   sum_{r <= n}   g_n / (g_r g_(n-r))
-    At numeric q these quotients are taken exactly, from the group-order
-    functions called through the module namespace.  At q=None the same sums
-    are built without division from the Gaussian binomials at x = eps*q
-    (eps = 1 for gl, -1 for u) of _gauss_row_at, as one integer polynomial:
+    The same sums are built without division from the Gaussian binomials at
+    x = eps*q (eps = 1 for gl, -1 for u) of _gauss_row_at, as one integer
+    polynomial, which integer q evaluates:
     Even characteristic:  sum_{r <= n/2} q^binom(r,2) [n choose 2r]_x
                                          prod_{i=r+1..2r} (q^i - eps^i)
     Odd characteristic:   sum_{r <= n}   x^(r(n-r)) [n choose r]_x
@@ -199,20 +186,10 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
     _check_rank(n)
+    _as_scalar(q)
     e = parity_e(q, parity)
-    if q is None:
-        ic = _involution_sum_ic(1 if flavor == "gl" else -1, n, e)
-        return RatFunc.from_ic(ic, (1,))
-    order = gl_group_order if flavor == "gl" else u_group_order
-    qq = _qval(q)
-    g = [order(j, q) for j in range(n + 1)]
-    top = Fraction(g[n])  # int / int would be a float
-    if e == 1:
-        total = sum(top / (qq ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
-                    for r in range(n // 2 + 1))
-    else:
-        total = sum(top / (g[r] * g[n - r]) for r in range(n + 1))
-    return _finish(total, q)
+    ic = _involution_sum_ic(1 if flavor == "gl" else -1, n, e)
+    return _finish(RatFunc.from_ic(ic, (1,)), q)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +528,6 @@ def _unsumodd_sum(n: int, form: int) -> list:
         weight = _signed(_gauss_row(n)[k], -1)  # [n choose k]_(-w)
         total = _k.zz_add(total, [0] * (n - k) + _k.zz_mul(weight, _k.zz_mul(lam_sum, nu_sum)))
     return total
-
-
-def u_unsumodd_expr(n: int, form: int, q=None):
-    """One of the two partition-pair expressions (form 1 or 2) for the
-    odd-characteristic real degree sum, without the prefactor:
-    q^N E(1/q) / prefactor, with E from `_unsumodd_sum`."""
-    expr = _from_w(_unsumodd_sum(n, form), _binom2(n + 1)) / u_prefactor_abs(n, None)
-    return expr if q is None else expr.eval(q)
 
 
 def u_real_sum_odd_closed(n: int, q=None):

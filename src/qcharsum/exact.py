@@ -424,10 +424,14 @@ class RatFunc:
     # -- maps -----------------------------------------------------------------
 
     def eval(self, q0) -> Fraction:
-        d = self.den.eval(Fraction(q0))
+        """The value at q0 = a/b, from b^k p(a/b) = sum_i p_i a^i b^(k-i),
+        k = deg p, for p = n and d (_horner)."""
+        x = Fraction(q0)
+        a, b = x.numerator, x.denominator
+        d = _horner(self.d, a, b)
         if not d:
             raise ZeroDivisionError(f"pole at q = {q0}")
-        return self.num.eval(Fraction(q0)) / d
+        return Fraction(_horner(self.n, a, b) * b ** len(self.d), d * b ** len(self.n))
 
     # -- comparisons / output ---------------------------------------------------
 
@@ -468,6 +472,15 @@ def _pair(x):
     if isinstance(x, (int, Fraction)):
         return ((x.numerator,) if x else ()), (x.denominator,)
     return None
+
+
+def _horner(ic: tuple, a: int, b: int) -> int:
+    """b^k p(a/b) for the integer coefficients ic of p, k = len(ic) - 1."""
+    acc, bk = 0, 1
+    for c in reversed(ic):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
 
 
 def _qpoly_over(ic: tuple, s: int) -> QPoly:

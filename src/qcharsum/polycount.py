@@ -8,15 +8,14 @@ M*(d, q).  The unitary flavor replaces the Frobenius orbit x -> x^q with
 the twisted map x -> x^(-q); the analogous counts are written with the
 same accessors under flavor="u".
 
-Everything here is available three ways:
-
-* closed formulas (Moebius for the plain counts; a divisor recursion for
-  the starred counts derived from two infinite-product identities whose
-  truncations are themselves re-verified elsewhere);
-* symbolically in q, where the starred counts need the parity of q as an
-  extra argument e in {1, 2} (e = gcd(2, q-1));
-* by brute-force orbit enumeration over the actual root groups, used as
-  the independent oracle for everything above.
+Each count has one route: closed formulas symbolic in q (Moebius for the
+plain counts; a divisor recursion for the starred counts derived from two
+infinite-product identities whose truncations are themselves re-verified
+elsewhere), where the starred counts need the parity of q as an extra
+argument e in {1, 2} (e = gcd(2, q-1)).  At integer q a count is its
+memoized symbolic value, for q's parity, evaluated at q (_finish).  The
+brute-force orbit enumeration over the actual root groups is the
+independent oracle for them.
 """
 
 from __future__ import annotations
@@ -59,22 +58,28 @@ def mobius(n: int) -> int:
     return out
 
 
-def _as_scalar(q):
-    """Return (value, numeric) where value is an int or symbolic q.  The one
-    check of a q argument in the library; chars._qval goes through it."""
-    if q is None:
-        return RatFunc.x(), False
-    if not isinstance(q, int) or q < 2:
+def _as_scalar(q) -> None:
+    """The one check of a q argument in the library: an integer >= 2, or
+    None for symbolic.  chars._qval goes through it."""
+    if q is not None and (not isinstance(q, int) or q < 2):
         raise ValueError("q must be an integer >= 2 or None for symbolic")
-    return q, True
 
 
 def to_int(x) -> int:
-    """x as an int; ArithmeticError if it is not an integer."""
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {f}")
-    return int(f)
+    """An int or Fraction x as an int; ArithmeticError if it is not an integer."""
+    if x.denominator != 1:
+        raise ArithmeticError(f"expected an integer, got {x}")
+    return x.numerator
+
+
+def _finish(x, q):
+    """Symbolic results stay as they are; at integer q a RatFunc is evaluated
+    and every result becomes an int."""
+    if q is None:
+        return x
+    if isinstance(x, RatFunc):
+        x = x.eval(q)
+    return to_int(x)
 
 
 @lru_cache(maxsize=None)
@@ -84,29 +89,29 @@ def count_irreducible(d: int, q=None):
     Integer for integer q, a RatFunc in q when q is None.  Memoized: the
     values are immutable, so a repeat call returns the same object.
     """
-    qq, numeric = _as_scalar(q)
-    total = (qq - qq) if not numeric else 0
+    _as_scalar(q)
+    if q is not None:
+        return _finish(count_irreducible(d, None), q)
+    total = RatFunc.const(0)
     for r in divisors(d):
         mu = mobius(r)
         if mu:
-            total = total + mu * qq ** (d // r)
-    if numeric:
-        return to_int(Fraction(total, d))
+            total = total + mu * RatFunc.x() ** (d // r)
     return total / d
 
 
 @lru_cache(maxsize=None)
 def count_u_irreducible(d: int, q=None):
     """Number of twisted-orbit classes of degree d (unitary flavor); memoized."""
-    qq, numeric = _as_scalar(q)
-    total = (qq - qq) if not numeric else 0
+    _as_scalar(q)
+    if q is not None:
+        return _finish(count_u_irreducible(d, None), q)
+    total = RatFunc.const(0)
     for r in divisors(d):
         mu = mobius(r)
         if mu:
             k = d // r
-            total = total + mu * (qq ** k - (-1) ** k)
-    if numeric:
-        return to_int(Fraction(total, d))
+            total = total + mu * (RatFunc.x() ** k - (-1) ** k)
     return total / d
 
 
@@ -143,8 +148,8 @@ def _check_flavor(flavor: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _nstar_even(flavor: str, m: int, qkey, e: int):
-    """N*(2m, q): self-conjugate count in even degree 2m.
+def _nstar_even(flavor: str, m: int, e: int) -> RatFunc:
+    """N*(2m, q): self-conjugate count in even degree 2m, symbolic in q.
 
     Solves m*N*(2m) = target(m) - sum over proper divisors d of m with m/d
     odd of d*N*(2d), where the divisor-sum value comes from subtracting the
@@ -152,19 +157,16 @@ def _nstar_even(flavor: str, m: int, qkey, e: int):
         gl: sum_{d | m, m/d odd} d N*(2d) = (q^m - e + 1)/2
         u:  sum_{d | m, m/d odd} d N*(2d) = (q^m - e + (-1)^m)/2
     """
-    qq = RatFunc.x() if qkey is None else qkey
     half = Fraction(1, 2)
     if flavor == "gl":
-        target = (qq ** m - e + 1) * half
+        target = (RatFunc.x() ** m - e + 1) * half
     else:
-        target = (qq ** m - e + (-1) ** m) * half
+        target = (RatFunc.x() ** m - e + (-1) ** m) * half
     acc = target
     for d in divisors(m):
         if d < m and (m // d) % 2 == 1:
-            acc = acc - d * _nstar_even(flavor, d, qkey, e)
-    if qkey is None:
-        return acc / m
-    return to_int(Fraction(acc, m))
+            acc = acc - d * _nstar_even(flavor, d, e)
+    return acc / m
 
 
 def count_selfdual_and_pairs(d: int, q=None, flavor: str = "gl", parity=None) -> ClassCounts:
@@ -179,22 +181,26 @@ def count_selfdual_and_pairs(d: int, q=None, flavor: str = "gl", parity=None) ->
 
 @lru_cache(maxsize=None)
 def _class_counts(d: int, q, flavor: str, e: int) -> ClassCounts:
-    plain = count_irreducible(d, q) if flavor == "gl" else count_u_irreducible(d, q)
+    """The counts at degree d for the parity e, symbolic in q; at integer q
+    the three symbolic counts evaluated."""
+    _as_scalar(q)
+    if q is not None:
+        sym = _class_counts(d, None, flavor, e)
+        return ClassCounts(flavor=flavor, d=d, q=q, n_plain=_finish(sym.n_plain, q),
+                           n_selfdual=_finish(sym.n_selfdual, q),
+                           m_pairs=_finish(sym.m_pairs, q))
+    plain = count_irreducible(d, None) if flavor == "gl" else count_u_irreducible(d, None)
     if d % 2 == 1:
-        nstar = e if d == 1 else 0
-        if q is None:
-            nstar = RatFunc.const(nstar)
+        nstar = RatFunc.const(e if d == 1 else 0)
     else:
-        nstar = _nstar_even(flavor, d // 2, q, e)
+        nstar = _nstar_even(flavor, d // 2, e)
     # level sum: sum_{d' | m} d' * (N*(2d') + M*(d')) = q^m - e, at m = d,
     # gives M*(d) = A_d - N*(2d) with A_1 = q - e and A_d = N(d, q) for d > 1.
-    qq, numeric = _as_scalar(q)
     if d == 1:
-        a_d = qq - e
+        a_d = RatFunc.x() - e
     else:
-        a_d = count_irreducible(d, q)
-    nstar_2d = _nstar_even(flavor, d, q, e)
-    pairs = a_d - nstar_2d
+        a_d = count_irreducible(d, None)
+    pairs = a_d - _nstar_even(flavor, d, e)
     return ClassCounts(flavor=flavor, d=d, q=q, n_plain=plain, n_selfdual=nstar, m_pairs=pairs)
 
 

@@ -27,7 +27,7 @@ from qcharsum.chars import (
     u_prefactor_abs,
     u_real_sum_closed,
     u_real_sum_even_closed,
-    u_unsumodd_expr,
+    u_real_sum_odd_closed,
     weyl_degree_sum,
     weyl_involutions,
 )
@@ -35,7 +35,8 @@ from qcharsum import hl
 from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
 from qcharsum.partitions import enumerate_partitions, partitions_up_to
-from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs, to_int
+from qcharsum.polycount import (brute_poly_census, count_irreducible, count_selfdual_and_pairs,
+                                count_u_irreducible, to_int)
 from _series_ref import exp, log
 
 
@@ -196,7 +197,7 @@ def test_gf_readers_reject_bad_q(q):
     pytest.param(u_eps_sums_closed, (-1, None, "odd"), id="u_eps_sums_closed"),
     pytest.param(u_eps_sums_alt_even, (-1,), id="u_eps_sums_alt_even"),
     pytest.param(real_degree_sum_oracle, ("gl", -1, 3), id="real_degree_sum_oracle"),
-    pytest.param(u_unsumodd_expr, (-1, 1), id="u_unsumodd_expr"),
+    pytest.param(u_real_sum_odd_closed, (-1,), id="u_real_sum_odd_closed"),
     pytest.param(weyl_degree_sum, ("A", -1), id="weyl_degree_sum-A"),
     pytest.param(weyl_degree_sum, ("B", -1), id="weyl_degree_sum-B"),
     pytest.param(weyl_degree_sum, ("D", -1), id="weyl_degree_sum-D"),
@@ -220,6 +221,19 @@ def test_symbolic_matches_numeric_by_parity():
                 assert odd.eval(q) == real_degree_sum_gf(flavor, n, q)
 
 
+def _involution_quotient_at(flavor, n, q):
+    """The closed involution sum at integer q as exact quotients of the
+    integer group orders, with the parity of q."""
+    order = gl_group_order if flavor == "gl" else u_group_order
+    g = [Fraction(order(j, q)) for j in range(n + 1)]
+    if q % 2 == 0:
+        terms = (g[n] / (q ** (r * (2 * n - 3 * r)) * g[r] * g[n - 2 * r])
+                 for r in range(n // 2 + 1))
+    else:
+        terms = (g[n] / (g[r] * g[n - r]) for r in range(n + 1))
+    return to_int(sum(terms))
+
+
 def test_involution_count_symbolic():
     assert involution_count("gl", 2, None, "odd") == Q**2 + Q + 2
     assert involution_count("gl", 2, None, "even") == Q**2
@@ -227,7 +241,8 @@ def test_involution_count_symbolic():
         for parity, qs in (("even", (2, 4)), ("odd", (3, 5))):
             sym = involution_count("u", n, None, parity)
             for q in qs:
-                assert sym.eval(q) == involution_count("u", n, q)
+                want = _involution_quotient_at("u", n, q)
+                assert sym.eval(q) == involution_count("u", n, q) == want
             assert involution_count_gf("u", n, None, parity) == sym
 
 
@@ -247,7 +262,8 @@ def _involution_quotient(flavor, n, parity):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_symbolic_involution_count_is_the_group_order_quotient(flavor, parity):
     # The division-free q-binomial sum against the quotients it replaces:
-    # every canonical field, a polynomial, and the numeric count at each q.
+    # every canonical field, a polynomial, and, at each q, the quotient of
+    # the integer group orders.
     qs = (2, 4) if parity == "even" else (3, 5)
     for n in range(13):
         got = involution_count(flavor, n, None, parity)
@@ -256,7 +272,8 @@ def test_symbolic_involution_count_is_the_group_order_quotient(flavor, parity):
     for n in range(25):
         got = involution_count(flavor, n, None, parity)
         for q in qs:
-            assert got.eval(q) == involution_count(flavor, n, q), (n, q)
+            want = _involution_quotient_at(flavor, n, q)
+            assert got.eval(q) == involution_count(flavor, n, q) == want, (n, q)
 
 
 def test_parity_argument_guards():
@@ -287,6 +304,50 @@ def test_u_worked_examples_closed():
     assert u_real_sum_closed(2, 3) == 12
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_every_q_function_is_its_symbolic_value_evaluated(q):
+    # At integer q each public function returns its symbolic value, with
+    # the parity of q, evaluated at q: an int (a tuple of ints for a pair),
+    # or the evaluated coefficients for a series.
+    parity = "even" if q % 2 == 0 else "odd"
+
+    def same(got, sym):
+        if isinstance(got, tuple):
+            assert len(got) == len(sym)
+            for a, b in zip(got, sym):
+                same(a, b)
+        else:
+            assert type(got) is int and got == sym.eval(q), (got, sym)
+
+    for d in range(1, 6):
+        same(count_irreducible(d, q), count_irreducible(d, None))
+        same(count_u_irreducible(d, q), count_u_irreducible(d, None))
+        for flavor in ("gl", "u"):
+            got = count_selfdual_and_pairs(d, q, flavor)
+            sym = count_selfdual_and_pairs(d, None, flavor, parity)
+            for field in ("n_plain", "n_selfdual", "m_pairs"):
+                same(getattr(got, field), getattr(sym, field))
+    closed = u_real_sum_even_closed if parity == "even" else u_real_sum_odd_closed
+    for n in range(6):
+        for fn in (gl_group_order, u_group_order, gl_prefactor, u_prefactor_abs, closed):
+            same(fn(n, q), fn(n, None))
+        if parity == "even":
+            same(u_eps_sums_alt_even(n, q), u_eps_sums_alt_even(n, None))
+        for fn in (u_real_sum_closed, u_eps_sums_closed, u_eps_sums_gf):
+            same(fn(n, q), fn(n, None, parity))
+        for flavor in ("gl", "u"):
+            for fn in (involution_count, real_degree_sum_gf, involution_count_gf):
+                same(fn(flavor, n, q), fn(flavor, n, None, parity))
+    for param in (CharParam("gl", (("selfdual", 1, (2,)), ("pair", 1, (1,)))),
+                  CharParam("u", (("selfdual", 1, (2, 1)), ("selfdual", 2, (1,))))):
+        same(char_degree(param, q), char_degree(param, None))
+    for flavor in ("gl", "u"):
+        got = real_sum_gf_from_classes(flavor, 4, q)
+        sym = real_sum_gf_from_classes(flavor, 4, None, parity)
+        assert [got.coefficient(n) for n in range(5)] == \
+            [sym.coefficient(n).eval(q) for n in range(5)]
+
+
 def test_u_closed_matches_gf_route():
     for n in range(1, 5):
         for parity in ("even", "odd"):
@@ -296,15 +357,22 @@ def test_u_closed_matches_gf_route():
             assert u_eps_sums_closed(n, None, parity) == u_eps_sums_gf(n, None, parity)
 
 
+def _unsumodd_expr(n, form):
+    """One of the two partition-pair expressions (form 1 or 2) for the
+    odd-characteristic real degree sum, without the prefactor:
+    q^N E(1/q) / prefactor, N = binom(n+1, 2)."""
+    return chars._from_w(chars._unsumodd_sum(n, form), math.comb(n + 1, 2)) / u_prefactor_abs(n)
+
+
 def test_unsummed_odd_expressions_agree():
     for n in range(1, 5):
-        e1, e2 = u_unsumodd_expr(n, 1), u_unsumodd_expr(n, 2)
+        e1, e2 = _unsumodd_expr(n, 1), _unsumodd_expr(n, 2)
         assert e1 == e2, n
         for q in (3, 5):
-            a, b = u_unsumodd_expr(n, 1, q), u_unsumodd_expr(n, 2, q)
-            assert a == b == e1.eval(q)
+            want = u_real_sum_odd_closed(n, q)
+            assert (-1) ** n * u_prefactor_abs(n, q) * e1.eval(q) == want, (n, q)
     with pytest.raises(ValueError, match="form must be 1 or 2"):
-        u_unsumodd_expr(2, 3)
+        chars._unsumodd_sum(2, 3)
 
 
 # The unitary partition sums term by term in RatFunc, from hl_principal values:
@@ -371,14 +439,14 @@ def _fields(r):
 
 def test_unitary_sums_match_the_hl_principal_reference():
     for n in range(1, 7):
-        got = [u_real_sum_even_closed(n), u_unsumodd_expr(n, 1), u_unsumodd_expr(n, 2),
+        got = [u_real_sum_even_closed(n), _unsumodd_expr(n, 1), _unsumodd_expr(n, 2),
                *u_eps_sums_alt_even(n)]
         want = [_ref_even(n), *_ref_odd_exprs(n), _ref_alt_even(n, 1), _ref_alt_even(n, -1)]
         assert [_fields(r) for r in got] == [_fields(r) for r in want], n
         for q in (3, 4, 8):
             assert u_real_sum_even_closed(n, q) == to_int(want[0].eval(q))
-            assert u_unsumodd_expr(n, 1, q) == want[1].eval(q)
-            assert u_unsumodd_expr(n, 2, q) == want[2].eval(q)
+            assert got[1].eval(q) == want[1].eval(q)
+            assert got[2].eval(q) == want[2].eval(q)
             assert u_eps_sums_alt_even(n, q) == (to_int(want[3].eval(q)),
                                                  to_int(want[4].eval(q))), (n, q)
 
@@ -395,8 +463,8 @@ def test_unitary_sums_take_a_fixed_number_of_ratfunc_operations(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(RatFunc, name, counting)
     sums = {"even": u_real_sum_even_closed,
-            "odd form 1": lambda n: u_unsumodd_expr(n, 1),
-            "odd form 2": lambda n: u_unsumodd_expr(n, 2)}
+            "odd form 1": lambda n: _unsumodd_expr(n, 1),
+            "odd form 2": lambda n: _unsumodd_expr(n, 2)}
     seen = {}
     for n in range(1, 7):
         for name, fn in sums.items():

@@ -107,6 +107,14 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc.const(1) / RatFunc.const(0)
 
+    def test_eval_raises_at_a_pole(self):
+        q = RatFunc.x()
+        for r, q0 in ((1 / q, 0), (q / (q - 2), 2), ((q + 1) / (4 * q ** 2 - 1), Fraction(-1, 2)),
+                      (1 / (q + 3), -3)):
+            with pytest.raises(ZeroDivisionError, match="pole at q = "):
+                r.eval(q0)
+        assert ((q + 1) / (4 * q ** 2 - 1)).eval(Fraction(-1, 3)) == Fraction(-6, 5)
+
     def test_arithmetic_builds_no_fraction(self, monkeypatch):
         # the operands are built first: two with non-monomial denominators,
         # two over q^k, with integer contents on both sides
@@ -403,6 +411,20 @@ class TestRatFuncProperties:
             for b in forms(v):
                 if a == b:
                     assert hash(a) == hash(b), (a, b)
+
+    @props
+    @given(ratfuncs, st.one_of(st.integers(-6, 6), small_fracs))
+    def test_eval_is_the_quotient_of_the_views(self, r, q0):
+        # eval reads the stored integer pair by Horner's rule; the QPoly
+        # views give the reference value, or the pole
+        den = r.den.eval(Fraction(q0))
+        if not den:
+            with pytest.raises(ZeroDivisionError):
+                r.eval(q0)
+            return
+        got = r.eval(q0)
+        assert type(got) is Fraction
+        assert got == r.num.eval(Fraction(q0)) / den
 
     def test_equal_values_share_a_set_entry(self):
         q = QPoly.x()

@@ -32,8 +32,8 @@ _PACKAGE = Path(qcharsum.__file__).parent
 ALLOWED_MODULES = {"exact", "_kernel", "_kernel_py", "partitions"}
 
 ALLOWED = {
-    # validators
-    "chars._check_rank", "chars._qval", "chars._parity_name", "chars._finish",
+    # validators, and the evaluation of a symbolic value at integer q
+    "chars._check_rank", "chars._qval", "chars._parity_name", "polycount._finish",
     "polycount._as_scalar", "polycount.parity_e", "polycount._check_flavor",
     "polycount.to_int",
     # verify's row plumbing (lambdas in verify are allowed as such)

@@ -34,13 +34,21 @@ def test_count_u_irreducible_known_values():
         assert count_u_irreducible(2, q) == (q * q - q - 2) // 2
 
 
+def _mobius_count(d, q, twist):
+    """(1/d) sum_{r | d} mu(r) (q^(d/r) - twist^(d/r)) in integers: the
+    plain count for twist = 0, its unitary analogue for twist = -1."""
+    total = sum(mobius(r) * (q ** (d // r) - twist ** (d // r)) for r in divisors(d))
+    assert total % d == 0
+    return total // d
+
+
 def test_symbolic_matches_numeric():
     for d in range(1, 7):
         sym = count_irreducible(d, None)
         sym_u = count_u_irreducible(d, None)
         for q in (2, 3, 5):
-            assert sym.eval(q) == count_irreducible(d, q)
-            assert sym_u.eval(q) == count_u_irreducible(d, q)
+            assert sym.eval(q) == count_irreducible(d, q) == _mobius_count(d, q, 0)
+            assert sym_u.eval(q) == count_u_irreducible(d, q) == _mobius_count(d, q, -1)
 
 
 def test_necklace_divisor_sum():
@@ -80,15 +88,17 @@ def test_census_partition_relation(flavor):
 def test_selfdual_symbolic_matches_numeric():
     # Starred counts depend on the parity of q, so the symbolic form is
     # parity-specific; evaluate the even form at powers of 2 and the odd
-    # form at odd prime powers.
+    # form at odd prime powers, against the orbit census.
     for flavor in ("gl", "u"):
         for d in range(1, 5):
             for parity, qs in (("even", (2, 4)), ("odd", (3, 5))):
                 sym = count_selfdual_and_pairs(d, None, flavor, parity=parity)
                 for q in qs:
                     num = count_selfdual_and_pairs(d, q, flavor)
-                    assert sym.n_selfdual.eval(q) == num.n_selfdual, (flavor, d, q)
-                    assert sym.m_pairs.eval(q) == num.m_pairs, (flavor, d, q)
+                    census = brute_poly_census(d, q, flavor)
+                    assert sym.n_selfdual.eval(q) == num.n_selfdual == census.n_selfdual, \
+                        (flavor, d, q)
+                    assert sym.m_pairs.eval(q) == num.m_pairs == census.m_pairs, (flavor, d, q)
 
 
 def test_counts_are_memoized():

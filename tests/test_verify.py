@@ -15,6 +15,7 @@ from functools import lru_cache
 import pytest
 
 import qcharsum.chars as chars
+import qcharsum.exact as exact
 import qcharsum.groups as groups
 import qcharsum.hl as hl
 import qcharsum.qseries as qseries
@@ -213,9 +214,9 @@ def test_mutation_in_u_order_is_detected_with_warm_memo(monkeypatch):
 
 
 def test_group_order_mutation_fails_the_brute_oracle(monkeypatch):
-    # The symbolic counts no longer read the group orders; the numeric ones
-    # and the order rows of oracle-brute-involutions do, so the rank-3 gl
-    # and rank-2 u corruptions still fail it, at the corrupted case.
+    # The involution counts do not read the group orders; the order rows of
+    # oracle-brute-involutions do, so the rank-3 gl and rank-2 u corruptions
+    # still fail it, at the corrupted case.
     for corrupt, case in ((_corrupt_gl_order, "gl(3,"), (_corrupt_u_order, "u(2,")):
         corrupt(monkeypatch)
         r = run_check("oracle-brute-involutions")
@@ -240,8 +241,8 @@ def _corrupt_order_ic(monkeypatch, key):
 def test_mutation_in_order_product_is_detected(monkeypatch):
     # The rank-3 product reaches the gamma-weighted sums of cor-iden and
     # cor-cort only (their product side is the stored series), so they part
-    # exactly at u^3; the rank-2 unitary product reaches the numeric group
-    # orders of oracle-brute-involutions only, at its first U(2, q) row.
+    # exactly at u^3; the rank-2 unitary product reaches the group-order
+    # rows of oracle-brute-involutions only, at its first U(2, q) row.
     _corrupt_order_ic(monkeypatch, (1, 3))
     for check_id in ("cor-iden", "cor-cort"):
         r = run_check(check_id, order=4)
@@ -409,6 +410,8 @@ _PROBES = [
     (_extra_degree_in_s3, "weyl-D", "n=3: lhs=11, rhs=10"),
     (_square_test_rejects_the_identity, "oracle-brute-involutions",
      "gl(2,2) involutions: lhs=3, rhs=4"),
+    (_gauss_row_off_at_u2, "oracle-brute-involutions", "u(2,2) involutions: lhs=4, rhs=8"),
+    (_gauss_row_off_at_gl3, "oracle-brute-involutions", "gl(3,2) involutions: lhs=22, rhs=26"),
     (_one_more_selfdual_census_class_at_2, "oracle-poly-census",
      "gl d=2 q=2 n_selfdual: lhs=1, rhs=2"),
     (_gauss_row_off_at_u2, "prop-involU-odd", "n=2: lhs=q^2 - 2*q + 4, rhs=q^2 - q + 2"),
@@ -758,6 +761,22 @@ def test_unitary_partition_sum_checks_take_no_qpoly_route(monkeypatch):
                 monkeypatch.setattr(module, name, unreachable)
     for check_id in ("thm-unsumeven", "cor-unsumeven-pm", "cor-genfn-even-alt",
                      "thm-unsumodd"):
+        r = run_check(check_id, budget="quick")
+        assert r.status == "pass", (check_id, r.witness)
+
+
+def test_numeric_q_checks_build_no_qpoly_view(monkeypatch):
+    # At integer q each value is its symbolic value evaluated by Horner's
+    # rule on the stored integer pair.  With the QPoly views of RatFunc
+    # raising, and every memo cold, the checks that evaluate at integer q
+    # still pass.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("QPoly view built")
+
+    _cold()
+    monkeypatch.setattr(exact, "_qpoly_over", unreachable)
+    for check_id in ("oracle-real-sums", "oracle-poly-census", "oracle-brute-involutions",
+                     "lemma-prodlem-1", "u-prodlems"):
         r = run_check(check_id, budget="quick")
         assert r.status == "pass", (check_id, r.witness)
 
