@@ -109,10 +109,6 @@ def _cmd_verify(args) -> int:
         overrides["nmax"] = args.nmax
     if args.q is not None:
         overrides["qs"] = _parse_int_list(args.q)
-        overrides["symbolic"] = bool(args.symbolic)
-    elif args.symbolic:
-        overrides["qs"] = []
-        overrides["symbolic"] = True
     ids = None
     if args.id:
         ids = [part for chunk in args.id for part in chunk.split(",") if part]
@@ -258,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=None,
                    help="override maximum rank where applicable")
     p.add_argument("--q", default=None, metavar="LIST",
-                   help="comma-separated numeric q values where applicable")
-    p.add_argument("--symbolic", action="store_true",
-                   help="symbolic q only (with --q: both)")
+                   help="comma-separated numeric q values for the enumeration "
+                        "oracles (oracle-real-sums, oracle-poly-census); the "
+                        "product identities are checked at symbolic q only")
     p.add_argument("--quick", action="store_true",
                    help="use the quick parameter budget")
     p.add_argument("--list", action="store_true",

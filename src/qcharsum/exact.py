@@ -318,11 +318,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return bool(self.n)
 
-    def as_poly(self) -> QPoly:
-        if len(self.d) > 1:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
     def valuation_at_infinity(self):
         """deg(den) - deg(num); None for zero.  Positive means vanishing as q grows."""
         if self.is_zero:

@@ -27,8 +27,6 @@ table-driven finite field, with no character theory involved.
   scan space (q^2)^n <= 1e5.  The addition table has at most 2^24 entries
   (Q^n <= 4096, 32 MiB); of the groups within the first two budgets it
   leaves out U(3,5) only.
-* gl_matrices, u_matrices and _squares_to_identity give and take matrices
-  as tuples of row tuples, decoded from or encoded to the row codes.
 """
 
 from __future__ import annotations
@@ -187,9 +185,6 @@ class _VectorTables:
                       for c in range(Q)]
         self.digits, self.vadd, self.vscale = digits, vadd, vscale
 
-    def encode(self, row) -> int:
-        return sum(d * unit for d, unit in zip(row, self.units))
-
 
 @lru_cache(maxsize=1)
 def _vector_tables(Q: int, n: int) -> _VectorTables:
@@ -279,37 +274,6 @@ def _group_frames(flavor: str, n: int, q: int):
     last."""
     T = _vector_tables(q if flavor == "gl" else q * q, n)
     return T, _gl_frames(T) if flavor == "gl" else _u_frames(T, q)
-
-
-def _matrices(flavor: str, n: int, q: int):
-    """Yield every element as a tuple of row tuples, decoded from the frames."""
-    T, frames = _group_frames(flavor, n, q)
-    if n == 0:
-        yield ()  # the empty matrix
-        return
-    for rows, last in frames:
-        head = tuple(T.digits[r] for r in rows)
-        for v in last:
-            yield head + (T.digits[v],)
-
-
-def _squares_to_identity(F: FiniteField, g) -> bool:
-    """g*g == I for g a tuple of row tuples over F, by the row-code test."""
-    T = _vector_tables(F.q, len(g))
-    return _rows_square_to_identity(T, tuple(T.encode(row) for row in g))
-
-
-def gl_matrices(n: int, q: int):
-    """Yield every invertible n x n matrix over F_q as a tuple of row
-    tuples (the vector tables are budget-guarded)."""
-    return _matrices("gl", n, q)
-
-
-def u_matrices(n: int, q: int):
-    """Yield every matrix g over F_{q^2} with conj(g)^T g = I, where
-    conj is a -> a^q; equivalently the rows are orthonormal under
-    herm(x, y) = sum_i x_i * conj(y_i)."""
-    return _matrices("u", n, q)
 
 
 _ORDER_BUDGET = 10 ** 7

@@ -68,7 +68,7 @@ from types import MappingProxyType
 
 from . import _kernel as _k
 from .exact import RatFunc
-from .partitions import Partition, enumerate_partitions, gaussian_binomial
+from .partitions import Partition, _gauss_row, enumerate_partitions
 
 _KOSTKA_BUDGET = 12
 
@@ -491,10 +491,14 @@ def hl_finite_oracle(lam, xs, t) -> RatFunc:
 
 
 def rogers_szego(m: int, z, t):
-    """H_m(z; t) = sum_j [m choose j]_t z^j, by Horner's rule in z."""
+    """H_m(z; t) = sum_j [m choose j]_t z^j, by Horner's rule in z, with
+    each [m choose j]_t the integer row _gauss_row(m)[j] read at t by
+    Horner's rule."""
     acc = None
-    for j in range(m, -1, -1):
-        c = gaussian_binomial(m, j).eval(t)
+    for row in reversed(_gauss_row(m)):
+        c = t * 0
+        for a in reversed(row):
+            c = c * t + a
         acc = c if acc is None else acc * z + c
     return acc
 

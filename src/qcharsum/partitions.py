@@ -1,4 +1,4 @@
-"""Partition combinatorics: enumeration, hooks, statistics, Gaussian binomials.
+"""Partition combinatorics: enumeration, hooks, statistics, Gaussian binomial rows.
 
 Partitions are immutable weakly-decreasing tuples of positive integers; the
 empty partition is the unique partition of 0.  Enumeration order is reverse
@@ -9,8 +9,6 @@ dominance order (needed for unitriangular transition matrices downstream).
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .exact import QPoly
 
 
 class Partition:
@@ -150,10 +148,3 @@ def _gauss_row(n: int) -> tuple:
         row.append(tuple(co))
     row.append((1,))
     return tuple(row)
-
-
-def gaussian_binomial(n: int, k: int) -> QPoly:
-    """The Gaussian binomial [n choose k]_t as a polynomial in t."""
-    if not 0 <= k <= n:
-        raise ValueError(f"gaussian_binomial needs 0 <= k <= n, got n={n}, k={k}")
-    return QPoly(_gauss_row(n)[k])

@@ -116,33 +116,28 @@ def _weyl_sides(family: str) -> tuple:
             _per_rank(lambda n: chars.weyl_involutions(family, n), start=0))
 
 
-def _geom_inv(c, order: int, one) -> Series:
-    """1/(1 - c*w) over the ring of `one`."""
-    co = [one]
-    acc = one
-    for _ in range(order):
-        acc = acc * c
-        co.append(acc)
-    return Series(co, order)
+def _geom_inv(order: int) -> Series:
+    """1/(1 - q*w)."""
+    return Series([_Q ** k for k in range(order + 1)], order)
 
 
-def _prodlem_lhs(flavor: str, which: int, order: int, q, parity) -> Series:
+def _prodlem_lhs(flavor: str, which: int, order: int, parity) -> Series:
     """The class-count side of identity `which`:
     prod_d (1+s1 w^d)^(-N*(2d)) (1+s2 w^d)^(-M*(d)) with its signs (s1, s2),
     or for identity 4 (u, plain counts) prod_d (1-w^d)^(-Nbar(d)).  Each
     factor (1+s w^d)^(-N) is its finite binomial series
     sum_k (-s)^k N(N+1)...(N+k-1)/k! w^(dk).  With each count N = P/D, P in
-    Z[q] (D = 1 at numeric q), and w scaled to m*w, m = lcm(D)*order!, every
-    coefficient is an integer list; coefficient n is divided by m^n at the end."""
+    Z[q], and w scaled to m*w, m = lcm(D)*order!, every coefficient is an
+    integer list; coefficient n is divided by m^n at the end."""
     factors = []
     for d in range(1, order + 1):
         if which == 4:
-            factors.append((-1, d, count_u_irreducible(d, q)))
+            factors.append((-1, d, count_u_irreducible(d, None)))
             continue
         s1, s2 = {1: (-1, -1), 2: (1, -1), 3: (1, 1)}[which]
-        factors.append((s1, d, count_selfdual_and_pairs(2 * d, q, flavor, parity).n_selfdual))
-        factors.append((s2, d, count_selfdual_and_pairs(d, q, flavor, parity).m_pairs))
-    counts = [(sign, d, RatFunc(count)) for sign, d, count in factors if count]
+        factors.append((s1, d, count_selfdual_and_pairs(2 * d, None, flavor, parity).n_selfdual))
+        factors.append((s2, d, count_selfdual_and_pairs(d, None, flavor, parity).m_pairs))
+    counts = [(sign, d, r) for sign, d, r in factors if r]
     m = lcm(*(r.d[0] for _, _, r in counts)) * factorial(order)
     total = [[1]] + [[]] * order
     for sign, d, r in counts:
@@ -154,46 +149,37 @@ def _prodlem_lhs(flavor: str, which: int, order: int, q, parity) -> Series:
         for n in range(order, d - 1, -1):  # times the factor, in place from the top
             for k in range(1, n // d + 1):
                 total[n] = _k.zz_add(total[n], _k.zz_mul(total[n - d * k], factor[k]))
-    if q is None:
-        return Series([RatFunc.from_ic(c, (m ** n,)) for n, c in enumerate(total)], order)
-    return Series([Fraction(c[0] if c else 0, m ** n) for n, c in enumerate(total)], order)
+    return Series([RatFunc.from_ic(c, (m ** n,)) for n, c in enumerate(total)], order)
 
 
-def _prodlem_rhs(flavor: str, which: int, order: int, q, parity) -> Series:
+def _prodlem_rhs(flavor: str, which: int, order: int, parity) -> Series:
     """The closed form of identity `which`: (1-w)^e/(1-qw); 1-w (gl) or 1+w
     (u); for u also (1+w)^e (1-qw)/(1-qw^2) and (1+w)/(1-qw)."""
-    one = _ONE if q is None else Fraction(1)
-    qq = _Q if q is None else Fraction(q)
     e = 1 if parity == "even" else 2
-    w_minus = Series([one, -one], order)   # 1 - w
-    w_plus = Series([one, one], order)     # 1 + w
+    w_minus = Series([_ONE, -_ONE], order)   # 1 - w
+    w_plus = Series([_ONE, _ONE], order)     # 1 + w
     if which == 1:
-        return (w_minus ** e) * _geom_inv(qq, order, one)
+        return (w_minus ** e) * _geom_inv(order)
     if which == 2:
         return w_minus if flavor == "gl" else w_plus
     if which == 3:
-        return ((w_plus ** e) * Series([one, one * -1 * qq], order)
-                * _geom_inv(qq, order, one).compose_scale(1, 2))
-    return w_plus * _geom_inv(qq, order, one)
+        return ((w_plus ** e) * Series([_ONE, -_Q], order)
+                * _geom_inv(order).compose_scale(1, 2))
+    return w_plus * _geom_inv(order)
 
 
 def _prodlem_sides(flavor: str, identities) -> tuple:
     """The sides of a product-identity check: the w-coefficients of
     _prodlem_lhs and _prodlem_rhs for each identity, at symbolic q for both
-    parities (when asked) and at each numeric q with its own."""
+    parities.  Identity 4 (plain unitary counts) has no parity dependence and
+    runs once."""
     def side(series):
-        def rows(order: int, qs, symbolic: bool):
+        def rows(order: int):
             for which in identities:
-                settings = []
-                if symbolic:
-                    # plain counts carry no parity dependence
-                    parities = ("even",) if (flavor, which) == ("u", 4) else ("even", "odd")
-                    settings.extend((None, par) for par in parities)
-                settings.extend((q0, "even" if q0 % 2 == 0 else "odd") for q0 in qs)
-                for q0, par in settings:
-                    at = "symbolic q" if q0 is None else f"q={q0}"
-                    yield from _coefficients(f"identity {which} ({at}, parity {par}): ",
-                                             series(flavor, which, order, q0, par), "w")
+                parities = ("even",) if (flavor, which) == ("u", 4) else ("even", "odd")
+                for par in parities:
+                    yield from _coefficients(f"identity {which} (symbolic q, parity {par}): ",
+                                             series(flavor, which, order, par), "w")
         return rows
     return side(_prodlem_lhs), side(_prodlem_rhs)
 
@@ -566,8 +552,6 @@ def _within_valuation_bound(tag, principal, oracle):
 # Registry.
 # ---------------------------------------------------------------------------
 
-_QS_DEFAULT = [2, 3, 4, 5]
-
 REGISTRY = {}
 
 
@@ -589,12 +573,10 @@ _register("weyl-D", ("weyl",),
           {"nmax": 12}, {"nmax": 8}, *_weyl_sides("D"))
 _register("lemma-prodlem-1", ("gl", "qseries"),
           "class-count product reduces to (1-w)^e/(1-qw)",
-          {"order": 8, "qs": _QS_DEFAULT, "symbolic": True},
-          {"order": 6, "qs": [2, 3], "symbolic": True}, *_prodlem_sides("gl", (1,)))
+          {"order": 8}, {"order": 6}, *_prodlem_sides("gl", (1,)))
 _register("lemma-prodlem-2", ("gl", "qseries"),
           "signed class-count product reduces to 1-w",
-          {"order": 8, "qs": _QS_DEFAULT, "symbolic": True},
-          {"order": 6, "qs": [2, 3], "symbolic": True}, *_prodlem_sides("gl", (2,)))
+          {"order": 8}, {"order": 6}, *_prodlem_sides("gl", (2,)))
 _register("thm-genfnGL", ("gl", "symbolic"),
           "linear-flavor degree-sum series equals the closed product form",
           {"order": 8}, {"order": 6},
@@ -623,8 +605,7 @@ _register("remark-igl-table", ("gl", "closed-form"),
           _per_rank(_igl_tabulated), note=_igl_observation)
 _register("u-prodlems", ("u", "qseries"),
           "unitary class-count products reduce to their closed forms",
-          {"order": 8, "qs": _QS_DEFAULT, "symbolic": True},
-          {"order": 6, "qs": [2, 3], "symbolic": True}, *_prodlem_sides("u", (1, 2, 3, 4)))
+          {"order": 8}, {"order": 6}, *_prodlem_sides("u", (1, 2, 3, 4)))
 _register("thm-degreesU", ("u", "symbolic"),
           "unitary degree-sum series equals the closed product form at -u",
           {"order": 8}, {"order": 6},
@@ -704,7 +685,7 @@ _register("oracle-real-sums", ("oracle", "chars"),
           _real_sums(lambda *args: chars.real_degree_sum_gf(*args)))
 _register("oracle-poly-census", ("oracle", "polycount"),
           "orbit-enumeration census matches count formulas and divisor sums",
-          {"dmax": 4, "qs": _QS_DEFAULT, "msum": 8},
+          {"dmax": 4, "qs": [2, 3, 4, 5], "msum": 8},
           {"dmax": 3, "qs": [2, 3], "msum": 6},
           _census_side(lambda *args: count_selfdual_and_pairs(*args),
                        lambda m: [sum((d * count(d, None) for d in divisors(m)), RatFunc.const(0))

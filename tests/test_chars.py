@@ -215,10 +215,11 @@ def test_symbolic_matches_numeric_by_parity():
         for n in range(1, nmax + 1):
             even = real_degree_sum_gf(flavor, n, None, "even")
             odd = real_degree_sum_gf(flavor, n, None, "odd")
+            # the reference enumerates the real characters at q
             for q in (2, 4):
-                assert even.eval(q) == real_degree_sum_gf(flavor, n, q)
+                assert even.eval(q) == real_degree_sum_oracle(flavor, n, q)
             for q in (3, 5):
-                assert odd.eval(q) == real_degree_sum_gf(flavor, n, q)
+                assert odd.eval(q) == real_degree_sum_oracle(flavor, n, q)
 
 
 def _involution_quotient_at(flavor, n, q):

@@ -119,6 +119,26 @@ def test_verify_quick_does_not_leak_into_later_runs(capsys, monkeypatch):
     assert run_check("weyl-A").params == {"nmax": 12}
 
 
+def test_verify_q_reaches_only_the_enumeration_oracles(capsys, tmp_path):
+    # The product identities are checked at symbolic q only: verify has no
+    # --symbolic option, and --q feeds the checks that compare with an
+    # enumeration at integer q.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--symbolic"])
+    assert exc.value.code == 2
+    assert "--symbolic" in capsys.readouterr().err
+
+    path = tmp_path / "census.json"
+    assert main(["verify", "--id", "oracle-poly-census", "--q", "2", "--json", str(path)]) == 0
+    (row,) = json.loads(path.read_text())
+    assert (row["status"], row["params"]["qs"]) == ("pass", [2])
+
+    path = tmp_path / "prodlem.json"
+    assert main(["verify", "--id", "lemma-prodlem-1", "--q", "2", "--json", str(path)]) == 0
+    (row,) = json.loads(path.read_text())
+    assert (row["status"], row["params"]) == ("pass", {"order": 8})
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     rc = main(["verify", "--id", "thm-bogus"])
     assert rc == 2

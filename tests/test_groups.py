@@ -6,15 +6,44 @@ import pytest
 
 import qcharsum.groups as groups
 from qcharsum.chars import gl_group_order, u_group_order
-from qcharsum.groups import (
-    FiniteField,
-    count_square_roots_of_identity,
-    gl_matrices,
-    group_order,
-    u_matrices,
-    _squares_to_identity,
-)
+from qcharsum.groups import FiniteField, count_square_roots_of_identity, group_order
 from qcharsum.verify import REGISTRY
+
+
+# The enumeration read back as matrices, tuples of row tuples decoded from
+# or encoded to the row codes; only these tests look at single elements.
+
+
+def _matrices(flavor, n, q):
+    """Yield every element as a tuple of row tuples, decoded from the frames."""
+    T, frames = groups._group_frames(flavor, n, q)
+    if n == 0:
+        yield ()  # the empty matrix
+        return
+    for rows, last in frames:
+        head = tuple(T.digits[r] for r in rows)
+        for v in last:
+            yield head + (T.digits[v],)
+
+
+def _squares_to_identity(F, g):
+    """g*g == I for g a tuple of row tuples over F, by the row-code test."""
+    T = groups._vector_tables(F.q, len(g))
+    codes = tuple(sum(d * unit for d, unit in zip(row, T.units)) for row in g)
+    return groups._rows_square_to_identity(T, codes)
+
+
+def gl_matrices(n, q):
+    """Yield every invertible n x n matrix over F_q (the vector tables are
+    budget-guarded)."""
+    return _matrices("gl", n, q)
+
+
+def u_matrices(n, q):
+    """Yield every matrix g over F_{q^2} with conj(g)^T g = I, where
+    conj is a -> a^q; equivalently the rows are orthonormal under
+    herm(x, y) = sum_i x_i * conj(y_i)."""
+    return _matrices("u", n, q)
 
 
 def _mat_mul(F, A, B):
