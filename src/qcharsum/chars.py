@@ -27,10 +27,10 @@ class (Green's degree formula, char_degree).  Two routes sum those degrees:
 Everything is exact: RatFunc values symbolically (q=None), and at integer q
 the symbolic value for q's parity evaluated at q, an int (polycount._finish).
 The closed-form involution count is the paper's sum of group-order
-quotients, written without division as signed q-binomial sums in integer
-lists (_gauss_row_at), so it shares no group-order code with the
-generating-function side it is checked against.  A rank n < 0 raises
-ValueError (_check_rank).
+quotients, each term built from the previous one by ratios of factors
+1 - x^a in integer lists (_involution_terms), so it shares no group-order
+code with the generating-function side it is checked against.  A rank
+n < 0 raises ValueError (_check_rank).
 
 The unitary partition sums over Hall-Littlewood values P_lam(1, z, z^2, ...;
 t) at z = -1/q are polynomials in w = 1/q over one denominator: the u
@@ -57,13 +57,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm, prod
+from operator import add, neg, sub
 
 from . import _kernel as _k
 from .exact import RatFunc, Series
 from .partitions import Partition, _gauss_row, enumerate_partitions, partitions_up_to
 from .polycount import (_as_scalar, _finish, brute_poly_census, count_selfdual_and_pairs,
                         parity_e)
-from .hl import _fake_degree, _times_one_minus_zpow, hl_principal_poly
+from .hl import _fake_degree, _over_one_minus_zpow, _times_one_minus_zpow, hl_principal_poly
 from .qseries import named_gf, named_gf_value  # noqa: F401 (named_gf is re-exported)
 
 
@@ -123,50 +124,56 @@ def u_prefactor_abs(n: int, q=None):
     return _order_value(-1, n, 0, q)
 
 
-def _gauss_row_at(eps: int, n: int) -> list:
-    """The Gaussian binomials [n choose r]_x, r = 0..n, at x = eps*q, as
-    integer coefficient lists in q, by the ratio recurrence
-    [n, r] = [n, r-1] (1 - x^(n-r+1)) / (1 - x^r).  Not memoized: a row
-    costs O(n^3) integer steps, and a memo would hold every row built."""
+def _gauss_row_at(n: int) -> list:
+    """The Gaussian binomials [n choose r]_q, r = 0..n, as integer lists,
+    by the ratio recurrence [n, r] = [n, r-1] (1 - q^(n-r+1)) / (1 - q^r)."""
     rows = [[1]]
     for r in range(1, n + 1):
         m, prev = n - r + 1, rows[-1]
         co = prev + [0] * m
-        for i, c in enumerate(prev):  # times 1 - x^m: shift and subtract
-            co[i + m] -= eps ** m * c
-        step = eps ** r
-        for i in range(r, len(co) - r):  # over 1 - x^r: strided running sum
-            co[i] += step * co[i - r]
+        for i, c in enumerate(prev):  # times 1 - q^m: shift and subtract
+            co[i + m] -= c
+        for i in range(r, len(co) - r):  # over 1 - q^r: strided running sum
+            co[i] += co[i - r]
         rows.append(co[:len(co) - r])
     return rows
 
 
 @lru_cache(maxsize=None)
 def _gauss_rows(order: int) -> tuple:
-    """The rows _gauss_row_at(1, n), n <= order, of the class product."""
-    return tuple(_gauss_row_at(1, n) for n in range(order + 1))
+    """The rows _gauss_row_at(n), n <= order, of the class product."""
+    return tuple(_gauss_row_at(n) for n in range(order + 1))
+
+
+def _involution_terms(n: int, e: int):
+    """The terms (shift, weight, co) = weight x^shift co of the involution
+    count in x = eps*q, r <= n/2, each co the previous one times a ratio of
+    factors 1 - x^a.  Even (e = 1): (-1)^r x^binom(r,2) (x;x)_n / ((x;x)_r
+    (x;x)_(n-2r)); odd: x^(r(n-r)) [n choose r]_x, with weight 2 for the
+    equal term of n - r unless 2r = n."""
+    co = [1]
+    yield 0, 1 if e == 1 or n == 0 else 2, co
+    for r in range(1, n // 2 + 1):
+        if e == 1:  # times (1 - x^(n-2r+2)) (1 - x^(n-2r+1)) / (1 - x^r)
+            co = _times_one_minus_zpow(_times_one_minus_zpow(co, n - 2 * r + 2), n - 2 * r + 1)
+            co = _over_one_minus_zpow(co, r)
+            yield r * (r - 1) // 2, (-1) ** r, co
+        else:  # times (1 - x^(n-r+1)) / (1 - x^r)
+            co = _over_one_minus_zpow(_times_one_minus_zpow(co, n - r + 1), r)
+            yield r * (n - r), 1 if 2 * r == n else 2, co
 
 
 def _involution_sum_ic(eps: int, n: int, e: int) -> list:
     """Integer coefficient list in q of the symbolic involution count."""
-    rows = _gauss_row_at(eps, n)
-    total = []
-
-    def add(co, shift):  # total += q^shift * co
-        total.extend([0] * (shift + len(co) - len(total)))
-        for i, c in enumerate(co):
-            total[shift + i] += c
-
-    if e == 1:
-        for r in range(n // 2 + 1):
-            co = rows[2 * r]
-            for i in range(r + 1, 2 * r + 1):  # times q^i - eps^i
-                co = [a - eps ** i * b for a, b in zip([0] * i + co, co + [0] * i)]
-            add(co, r * (r - 1) // 2)
-    else:
-        for r in range(n + 1):
-            sign = eps ** (r * (n - r))
-            add([sign * c for c in rows[r]], r * (n - r))
+    terms = list(_involution_terms(n, e))
+    shift, _, co = terms[-1]  # the last term reaches the top degree
+    total = [0] * (shift + len(co))
+    for shift, weight, co in terms:
+        end = shift + len(co)
+        part = total[shift:end] if weight < 2 else map(add, total[shift:end], co)
+        total[shift:end] = map(sub if weight < 0 else add, part, co)  # += weight*co
+    if eps < 0:  # from x = -q to q
+        total[1::2] = map(neg, total[1::2])
     return total
 
 
@@ -176,11 +183,11 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
     With g = gamma (gl) or omega (u):
     Even characteristic:  sum_{r <= n/2} g_n / (q^(r(2n-3r)) g_r g_(n-2r))
     Odd characteristic:   sum_{r <= n}   g_n / (g_r g_(n-r))
-    The same sums are built without division from the Gaussian binomials at
-    x = eps*q (eps = 1 for gl, -1 for u) of _gauss_row_at, as one integer
-    polynomial, which integer q evaluates:
-    Even characteristic:  sum_{r <= n/2} q^binom(r,2) [n choose 2r]_x
-                                         prod_{i=r+1..2r} (q^i - eps^i)
+    The same sums are built without division in x = eps*q (eps = 1 for gl,
+    -1 for u), each term from the previous one (_involution_terms), as one
+    integer polynomial, which integer q evaluates:
+    Even characteristic:  sum_{r <= n/2} (-1)^r x^binom(r,2) (x;x)_n
+                                         / ((x;x)_r (x;x)_(n-2r))
     Odd characteristic:   sum_{r <= n}   x^(r(n-r)) [n choose r]_x
     """
     if flavor not in ("gl", "u"):

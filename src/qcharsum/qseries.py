@@ -54,8 +54,8 @@ from .polycount import parity_e
 
 
 # The polynomial helpers below share no code with hl's, whose F_lam the
-# Warnaar check holds these products against, nor with the Gaussian rows of
-# the closed-form involution counts (chars._gauss_row_at).
+# Warnaar check holds these products against, nor with the terms of the
+# closed-form involution counts (chars._involution_terms).
 
 def _add_product(acc: dict, a: dict, b: dict) -> None:
     """acc += a*b for polynomials {exponent: int}."""

@@ -42,7 +42,7 @@ from .qseries import (GeometricFactorSpec, PairProductSpec, euler_expand,
 class CheckSpec:
     """A registered check.  `sides` is (lhs, rhs); `fn(**params)` compares
     them and returns None (pass), a witness string (fail), or
-    ("pass", note)."""
+    ("pass", note).  `qmax`, if set, bounds the integer q of its `qs`."""
 
     id: str
     tags: tuple
@@ -51,6 +51,7 @@ class CheckSpec:
     quick: dict
     sides: tuple
     fn: object
+    qmax: int | None = None
 
 
 @dataclass
@@ -556,10 +557,10 @@ REGISTRY = {}
 
 
 def _register(id_, tags, description, params, quick, lhs, rhs, relation=_equal,
-              note=None):
+              note=None, qmax=None):
     REGISTRY[id_] = CheckSpec(id=id_, tags=tuple(tags), description=description,
                               params=params, quick=quick, sides=(lhs, rhs),
-                              fn=_comparison(lhs, rhs, relation, note))
+                              fn=_comparison(lhs, rhs, relation, note), qmax=qmax)
 
 
 _register("weyl-A", ("weyl",),
@@ -682,7 +683,7 @@ _register("oracle-real-sums", ("oracle", "chars"),
           {"gl_nmax": 4, "u_nmax": 3, "qs": [2, 3]},
           {"gl_nmax": 3, "u_nmax": 2, "qs": [2, 3]},
           _real_sums(lambda *args: chars.real_degree_sum_oracle(*args)),
-          _real_sums(lambda *args: chars.real_degree_sum_gf(*args)))
+          _real_sums(lambda *args: chars.real_degree_sum_gf(*args)), qmax=5)
 _register("oracle-poly-census", ("oracle", "polycount"),
           "orbit-enumeration census matches count formulas and divisor sums",
           {"dmax": 4, "qs": [2, 3, 4, 5], "msum": 8},
@@ -691,7 +692,7 @@ _register("oracle-poly-census", ("oracle", "polycount"),
                        lambda m: [sum((d * count(d, None) for d in divisors(m)), RatFunc.const(0))
                                   for count in (count_irreducible, count_u_irreducible)]),
           _census_side(lambda *args: brute_poly_census(*args),
-                       lambda m: (_Q ** m, _Q ** m - RatFunc.const((-1) ** m))))
+                       lambda m: (_Q ** m, _Q ** m - RatFunc.const((-1) ** m))), qmax=9)
 _register("oracle-hl-finite", ("oracle", "hl"),
           "finite-variable Hall-Littlewood oracle agrees with principal "
           "values within the valuation bound",
@@ -717,6 +718,8 @@ def _params_for(spec: CheckSpec, budget: str, overrides: dict) -> dict:
             raise ValueError(f"check {spec.id!r} has no parameter {key!r}; "
                              f"known: {sorted(params)}")
         params[key] = value
+    if spec.qmax and max(params["qs"], default=0) > spec.qmax:
+        raise ValueError(f"check {spec.id!r} supports q <= {spec.qmax}, got qs={params['qs']}")
     return params
 
 
@@ -761,12 +764,11 @@ def run_all(ids=None, tag=None, overrides=None, budget="full") -> list:
         unknown = set(ids) - set(REGISTRY)
         if unknown:
             raise KeyError(f"unknown check ids: {sorted(unknown)}")
-    reports = []
-    for check_id in selected:
-        spec = REGISTRY[check_id]
-        usable = {k: v for k, v in overrides.items() if k in spec.params}
-        reports.append(run_check(check_id, budget=budget, **usable))
-    return reports
+    usable = {check_id: {k: v for k, v in overrides.items() if k in REGISTRY[check_id].params}
+              for check_id in selected}
+    for check_id in selected:  # an unusable override stops the run before any check
+        _params_for(REGISTRY[check_id], budget, usable[check_id])
+    return [run_check(check_id, budget=budget, **usable[check_id]) for check_id in selected]
 
 
 def reports_to_json(reports) -> str:

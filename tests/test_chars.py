@@ -37,6 +37,7 @@ from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
 from qcharsum.partitions import enumerate_partitions, partitions_up_to
 from qcharsum.polycount import (brute_poly_census, count_irreducible, count_selfdual_and_pairs,
                                 count_u_irreducible, to_int)
+from _involution_ref import involution_sum_ic
 from _series_ref import exp, log
 
 
@@ -275,6 +276,17 @@ def test_symbolic_involution_count_is_the_group_order_quotient(flavor, parity):
         for q in qs:
             want = _involution_quotient_at(flavor, n, q)
             assert got.eval(q) == involution_count(flavor, n, q) == want, (n, q)
+
+
+@pytest.mark.parametrize("flavor", ["gl", "u"])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_involution_terms_match_the_gaussian_row_reference(flavor, parity):
+    # The term-ratio recurrence against the route it replaced (whole
+    # Gaussian rows, products multiplied out one binomial at a time), list
+    # for list, at every rank the benchmark's deep ranks reach and beyond.
+    eps, e = (1 if flavor == "gl" else -1), (1 if parity == "even" else 2)
+    for n in range(33):
+        assert chars._involution_sum_ic(eps, n, e) == involution_sum_ic(eps, n, e), n
 
 
 def test_parity_argument_guards():

@@ -139,6 +139,20 @@ def test_verify_q_reaches_only_the_enumeration_oracles(capsys, tmp_path):
     assert (row["status"], row["params"]) == ("pass", {"order": 8})
 
 
+def test_verify_q_beyond_an_oracle_budget_is_usage_error(capsys, tmp_path):
+    # oracle-real-sums enumerates characters for q <= 5 only: --q 7 is
+    # refused before any check runs, naming the check and its bound.
+    path = tmp_path / "out.json"
+    assert main(["verify", "--q", "7", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "'oracle-real-sums' supports q <= 5" in err
+    assert "[PASS]" not in out and "[FAIL]" not in out and not path.exists()
+    # the orbit census runs to q <= 9
+    assert main(["verify", "--id", "oracle-poly-census", "--q", "7", "--json", str(path)]) == 0
+    (row,) = json.loads(path.read_text())
+    assert (row["status"], row["params"]["qs"]) == ("pass", [7])
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     rc = main(["verify", "--id", "thm-bogus"])
     assert rc == 2

@@ -162,21 +162,31 @@ def _corrupt_u_order(monkeypatch):
 
 
 def _corrupt_gauss_row(monkeypatch, key):
-    # Add 1 to the constant term of every Gaussian binomial in the row at
-    # key = (eps, n), around the binding.
-    real = chars._gauss_row_at
+    # Every term of the closed-form involution count at key = (eps, n) gains
+    # x^shift: its signed list co is 1 more at x^0.  (co[0] + 1 alone would
+    # cancel in even characteristic at n = 2, 3, where the terms r = 0, 1
+    # have weights +1, -1 at the same shift.)  The terms are read through
+    # the corrupted binding only inside the sum at that key.
+    real_sum, real_terms = chars._involution_sum_ic, chars._involution_terms
 
-    def corrupted(eps, n):
-        rows = real(eps, n)
-        return [[co[0] + 1] + co[1:] for co in rows] if (eps, n) == key else rows
+    def corrupted_terms(n, e):
+        for shift, weight, co in real_terms(n, e):
+            yield shift, weight, [co[0] + (1 if weight > 0 else -1)] + co[1:]
 
-    monkeypatch.setattr(chars, "_gauss_row_at", corrupted)
+    def corrupted(eps, n, e):
+        if (eps, n) != key:
+            return real_sum(eps, n, e)
+        with monkeypatch.context() as inner:
+            inner.setattr(chars, "_involution_terms", corrupted_terms)
+            return real_sum(eps, n, e)
+
+    monkeypatch.setattr(chars, "_involution_sum_ic", corrupted)
 
 
 def test_mutation_is_detected(monkeypatch):
-    # Corrupt the rank-3 Gaussian row at x = q.  The closed-form involution
-    # count uses it; the generating-function side does not.  The comparison
-    # must now fail exactly at n=3.
+    # Corrupt the terms of the rank-3 closed-form involution count at x = q.
+    # The generating-function side does not read them.  The comparison must
+    # now fail exactly at n=3.
     _corrupt_gauss_row(monkeypatch, (1, 3))
     r = run_check("thm-even", nmax=4)
     assert r.status == "fail"
@@ -188,7 +198,7 @@ def test_mutation_is_detected(monkeypatch):
 
 def test_mutation_is_detected_with_warm_memo(monkeypatch):
     # The generating-function memo holds series only, so with every
-    # expansion already cached the corrupted row still shows.
+    # expansion already cached the corrupted terms still show.
     for check_id in ("thm-even", "thm-odd"):
         assert run_check(check_id, nmax=4).status == "pass"
     _corrupt_gauss_row(monkeypatch, (1, 3))
@@ -410,14 +420,14 @@ _PROBES = [
     (_extra_degree_in_s3, "weyl-D", "n=3: lhs=11, rhs=10"),
     (_square_test_rejects_the_identity, "oracle-brute-involutions",
      "gl(2,2) involutions: lhs=3, rhs=4"),
-    (_gauss_row_off_at_u2, "oracle-brute-involutions", "u(2,2) involutions: lhs=4, rhs=8"),
-    (_gauss_row_off_at_gl3, "oracle-brute-involutions", "gl(3,2) involutions: lhs=22, rhs=26"),
+    (_gauss_row_off_at_u2, "oracle-brute-involutions", "u(2,2) involutions: lhs=4, rhs=6"),
+    (_gauss_row_off_at_gl3, "oracle-brute-involutions", "gl(3,2) involutions: lhs=22, rhs=24"),
     (_one_more_selfdual_census_class_at_2, "oracle-poly-census",
      "gl d=2 q=2 n_selfdual: lhs=1, rhs=2"),
     (_gauss_row_off_at_u2, "prop-involU-odd", "n=2: lhs=q^2 - 2*q + 4, rhs=q^2 - q + 2"),
-    (_gauss_row_off_at_u2, "cor-unsumeven-pm", "n=2 sign +1: lhs=3/2*q^2, rhs=q^2"),
+    (_gauss_row_off_at_u2, "cor-unsumeven-pm", "n=2 sign +1: lhs=q^2 + 1, rhs=q^2"),
     (_gauss_row_off_at_gl3, "remark-igl-table",
-     "n=3: lhs=q^4 + q^3 + q^2 - q, rhs=q^4 + q^3 - q"),
+     "n=3: lhs=q^4 + q^3 - q + 2, rhs=q^4 + q^3 - q"),
     (_f_lam_off_at_11, "example-u2-even", "degree sum: lhs=q^2 - 1, rhs=q^2"),
     (_f_lam_off_at_21, "example-u3-even",
      "eps=+1: lhs=q^4 - 3/2*q^3 + q^2, rhs=q^4 - q^3 + q^2"),
@@ -451,6 +461,21 @@ def test_every_check_has_a_probe():
     assert {cid for _, cid, _ in _PROBES} | set(_PROBED_BY_TEST) == set(REGISTRY)
     for check_id, name in _PROBED_BY_TEST.items():
         assert f'"{check_id}"' in inspect.getsource(globals()[name]), (check_id, name)
+
+
+def test_declared_q_bounds_are_the_oracle_budgets():
+    # verify refuses a --q beyond a check's qmax up front; the bound is the
+    # enumeration's own budget, which runs at qmax and raises above it.
+    oracles = {"oracle-real-sums": lambda q: chars.real_degree_sum_oracle("gl", 1, q),
+               "oracle-poly-census": lambda q: verify.brute_poly_census(1, q).n_plain}
+    assert {cid for cid, spec in REGISTRY.items() if spec.qmax} == set(oracles)
+    for check_id, oracle in oracles.items():
+        qmax = REGISTRY[check_id].qmax
+        assert oracle(qmax) > 0
+        with pytest.raises(ValueError, match="budget|supports"):
+            oracle(qmax + 1)
+        with pytest.raises(ValueError, match=f"supports q <= {qmax}"):
+            run_check(check_id, qs=[2, qmax + 1])
 
 
 @pytest.mark.parametrize("corrupt, check_id, witness", _PROBES,
