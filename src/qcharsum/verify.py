@@ -42,7 +42,7 @@ from .qseries import (GeometricFactorSpec, PairProductSpec, euler_expand,
 class CheckSpec:
     """A registered check.  `sides` is (lhs, rhs); `fn(**params)` compares
     them and returns None (pass), a witness string (fail), or
-    ("pass", note).  `qmax`, if set, bounds the integer q of its `qs`."""
+    ("pass", note).  `qmax`, if set, bounds the integers q of its `qs`."""
 
     id: str
     tags: tuple
@@ -718,8 +718,8 @@ def _params_for(spec: CheckSpec, budget: str, overrides: dict) -> dict:
             raise ValueError(f"check {spec.id!r} has no parameter {key!r}; "
                              f"known: {sorted(params)}")
         params[key] = value
-    if spec.qmax and max(params["qs"], default=0) > spec.qmax:
-        raise ValueError(f"check {spec.id!r} supports q <= {spec.qmax}, got qs={params['qs']}")
+    if spec.qmax and not all(2 <= q0 <= spec.qmax for q0 in params["qs"]):
+        raise ValueError(f"check {spec.id!r} supports 2 <= q <= {spec.qmax}, got {params['qs']}")
     return params
 
 

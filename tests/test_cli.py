@@ -140,13 +140,14 @@ def test_verify_q_reaches_only_the_enumeration_oracles(capsys, tmp_path):
 
 
 def test_verify_q_beyond_an_oracle_budget_is_usage_error(capsys, tmp_path):
-    # oracle-real-sums enumerates characters for q <= 5 only: --q 7 is
-    # refused before any check runs, naming the check and its bound.
+    # oracle-real-sums enumerates characters for 2 <= q <= 5 only: --q 7
+    # (or 1) is refused before any check runs, naming the check and its bound.
     path = tmp_path / "out.json"
-    assert main(["verify", "--q", "7", "--json", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert "'oracle-real-sums' supports q <= 5" in err
-    assert "[PASS]" not in out and "[FAIL]" not in out and not path.exists()
+    for q in ("7", "2,1"):
+        assert main(["verify", "--q", q, "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "'oracle-real-sums' supports 2 <= q <= 5" in err
+        assert "[PASS]" not in out and "[FAIL]" not in out and not path.exists()
     # the orbit census runs to q <= 9
     assert main(["verify", "--id", "oracle-poly-census", "--q", "7", "--json", str(path)]) == 0
     (row,) = json.loads(path.read_text())

@@ -474,8 +474,9 @@ def test_declared_q_bounds_are_the_oracle_budgets():
         assert oracle(qmax) > 0
         with pytest.raises(ValueError, match="budget|supports"):
             oracle(qmax + 1)
-        with pytest.raises(ValueError, match=f"supports q <= {qmax}"):
-            run_check(check_id, qs=[2, qmax + 1])
+        for qs in ([2, qmax + 1], [1]):
+            with pytest.raises(ValueError, match=f"supports 2 <= q <= {qmax}"):
+                run_check(check_id, qs=qs)
 
 
 @pytest.mark.parametrize("corrupt, check_id, witness", _PROBES,
