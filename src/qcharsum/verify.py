@@ -42,7 +42,7 @@ from .qseries import (GeometricFactorSpec, PairProductSpec, euler_expand,
 class CheckSpec:
     """A registered check.  `sides` is (lhs, rhs); `fn(**params)` compares
     them and returns None (pass), a witness string (fail), or
-    ("pass", note).  `qmax`, if set, bounds the integers q of its `qs`."""
+    ("pass", note).  `qmax`, if set, holds each q of its `qs` to 2 <= q <= qmax."""
 
     id: str
     tags: tuple
