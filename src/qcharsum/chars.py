@@ -19,10 +19,11 @@ class (Green's degree formula, char_degree).  Two routes sum those degrees:
   self-conjugate classes and pairs.  Its per-class blocks are built from the
   fake-degree polynomials f_mu(y) = (y;y)_n s_mu(1, y, ...) of the hl module
   at y = x^d, x = +-q, and raised to the symbolic class counts by finite
-  binomial series, all in integer lists scaled by (x;x)_n.  The powers of
-  the blocks are memoized, since they depend neither on q nor on its
-  parity; the class counts come through the count_selfdual_and_pairs
-  binding on every call.
+  binomial series, all in integer lists scaled by (x;x)_n that multiply by
+  the q-binomial convolution over the Gaussian rows of partitions._gauss_row
+  (the rows the qseries products read too).  The powers of the blocks are
+  memoized, since they depend neither on q nor on its parity; the class
+  counts come through the count_selfdual_and_pairs binding on every call.
 
 Everything is exact: RatFunc values symbolically (q=None), and at integer q
 the symbolic value for q's parity evaluated at q, an int (polycount._finish).
@@ -122,27 +123,6 @@ def gl_prefactor(n: int, q=None):
 def u_prefactor_abs(n: int, q=None):
     """(q^n - (-1)^n)(q^(n-1) - (-1)^(n-1))...(q + 1), without sign."""
     return _order_value(-1, n, 0, q)
-
-
-def _gauss_row_at(n: int) -> list:
-    """The Gaussian binomials [n choose r]_q, r = 0..n, as integer lists,
-    by the ratio recurrence [n, r] = [n, r-1] (1 - q^(n-r+1)) / (1 - q^r)."""
-    rows = [[1]]
-    for r in range(1, n + 1):
-        m, prev = n - r + 1, rows[-1]
-        co = prev + [0] * m
-        for i, c in enumerate(prev):  # times 1 - q^m: shift and subtract
-            co[i + m] -= c
-        for i in range(r, len(co) - r):  # over 1 - q^r: strided running sum
-            co[i] += co[i - r]
-        rows.append(co[:len(co) - r])
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _gauss_rows(order: int) -> tuple:
-    """The rows _gauss_row_at(n), n <= order, of the class product."""
-    return tuple(_gauss_row_at(n) for n in range(order + 1))
 
 
 def _involution_terms(n: int, e: int):
@@ -259,12 +239,13 @@ def char_degree(param: CharParam, q=None):
 # ---------------------------------------------------------------------------
 
 
-def _eulerian_product(a: list, b: list, rows: list) -> list:
+def _eulerian_product(a: list, b: list) -> list:
     """(x;x)_n (AB)_n = sum_j [n choose j]_x A_j B_(n-j) for series stored
-    by their scaled coefficients A_n = (x;x)_n a_n, integer lists in x."""
+    by their scaled coefficients A_n = (x;x)_n a_n, integer lists in x, over
+    the memoized Gaussian rows of partitions._gauss_row."""
     out = []
-    for n, row in enumerate(rows):
-        acc = []
+    for n in range(len(a)):
+        row, acc = _gauss_row(n), []
         for j in range(n + 1):
             if a[j] and b[n - j]:
                 acc = _k.zz_add(acc, _k.zz_mul(row[j], _k.zz_mul(a[j], b[n - j])))
@@ -308,11 +289,11 @@ def _assignment_blocks(flavor: str, d: int, order: int) -> tuple:
     nor on its parity, so they are memoized per (flavor, d, order).
     """
     odd_u = flavor == "u" and d % 2 == 1
-    rows = _gauss_rows(order)
     kept = [[1]]  # kept[n] = prod_(i <= n, d not dividing i) (1 - x^i)
     for i in range(1, order + 1):
         kept.append(kept[-1] if i % d == 0 else _times_one_minus_zpow(kept[-1], i))
-    t_one, g_one = [[] for _ in rows], [[] for _ in rows]  # T_d - 1, G_d - 1
+    t_one = [[] for _ in range(order + 1)]  # T_d - 1
+    g_one = [[] for _ in range(order + 1)]  # G_d - 1
     for m in range(1, order // d + 1):
         paired = 2 * d * m <= order
         t_sum, g_sum = [], []
@@ -324,13 +305,13 @@ def _assignment_blocks(flavor: str, d: int, order: int) -> tuple:
                 g_sum = _k.zz_add(g_sum, _k.zz_mul(f, f))
         t_one[d * m] = _k.zz_mul(_at_power(t_sum, d), kept[d * m])
         if paired:
-            g_sum = _at_power(_k.zz_mul(g_sum, rows[2 * m][m]), d)
+            g_sum = _at_power(_k.zz_mul(g_sum, _gauss_row(2 * m)[m]), d)
             g_one[2 * d * m] = _k.zz_mul(g_sum, kept[2 * d * m])
     blocks = []
     for one, step in ((t_one, d), (g_one, 2 * d)):
         powers = [[[1]] + [[] for _ in range(order)]]
         for _ in range(order // step):
-            powers.append(_eulerian_product(powers[-1], one, rows))
+            powers.append(_eulerian_product(powers[-1], one))
         blocks.append(powers)
     return tuple(blocks)
 
@@ -344,8 +325,9 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Se
     With u scaled by M = lcm(D)*order!, coefficient n of a factor is
     sum_k P(P-D)...(P-(k-1)D) M^n/(D^k k!) (B - 1)^k_n, an integer list in
     x = eps*q (eps = 1 for gl, -1 for u).  The factors multiply by the
-    q-binomial convolution, and coefficient n of the product is normalized
-    once, over (x;x)_n M^n.  At numeric q the coefficients are evaluated.
+    q-binomial convolution over the rows partitions._gauss_row, and
+    coefficient n of the product is normalized once, over (x;x)_n M^n.  At
+    numeric q the coefficients are evaluated.
     """
     par = _parity_name(q, parity)
     _qval(q)
@@ -356,13 +338,12 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Se
         for powers, count in zip(_assignment_blocks(flavor, d, order),
                                  (cc.n_selfdual, cc.m_pairs)):
             if count and len(powers) > 1:
-                factors.append((powers, RatFunc(count)))
+                factors.append((powers, count))
     big_m = lcm(*(r.d[0] for _, r in factors)) * factorial(order)
-    rows = _gauss_rows(order)
     total = [[1]] + [[] for _ in range(order)]
     for powers, r in factors:
         (den,), num = r.d, _signed(r.n, eps)  # r = P/D, P as a list in x
-        factor = [[] for _ in rows]
+        factor = [[] for _ in range(order + 1)]
         binom = [1]  # P(P-D)...(P-(k-1)D)
         for k, power in enumerate(powers):
             if k:
@@ -372,7 +353,7 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Se
                 if co:
                     term = _k.zz_mul_scalar(_k.zz_mul(binom, co), big_m ** n // scale)
                     factor[n] = _k.zz_add(factor[n], term)
-        total = _eulerian_product(total, factor, rows)
+        total = _eulerian_product(total, factor)
     co, pochhammer = [], [1]  # (x;x)_n
     for n, p in enumerate(total):
         if n:

@@ -9,7 +9,7 @@ Subcommands:
 * ``hl-value``          -- one exact Hall-Littlewood principal value.
 * ``degree-sum``        -- real character degree sum for a group family.
 * ``involutions``       -- involution count for a group family.
-* ``eps-split``         -- the two indicator-refined degree sums.
+* ``eps-split``         -- the two indicator-refined degree sums of U(n, q).
 * ``brute-involutions`` -- enumerate a small group directly.
 
 Exact values print as integers (numeric q) or rational functions in q
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eps-split",
                         help="indicator-refined unitary degree sums")
-    p.add_argument("--group", choices=("u",), default="u")
     p.add_argument("--n", type=int, required=True)
     _add_scale_flags(p)
     p.set_defaults(func=lambda a, _p=p: _cmd_eps_split(a, _p))

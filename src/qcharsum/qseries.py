@@ -9,16 +9,19 @@ Two such series multiply by the q-binomial convolution
     (x;x)_n (A B)_n = sum_k [n choose k]_x A_k B_(n-k),
 
 over the Gaussian rows of partitions._gauss_row, in integers only.  Two
-factor shapes cover everything needed here:
+factor shapes cover everything needed here; each is expanded by a function
+that takes the factor's fields as its arguments:
 
 * Euler products  prod_{i>=0} (1 + sign*x^c*x^(r*i)*u^a)^(+-1), expanded by
-  the q-binomial theorem: at n = a*l, P_n is (+-sign)^l x^(c*l) times
-  x^(r*binom(l,2)) (exponent +1 only) times (x;x)_n/(x^r;x^r)_l, which is
-  the product of 1 - x^j over the j <= n left after removing r, 2r, ..., lr
-  (so 1 <= r <= a keeps it a polynomial);
-* pair products  prod_{1<=i<j} (1 + sign*x^c*x^(i+j)*u^a)^E, expanded
-  through log -> exp, which is exact at every truncation order (truncating
-  the index range instead would give wrong coefficients at every order).
+  euler_expand(sign, a, c, r, +-1) through the q-binomial theorem: at
+  n = a*l, P_n is (+-sign)^l x^(c*l) times x^(r*binom(l,2)) (exponent +1
+  only) times (x;x)_n/(x^r;x^r)_l, which is the product of 1 - x^j over the
+  j <= n left after removing r, 2r, ..., lr (so 1 <= r <= a keeps it a
+  polynomial);
+* pair products  prod_{1<=i<j} (1 + sign*x^c*x^(i+j)*u^a)^E, expanded by
+  pair_expand(sign, c, a, E) through log -> exp, which is exact at every
+  truncation order (truncating the index range instead would give wrong
+  coefficients at every order).
   The log has the u^(am) coefficient E (-1)^(m+1) (sign x^c)^m x^(3m) /
   (m (1-x^m)(1-x^2m)), and n c_n = sum_k k L_k c_(n-k) becomes
   n P_n = sum_m a E (-1)^(m+1) (sign x^c)^m x^(3m) W P_(n-am) with
@@ -33,20 +36,20 @@ the exponent: the Warnaar check of verify packs a^i b^j t^k x^e that way.
 
 The named generating functions are read at x = 1/q (gl) or x = -1/q (u).
 The gl series at x = -1/q is the unitary involution series, so one integer
-series per e serves both, and a memo keyed by builder and e holds at most
-four series (`_GF_MEMO.clear()` empties it); each is built once per process
-and extended on demand; the eps halves are formed on each call from the
-memoized real and involution series, halved exactly in integers.  named_gf
-reads a series over Q(q), c_n = P_n/(x;x)_n, converting each coefficient of
-a memoized series once.  named_gf_value reads the u^n coefficient times
+series per e serves both.  The two builders, _invol_gf and _u_real_gf, are
+lru_caches keyed by e, so at most four series are held (cache_clear() on
+each empties them); each is built once per process and extended on demand.
+The eps halves are formed on each call from the memoized real and
+involution series, halved exactly in integers.  named_gf reads a series
+over Q(q), c_n = P_n/(x;x)_n, converting each coefficient of a memoized
+series once.  named_gf_value reads the u^n coefficient times
 q^binom(n+1,2) (x;x)_n, which is the gl prefactor or the unsigned u
 prefactor: q^binom(n+1,2) P_n(x), one re-indexing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import lru_cache, reduce
 
 from .exact import RatFunc, Series
 from .partitions import _gauss_row
@@ -145,60 +148,37 @@ def _in_q(terms, sign: int, shift: int) -> list:
     return co
 
 
-@dataclass(frozen=True)
-class GeometricFactorSpec:
-    """prod_{i>=0} (1 + sign*x^coeff*x^(ratio*i)*u^u_power)^exponent_sign."""
-
-    sign: int
-    u_power: int
-    coeff: int
-    ratio: int
-    exponent_sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1) or self.exponent_sign not in (1, -1):
-            raise ValueError("sign and exponent_sign must be +1 or -1")
-        if self.u_power < 1:
-            raise ValueError("u_power must be a positive integer")
-        if not 1 <= self.ratio <= self.u_power:
-            raise ValueError(f"ratio must be x^r with 1 <= r <= u_power, got r={self.ratio}")
-
-
-@dataclass(frozen=True)
-class PairProductSpec:
-    """prod over 1 <= i < j of (1 + sign*x^coeff*x^(i+j)*u^u_power)^exponent."""
-
-    sign: int
-    coeff: int
-    u_power: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.u_power < 2:
-            raise ValueError("u_power must be at least 2")
-
-
-def euler_expand(spec: GeometricFactorSpec) -> EulerSeries:
-    """Expand a GeometricFactorSpec by the q-binomial theorem."""
-    a, r = spec.u_power, spec.ratio
-    plus = spec.exponent_sign == 1
-    sign = spec.sign if plus else -spec.sign
+def euler_expand(sign: int, u_power: int, coeff: int, ratio: int,
+                 exponent_sign: int) -> EulerSeries:
+    """prod_{i>=0} (1 + sign*x^coeff*x^(ratio*i)*u^u_power)^exponent_sign,
+    expanded by the q-binomial theorem."""
+    if sign not in (1, -1) or exponent_sign not in (1, -1):
+        raise ValueError("sign and exponent_sign must be +1 or -1")
+    if u_power < 1:
+        raise ValueError("u_power must be a positive integer")
+    if not 1 <= ratio <= u_power:
+        raise ValueError(f"ratio must be x^r with 1 <= r <= u_power, got r={ratio}")
+    plus = exponent_sign == 1
+    lead = sign if plus else -sign
 
     def coefficient(n):
-        l, rest = divmod(n, a)
+        l, rest = divmod(n, u_power)
         if rest:
             return {}
-        kept = (j for j in range(1, n + 1) if j % r or j > r * l)
-        shift = spec.coeff * l + (r * l * (l - 1) // 2 if plus else 0)
-        return _shifted(_one_minus_powers(kept), shift, sign ** l)
+        kept = (j for j in range(1, n + 1) if j % ratio or j > ratio * l)
+        shift = coeff * l + (ratio * l * (l - 1) // 2 if plus else 0)
+        return _shifted(_one_minus_powers(kept), shift, lead ** l)
     return EulerSeries(coefficient)
 
 
-def pair_expand(spec: PairProductSpec) -> EulerSeries:
-    """Expand a PairProductSpec by log -> exp, in the scaled coefficients."""
-    a = spec.u_power
+def pair_expand(sign: int, coeff: int, u_power: int, exponent: int) -> EulerSeries:
+    """prod over 1 <= i < j of (1 + sign*x^coeff*x^(i+j)*u^u_power)^exponent,
+    expanded by log -> exp in the scaled coefficients."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if u_power < 2:
+        raise ValueError("u_power must be at least 2")
+    a = u_power
 
     def coefficient(n):
         if n == 0:
@@ -210,8 +190,8 @@ def pair_expand(spec: PairProductSpec) -> EulerSeries:
                 continue
             window = _one_minus_powers(range(n - a * m + 1, n + 1))
             w = _over_one_minus(_over_one_minus(window, m), 2 * m)
-            scalar = a * spec.exponent * (-1) ** (m + 1) * spec.sign ** m
-            _add_product(acc, prev, _shifted(w, (spec.coeff + 3) * m, scalar))
+            scalar = a * exponent * (-1) ** (m + 1) * sign ** m
+            _add_product(acc, prev, _shifted(w, (coeff + 3) * m, scalar))
         out = {}
         for e, c in acc.items():
             if c:
@@ -245,40 +225,23 @@ GF_NAMES = (
 )
 
 
-_GF_MEMO: dict = {}
-
-
-def _memo(build):
-    """Memoize the lazy series build(e) by (build, e)."""
-
-    @wraps(build)
-    def memoized(e: int) -> EulerSeries:
-        key = (build, e)
-        series = _GF_MEMO.get(key)
-        if series is None:
-            series = _GF_MEMO[key] = build(e)
-        return series
-
-    return memoized
-
-
-@_memo
+@lru_cache(maxsize=None)
 def _invol_gf(e: int) -> EulerSeries:
     """prod_{i>=1} (1 + x^i u)^e / (1 - x^i u^2): the gl series at x = 1/q,
     the unitary involution series at x = -1/q."""
-    up = euler_expand(GeometricFactorSpec(1, 1, 1, 1, 1))
-    return product_of([up] * e + [euler_expand(GeometricFactorSpec(-1, 2, 1, 1, -1))])
+    up = euler_expand(1, 1, 1, 1, 1)
+    return product_of([up] * e + [euler_expand(-1, 2, 1, 1, -1)])
 
 
-@_memo
+@lru_cache(maxsize=None)
 def _u_real_gf(e: int) -> EulerSeries:
     """The unitary real-sum series, read at x = -1/q."""
-    up = euler_expand(GeometricFactorSpec(1, 1, 1, 1, 1))
+    up = euler_expand(1, 1, 1, 1, 1)
     return product_of([up] * e + [
-        euler_expand(GeometricFactorSpec(1, 2, 1, 2, -1)),
-        pair_expand(PairProductSpec(1, 0, 2, 1 - e)),
-        pair_expand(PairProductSpec(-1, 0, 2, e)),
-        pair_expand(PairProductSpec(1, -1, 2, -1)),
+        euler_expand(1, 2, 1, 2, -1),
+        pair_expand(1, 0, 2, 1 - e),
+        pair_expand(-1, 0, 2, e),
+        pair_expand(1, -1, 2, -1),
     ])
 
 

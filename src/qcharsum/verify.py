@@ -34,8 +34,7 @@ from .partitions import Partition, _gauss_row, enumerate_partitions
 from .polycount import (brute_poly_census, count_irreducible,
                         count_selfdual_and_pairs, count_u_irreducible,
                         divisors)
-from .qseries import (GeometricFactorSpec, PairProductSpec, euler_expand,
-                      named_gf, pair_expand, product_of)
+from .qseries import euler_expand, named_gf, pair_expand, product_of
 
 
 @dataclass(frozen=True)
@@ -354,16 +353,14 @@ def _warnaar_rhs(order: int, with_b: bool):
     (1 + z^i u)), or prod_{i>=0} 1/(1 - z^(2i) u^2) when b = 0."""
     # symbol-free factors first: each symbol widens every coefficient of the
     # running product, so it joins last
-    factors = [pair_expand(PairProductSpec(-1, -2, 2, -1))]
+    factors = [pair_expand(-1, -2, 2, -1)]
     if with_b:
-        factors += [euler_expand(GeometricFactorSpec(-1, 1, 0, 1, -1)),
-                    euler_expand(GeometricFactorSpec(1, 1, 0, 1, -1))]
+        factors += [euler_expand(-1, 1, 0, 1, -1), euler_expand(1, 1, 0, 1, -1)]
     else:
-        factors.append(euler_expand(GeometricFactorSpec(-1, 2, 0, 2, -1)))
-    factors += [pair_expand(PairProductSpec(-1, _T - 2, 2, 1)),
-                euler_expand(GeometricFactorSpec(1, 1, _A, 1, 1))]
+        factors.append(euler_expand(-1, 2, 0, 2, -1))
+    factors += [pair_expand(-1, _T - 2, 2, 1), euler_expand(1, 1, _A, 1, 1)]
     if with_b:
-        factors.append(euler_expand(GeometricFactorSpec(1, 1, _B, 1, 1)))
+        factors.append(euler_expand(1, 1, _B, 1, 1))
     rhs = product_of(factors)
     for n in range(order + 1):
         yield f"u^{n}", _unpacked(rhs.coefficient(n))

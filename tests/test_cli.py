@@ -268,6 +268,15 @@ def test_eps_split_symbolic(capsys):
     assert "eps=-1\tq - 1" in out
 
 
+def test_eps_split_takes_no_group(capsys):
+    # The split is defined for the unitary group only, so the command names
+    # no group: a --group option is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["eps-split", "--group", "u", "--n", "2", "--q", "3"])
+    assert exc.value.code == 2
+    assert "--group" in capsys.readouterr().err
+
+
 def test_brute_involutions_command(capsys):
     rc = main(["brute-involutions", "--group", "u", "--n", "2", "--q", "3"])
     assert rc == 0

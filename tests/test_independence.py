@@ -1,8 +1,8 @@
 """The two sides of every check share no code beyond what they declare.
 
 Each side of a check runs alone at the quick budget with cold memos (every
-package lru_cache and the named-series memo cleared) under sys.setprofile,
-which collects the qcharsum functions it calls.  A function that both sides
+package lru_cache cleared) under sys.setprofile, which collects the qcharsum
+functions it calls.  A function that both sides
 reach must be on the allowlist or in SHARED, the committed table of shared
 ingredients, next to the mutation probe that shows a corruption of it is
 still caught.  The allowlist holds the exact layer, the kernel, partitions,
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import qcharsum
-from qcharsum import chars, qseries
+from qcharsum import chars
 from qcharsum.verify import REGISTRY, _params_for
 
 _PACKAGE = Path(qcharsum.__file__).parent
@@ -28,7 +28,10 @@ _PACKAGE = Path(qcharsum.__file__).parent
 # partitions._gauss_row is read by both sides of thm-warid (the weights and
 # the series products); test_verify.py::
 # test_mutation_in_the_gaussian_rows_fails_the_warnaar_summation shows a
-# corrupt row is still caught
+# corrupt row is still caught.  Both sides of thm-genfnGL and thm-degreesU
+# read it too (the class product and the series products);
+# test_mutation_in_the_gaussian_rows_fails_the_class_product_checks shows a
+# corrupt row is still caught there
 ALLOWED_MODULES = {"exact", "_kernel", "_kernel_py", "partitions"}
 
 ALLOWED = {
@@ -52,15 +55,12 @@ _F_PROBE = "test_verify.py::test_mutation_in_the_unitary_sums_f_lam_is_detected"
 # the eps halves and the real degree sum both read the real series _u_real_gf
 # through the integer series products
 _NAMED_GF = ("chars._named_gf_values", "qseries.named_gf_value", "qseries._named",
-             "qseries._memo.<locals>.memoized", "qseries._u_real_gf",
-             "qseries.euler_expand", "qseries.euler_expand.<locals>.coefficient",
+             "qseries._u_real_gf", "qseries.euler_expand", "qseries.euler_expand.<locals>.coefficient",
              "qseries.pair_expand", "qseries.pair_expand.<locals>.coefficient",
              "qseries.product_of", "qseries.EulerSeries.__init__",
              "qseries.EulerSeries.__mul__", "qseries.EulerSeries.__mul__.<locals>.product",
              "qseries.EulerSeries.coefficient", "qseries._add_product", "qseries._in_q",
-             "qseries._one_minus_powers", "qseries._over_one_minus", "qseries._shifted",
-             "qseries.GeometricFactorSpec.__post_init__",
-             "qseries.PairProductSpec.__post_init__")
+             "qseries._one_minus_powers", "qseries._over_one_minus", "qseries._shifted")
 _NAMED_GF_PROBE = "test_verify.py::test_eps_split_sum_rows_miss_a_corrupt_real_series"
 
 # (check id, ingredients both sides reach, the probe that shows a corruption
@@ -84,7 +84,6 @@ def _cold():
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-    qseries._GF_MEMO.clear()
 
 
 def _reached(side, params) -> set:

@@ -11,8 +11,7 @@ import pytest
 import qcharsum.qseries as qseries
 from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.partitions import _gauss_row
-from qcharsum.qseries import (_GF_MEMO, GF_NAMES, GeometricFactorSpec, PairProductSpec,
-                              euler_expand, named_gf, pair_expand, product_of)
+from qcharsum.qseries import GF_NAMES, euler_expand, named_gf, pair_expand, product_of
 from _series_ref import exp
 
 ONE = RatFunc.const(1)
@@ -106,21 +105,21 @@ class TestEulerExpand:
         for a in (1, 2):
             for x_sign in (1, -1):
                 c = X * x_sign  # c = r = x
-                lhs = euler_expand(GeometricFactorSpec(sign, a, 1, 1, expo)).as_series(9, x_sign)
+                lhs = euler_expand(sign, a, 1, 1, expo).as_series(9, x_sign)
                 rhs = (_binom_series(sign, c, a, expo, 9)
-                       * euler_expand(GeometricFactorSpec(sign, a, 2, 1, expo)).as_series(9, x_sign))
+                       * euler_expand(sign, a, 2, 1, expo).as_series(9, x_sign))
                 assert _first_difference(lhs, rhs) is None
 
     def test_low_coefficients_plus(self):
         # prod_{i>=1} (1 + u/q^i): [u^k] = e_k(1/q, 1/q^2, ...)
-        s = euler_expand(GeometricFactorSpec(1, 1, 1, 1, 1)).as_series(3, 1)
+        s = euler_expand(1, 1, 1, 1, 1).as_series(3, 1)
         assert s.coefficient(0) == 1
         assert s.coefficient(1) == 1 / (Q - 1)
         assert s.coefficient(2) == 1 / ((Q - 1) * (Q ** 2 - 1))
 
     def test_low_coefficients_inverse(self):
         # prod_{i>=1} (1 - u^2/q^i)^(-1): [u^2] = 1/(q-1)
-        s = euler_expand(GeometricFactorSpec(-1, 2, 1, 1, -1)).as_series(4, 1)
+        s = euler_expand(-1, 2, 1, 1, -1).as_series(4, 1)
         assert s.coefficient(2) == 1 / (Q - 1)
         assert s.coefficient(4) == Q / ((Q - 1) * (Q ** 2 - 1))
         assert s.coefficient(1) == 0 and s.coefficient(3) == 0
@@ -129,7 +128,7 @@ class TestEulerExpand:
         # a ratio x^-1 = q grows; x^2 over u^1 leaves (x;x)_n/(x^2;x^2)_n fractional
         for ratio in (-1, 0, 2):
             with pytest.raises(ValueError):
-                GeometricFactorSpec(1, 1, 0, ratio, 1)
+                euler_expand(1, 1, 0, ratio, 1)
 
     def test_q_binomial_theorem(self):
         # finite product: prod_{i=0}^{n-1} (1 + q^i u) = sum_k q^(k(k-1)/2) [n,k]_q u^k
@@ -146,13 +145,13 @@ class TestPairExpand:
     def test_power_sum_of_pair_indices(self):
         # sum over 1 <= i < j of x^(i+j) is x^3/((1-x)(1-x^2)); the u^2
         # coefficient of prod(1 - x^(i+j) u^2) is minus that sum
-        s = pair_expand(PairProductSpec(-1, 0, 2, 1)).as_series(4, 1)
+        s = pair_expand(-1, 0, 2, 1).as_series(4, 1)
         e1 = X ** 3 / ((1 - X) * (1 - X ** 2))
         assert s.coefficient(2) == -e1
 
     def test_second_elementary_symmetric(self):
         # u^4 coefficient is e_2 = (p_1^2 - p_2)/2 of the multiset {x^(i+j)}
-        s = pair_expand(PairProductSpec(-1, 0, 2, 1)).as_series(4, 1)
+        s = pair_expand(-1, 0, 2, 1).as_series(4, 1)
         p1 = X ** 3 / ((1 - X) * (1 - X ** 2))
         p2 = X ** 6 / ((1 - X ** 2) * (1 - X ** 4))
         assert s.coefficient(4) == (p1 ** 2 - p2) / 2
@@ -160,38 +159,38 @@ class TestPairExpand:
     @pytest.mark.parametrize("expo", [1, -1])
     def test_functional_equation_triangular(self, expo):
         # split off i=1: pair_v = euler(v*x^3) * pair_(v*x^2), here v = x^-1
-        lhs = pair_expand(PairProductSpec(-1, -1, 2, expo)).as_series(8, 1)
-        rhs = (euler_expand(GeometricFactorSpec(-1, 2, 2, 1, expo)).as_series(8, 1)
-               * pair_expand(PairProductSpec(-1, 1, 2, expo)).as_series(8, 1))
+        lhs = pair_expand(-1, -1, 2, expo).as_series(8, 1)
+        rhs = (euler_expand(-1, 2, 2, 1, expo).as_series(8, 1)
+               * pair_expand(-1, 1, 2, expo).as_series(8, 1))
         assert _first_difference(lhs, rhs) is None
 
     def test_shifted_quotient_collapses_to_single_product(self):
         # prod_{i<j} (1-u^2 x^(i+j)) / (1-u^2 x^(i+j-1)) = prod_k (1-u^2 x^(2k))^(-1)
         order = 10
         lhs = product_of([
-            pair_expand(PairProductSpec(-1, 0, 2, 1)),
-            pair_expand(PairProductSpec(-1, -1, 2, -1)),
+            pair_expand(-1, 0, 2, 1),
+            pair_expand(-1, -1, 2, -1),
         ]).as_series(order, 1)
-        rhs = euler_expand(GeometricFactorSpec(-1, 2, 2, 2, -1)).as_series(order, 1)
+        rhs = euler_expand(-1, 2, 2, 2, -1).as_series(order, 1)
         assert _first_difference(lhs, rhs) is None
 
     def test_exponent_zero_is_one(self):
-        s = pair_expand(PairProductSpec(-1, 0, 2, 0)).as_series(5, 1)
+        s = pair_expand(-1, 0, 2, 0).as_series(5, 1)
         assert all(s.coefficient(i) == (1 if i == 0 else 0) for i in range(6))
 
 
 # Euler and pair factors as integer series, and as the RatFunc series that
 # the q-binomial theorem and log -> exp give at x = 1/q.
 _FACTORS = [
-    (lambda: euler_expand(GeometricFactorSpec(1, 1, 1, 1, 1)),
+    (lambda: euler_expand(1, 1, 1, 1, 1),
      lambda x, n: _euler_ref(1, 1, x, x, 1, n)),
-    (lambda: euler_expand(GeometricFactorSpec(-1, 2, 1, 1, -1)),
+    (lambda: euler_expand(-1, 2, 1, 1, -1),
      lambda x, n: _euler_ref(-1, 2, x, x, -1, n)),
-    (lambda: euler_expand(GeometricFactorSpec(1, 2, 1, 2, -1)),
+    (lambda: euler_expand(1, 2, 1, 2, -1),
      lambda x, n: _euler_ref(1, 2, x, x * x, -1, n)),
-    (lambda: pair_expand(PairProductSpec(-1, 0, 2, 2)),
+    (lambda: pair_expand(-1, 0, 2, 2),
      lambda x, n: _pair_ref(-1, ONE, 2, x, 2, n)),
-    (lambda: pair_expand(PairProductSpec(1, -1, 2, -1)),
+    (lambda: pair_expand(1, -1, 2, -1),
      lambda x, n: _pair_ref(1, x.reciprocal(), 2, x, -1, n)),
 ]
 
@@ -269,9 +268,18 @@ class TestNamedGF:
                 assert (plus - minus).coefficient(n) == expected
 
 
+# the memoized series builders, one lru_cache keyed by e each
+_BUILDERS = (qseries._invol_gf, qseries._u_real_gf)
+
+
+def _clear_gf_memo():
+    for build in _BUILDERS:
+        build.cache_clear()
+
+
 class TestNamedGFMemo:
     def test_lower_orders_are_truncations_of_the_memo(self):
-        _GF_MEMO.clear()
+        _clear_gf_memo()
         for name in GF_NAMES:
             for parity in ("even", "odd"):
                 named_gf(name, parity, 9)
@@ -279,7 +287,7 @@ class TestNamedGFMemo:
                      for name in GF_NAMES for parity in ("even", "odd") for n in range(9)}
         for parity in ("even", "odd"):
             for n in range(9):
-                _GF_MEMO.clear()
+                _clear_gf_memo()
                 for name in GF_NAMES:
                     s = truncated[name, parity, n]
                     assert s.order == n
@@ -293,11 +301,13 @@ class TestNamedGFMemo:
     def test_a_higher_order_extends_the_memoized_series(self, monkeypatch):
         # each (builder, e) series is built once; a longer request computes
         # only the coefficients past the ones already known
-        _GF_MEMO.clear()
+        _clear_gf_memo()
         for parity in ("even", "odd"):
             named_gf("u_invol_gf", parity, 2)
             named_gf("u_real_gf", parity, 2)
-        memo = dict(_GF_MEMO)
+        assert [build.cache_info().currsize for build in _BUILDERS] == [2, 2]
+        memo = {(build, e): build(e) for build in _BUILDERS for e in (1, 2)}  # cache hits
+        misses = [build.cache_info().misses for build in _BUILDERS]
         known = {key: list(series.co) for key, series in memo.items()}
 
         def forbidden(*args):
@@ -309,7 +319,9 @@ class TestNamedGFMemo:
             for name in GF_NAMES:
                 for parity in ("even", "odd"):
                     named_gf(name, parity, order)
-        assert _GF_MEMO == memo and len(memo) == 4
+        assert [build.cache_info().misses for build in _BUILDERS] == misses
+        assert [build.cache_info().currsize for build in _BUILDERS] == [2, 2]
+        assert all(build(e) is series for (build, e), series in memo.items())
         for key, series in memo.items():
             assert len(series.co) == 9
             assert all(a is b for a, b in zip(series.co, known[key]))

@@ -572,6 +572,39 @@ def test_mutation_in_the_gaussian_rows_fails_the_warnaar_summation(monkeypatch):
     assert run_check("thm-warid", order=4).status == "pass"
 
 
+@pytest.mark.parametrize("modules", [(chars, qseries), (chars,)],
+                         ids=["both-sides", "class-product-only"])
+def test_mutation_in_the_gaussian_rows_fails_the_class_product_checks(monkeypatch, modules):
+    # Both sides of thm-genfnGL and thm-degreesU multiply series by the
+    # q-binomial convolution over partitions._gauss_row: the class product
+    # in chars, the closed product form in qseries.  With the q^1
+    # coefficient of [4, 2]_q raised by 1, at both bindings or at chars'
+    # alone, and every memo cold, both checks still fail, first at u^4.
+    real = qseries._gauss_row
+
+    def corrupted(n):
+        row = real(n)
+        if n != 4:
+            return row
+        middle = list(row[2])
+        middle[1] += 1
+        return row[:2] + (tuple(middle),) + row[3:]
+
+    _cold()
+    try:
+        for module in modules:
+            monkeypatch.setattr(module, "_gauss_row", corrupted)
+        for check_id in ("thm-genfnGL", "thm-degreesU"):
+            r = run_check(check_id, budget="quick")
+            assert r.status == "fail", check_id
+            assert r.witness.startswith("parity even: u^4: "), (check_id, r.witness)
+    finally:
+        monkeypatch.undo()
+        _cold()
+    for check_id in ("thm-genfnGL", "thm-degreesU"):
+        assert run_check(check_id, budget="quick").status == "pass"
+
+
 def _clear_block_memos():
     chars._assignment_blocks.cache_clear()
 
@@ -652,7 +685,8 @@ def test_integer_sides_never_reach_series_exp_log_or_inv(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("these checks must not use this Series operation")
 
-    qseries._GF_MEMO.clear()
+    qseries._invol_gf.cache_clear()
+    qseries._u_real_gf.cache_clear()
     _clear_block_memos()
     monkeypatch.setattr(Series, "inv", forbidden)
     for check_id in ("lemma-prodlem-1", "lemma-prodlem-2", "u-prodlems", "cor-iden",
