@@ -25,8 +25,12 @@ class (Green's degree formula, char_degree).  Two routes sum those degrees:
   memoized, since they depend neither on q nor on its parity; the class
   counts come through the count_selfdual_and_pairs binding on every call.
 
-Everything is exact: RatFunc values symbolically (q=None), and at integer q
-the symbolic value for q's parity evaluated at q, an int (polycount._finish).
+Everything is exact.  The closed forms and the class product are identities
+in Q(q), one per parity, so they take a parity and no q and return RatFunc
+values.  Integer q is accepted only by the entry points that a caller
+evaluates: the group orders and prefactors, char_degree, involution_count
+and the generating-function readers, which return the symbolic value for
+q's parity evaluated at q, an int (polycount._finish).
 The closed-form involution count is the paper's sum of group-order
 quotients, each term built from the previous one by ratios of factors
 1 - x^a in integer lists (_involution_terms), so it shares no group-order
@@ -73,20 +77,10 @@ def _binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _qval(q):
-    """Symbolic q for None, else q as a Fraction (validated by _as_scalar)."""
-    _as_scalar(q)
-    return RatFunc.x() if q is None else Fraction(q)
-
-
 def _check_rank(n: int) -> None:
     """The one check of a rank argument."""
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {n}")
-
-
-def _parity_name(q, parity) -> str:
-    return {1: "even", 2: "odd"}[parity_e(q, parity)]
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +94,7 @@ def _order_ic(eps: int, n: int) -> tuple:
 
 def _order_value(eps: int, n: int, shift: int, q):
     """q^shift * prod_{i=1..n} (q^i - eps^i): an int, or a RatFunc at q=None."""
-    _qval(q)
+    _as_scalar(q)
     _check_rank(n)
     return _finish(RatFunc.from_ic((0,) * shift + _order_ic(eps, n), (1,)), q)
 
@@ -225,7 +219,8 @@ def _class_factor(flavor: str, d: int, lam: Partition, qq):
 def char_degree(param: CharParam, q=None):
     """Exact degree of the character labelled by `param` at rank = weight."""
     n = param.weight
-    qq = _qval(q)
+    _as_scalar(q)
+    qq = RatFunc.x() if q is None else Fraction(q)
     pref = gl_prefactor(n, q) if param.flavor == "gl" else u_prefactor_abs(n, q)
     out = qq ** 0 * pref
     for kind, d, parts in param.assignments:
@@ -316,7 +311,7 @@ def _assignment_blocks(flavor: str, d: int, order: int) -> tuple:
     return tuple(blocks)
 
 
-def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Series:
+def real_sum_gf_from_classes(flavor: str, order: int, parity: str) -> Series:
     """Generating function sum_n u^n * (real degree sum at rank n)/prefactor,
     assembled from the class-count formulas (count_selfdual_and_pairs at
     symbolic q) and the per-class blocks: the product over d of
@@ -326,15 +321,13 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Se
     sum_k P(P-D)...(P-(k-1)D) M^n/(D^k k!) (B - 1)^k_n, an integer list in
     x = eps*q (eps = 1 for gl, -1 for u).  The factors multiply by the
     q-binomial convolution over the rows partitions._gauss_row, and
-    coefficient n of the product is normalized once, over (x;x)_n M^n.  At
-    numeric q the coefficients are evaluated.
+    coefficient n of the product is normalized once, over (x;x)_n M^n.
     """
-    par = _parity_name(q, parity)
-    _qval(q)
+    parity_e(None, parity)  # also at order 0, where no count reads it
     eps = 1 if flavor == "gl" else -1
     factors = []
     for d in range(1, order + 1):
-        cc = count_selfdual_and_pairs(d, None, flavor, parity=par)
+        cc = count_selfdual_and_pairs(d, None, flavor, parity)
         for powers, count in zip(_assignment_blocks(flavor, d, order),
                                  (cc.n_selfdual, cc.m_pairs)):
             if count and len(powers) > 1:
@@ -360,7 +353,7 @@ def real_sum_gf_from_classes(flavor: str, order: int, q=None, parity=None) -> Se
             pochhammer = _times_one_minus_zpow(pochhammer, n)
         den = _k.zz_mul_scalar(_signed(pochhammer, eps), big_m ** n)
         co.append(RatFunc.from_ic(_signed(p, eps), den))
-    return Series(co if q is None else [c.eval(q) for c in co], order)
+    return Series(co, order)
 
 
 def _labels(slots: list, start: int, n: int):
@@ -408,9 +401,9 @@ def _named_gf_values(flavor: str, names: tuple, n: int, q, parity, u_sign: int):
     re-indexing, with no group-order product and no RatFunc normalization."""
     if flavor not in ("gl", "u"):
         raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
-    _qval(q)
+    _as_scalar(q)
     _check_rank(n)
-    par = _parity_name(q, parity)
+    par = {1: "even", 2: "odd"}[parity_e(q, parity)]
     sign = 1 if flavor == "gl" else u_sign
     values = (named_gf_value(f"{flavor}_{name}", par, n) for name in names)
     return tuple(_finish(v if sign > 0 else -v, q) for v in values)
@@ -462,7 +455,7 @@ def _rs_at_wpow(m: int, s: int) -> list:
     return reduce(_k.zz_add, ([0] * (s * j) + list(b) for j, b in enumerate(_gauss_row(m))), [])
 
 
-def u_real_sum_even_closed(n: int, q=None):
+def u_real_sum_even_closed(n: int) -> RatFunc:
     """Even-characteristic real degree sum: prefactor times the sum over
     |lam| = n of q^(-(l(lam_odd)+n)/2) P_lam(z; 1/q), z = -1/q, which is
     q^N sum_lam w^((l(lam_odd)+n)/2) F_lam(-w, w): no denominator is left."""
@@ -470,7 +463,7 @@ def u_real_sum_even_closed(n: int, q=None):
     total = []
     for lam in enumerate_partitions(n):
         total = _k.zz_add(total, [0] * ((lam.ell_odd + n) // 2) + _hl_at_minus_w(lam, 1, 1))
-    return _finish(_from_w(total, _binom2(n + 1)), q)
+    return _from_w(total, _binom2(n + 1))
 
 
 def _unsumodd_sum(n: int, form: int) -> list:
@@ -518,31 +511,29 @@ def _unsumodd_sum(n: int, form: int) -> list:
     return total
 
 
-def u_real_sum_odd_closed(n: int, q=None):
+def u_real_sum_odd_closed(n: int) -> RatFunc:
     """Odd-characteristic real degree sum: (-1)^n q^N E(1/q), the prefactor
     times either expression, with the two forms' E asserted equal first."""
     e1, e2 = _unsumodd_sum(n, 1), _unsumodd_sum(n, 2)
     if e1 != e2:
         raise AssertionError(f"odd-characteristic expressions disagree at n={n}")
-    return _finish(_from_w(_k.zz_mul_scalar(e1, (-1) ** n), _binom2(n + 1)), q)
+    return _from_w(_k.zz_mul_scalar(e1, (-1) ** n), _binom2(n + 1))
 
 
-def u_real_sum_closed(n: int, q=None, parity=None):
+def u_real_sum_closed(n: int, parity: str) -> RatFunc:
     """Closed-form unitary real degree sum (partition-sum route)."""
-    e = parity_e(q, parity)
-    return u_real_sum_even_closed(n, q) if e == 1 else u_real_sum_odd_closed(n, q)
+    return u_real_sum_even_closed(n) if parity_e(None, parity) == 1 else u_real_sum_odd_closed(n)
 
 
-def u_eps_sums_closed(n: int, q=None, parity=None) -> tuple:
+def u_eps_sums_closed(n: int, parity: str) -> tuple:
     """(plus, minus) = (real sum +- involution count)/2, closed-form routes
     for both, each taken once."""
-    par = _parity_name(q, parity)
-    real = u_real_sum_closed(n, None, par)
-    inv = involution_count("u", n, None, par)
-    return tuple(_finish((real + sign * inv) * Fraction(1, 2), q) for sign in (1, -1))
+    real = u_real_sum_closed(n, parity)
+    inv = involution_count("u", n, None, parity)
+    return tuple((real + sign * inv) * Fraction(1, 2) for sign in (1, -1))
 
 
-def u_eps_sums_alt_even(n: int, q=None) -> tuple:
+def u_eps_sums_alt_even(n: int) -> tuple:
     """(plus, minus): even-characteristic eps-split sums via the alternative
     double sum, for sign = +1 and -1:
     (-1)^n * prefactor * [ (1 + sign (-1)^binom(n,2))/2 * S(n)
@@ -565,7 +556,7 @@ def u_eps_sums_alt_even(n: int, q=None) -> tuple:
         ratio = _from_w(t_k, _binom2(n + 1) - _binom2(n - 2 * k + 1))
         inv = involution_count("u", n - 2 * k, None, "even")
         total = total + (-1) ** _binom2(n - 2 * k) * ratio * inv
-    return tuple(_finish((total + sign * inv_n) * Fraction(1, 2), q) for sign in (1, -1))
+    return tuple((total + sign * inv_n) * Fraction(1, 2) for sign in (1, -1))
 
 
 # ---------------------------------------------------------------------------

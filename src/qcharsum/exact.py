@@ -4,8 +4,9 @@ Everything in this package reduces to arithmetic in the field Q(q) of
 rational functions over the rationals, plus truncated power series in a
 formal variable u over such coefficients.  No floats, ever; equality is
 structural equality of canonical forms.  q is the only indeterminate of
-Q(q); a polynomial carries no symbol of its own, so a Kostka-Foulkes or
-Gaussian-binomial polynomial in t is a QPoly too, printed in q.
+Q(q).  Polynomials in another variable, such as the Kostka-Foulkes
+polynomials of hl and the Gaussian binomials of partitions (both in t), are
+integer coefficient tuples, not QPolys.
 
 Canonical forms
 ---------------

@@ -12,10 +12,11 @@ Each count has one route: closed formulas symbolic in q (Moebius for the
 plain counts; a divisor recursion for the starred counts derived from two
 infinite-product identities whose truncations are themselves re-verified
 elsewhere), where the starred counts need the parity of q as an extra
-argument e in {1, 2} (e = gcd(2, q-1)).  At integer q a count is its
-memoized symbolic value, for q's parity, evaluated at q (_finish).  The
-brute-force orbit enumeration over the actual root groups is the
-independent oracle for them.
+argument e in {1, 2} (e = gcd(2, q-1)).  The plain counts are symbolic
+only.  count_selfdual_and_pairs is the one count that also accepts an
+integer q: its memoized symbolic counts, for q's parity, evaluated at q
+(_finish, the evaluation helper chars shares).  The brute-force orbit
+enumeration over the actual root groups is the independent oracle for them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def mobius(n: int) -> int:
 
 def _as_scalar(q) -> None:
     """The one check of a q argument in the library: an integer >= 2, or
-    None for symbolic.  chars._qval goes through it."""
+    None for symbolic.  Every entry point that accepts an integer q calls it."""
     if q is not None and (not isinstance(q, int) or q < 2):
         raise ValueError("q must be an integer >= 2 or None for symbolic")
 
@@ -83,15 +84,11 @@ def _finish(x, q):
 
 
 @lru_cache(maxsize=None)
-def count_irreducible(d: int, q=None):
-    """Number of monic irreducible polynomials of degree d over F_q.
-
-    Integer for integer q, a RatFunc in q when q is None.  Memoized: the
-    values are immutable, so a repeat call returns the same object.
+def count_irreducible(d: int) -> RatFunc:
+    """Number of monic irreducible polynomials of degree d over F_q, a
+    RatFunc in q.  Memoized: the values are immutable, so a repeat call
+    returns the same object.
     """
-    _as_scalar(q)
-    if q is not None:
-        return _finish(count_irreducible(d, None), q)
     total = RatFunc.const(0)
     for r in divisors(d):
         mu = mobius(r)
@@ -101,11 +98,9 @@ def count_irreducible(d: int, q=None):
 
 
 @lru_cache(maxsize=None)
-def count_u_irreducible(d: int, q=None):
-    """Number of twisted-orbit classes of degree d (unitary flavor); memoized."""
-    _as_scalar(q)
-    if q is not None:
-        return _finish(count_u_irreducible(d, None), q)
+def count_u_irreducible(d: int) -> RatFunc:
+    """Number of twisted-orbit classes of degree d (unitary flavor), a
+    RatFunc in q; memoized."""
     total = RatFunc.const(0)
     for r in divisors(d):
         mu = mobius(r)
@@ -189,7 +184,7 @@ def _class_counts(d: int, q, flavor: str, e: int) -> ClassCounts:
         return ClassCounts(flavor=flavor, d=d, q=q, n_plain=_finish(sym.n_plain, q),
                            n_selfdual=_finish(sym.n_selfdual, q),
                            m_pairs=_finish(sym.m_pairs, q))
-    plain = count_irreducible(d, None) if flavor == "gl" else count_u_irreducible(d, None)
+    plain = count_irreducible(d) if flavor == "gl" else count_u_irreducible(d)
     if d % 2 == 1:
         nstar = RatFunc.const(e if d == 1 else 0)
     else:
@@ -199,7 +194,7 @@ def _class_counts(d: int, q, flavor: str, e: int) -> ClassCounts:
     if d == 1:
         a_d = RatFunc.x() - e
     else:
-        a_d = count_irreducible(d, None)
+        a_d = count_irreducible(d)
     pairs = a_d - _nstar_even(flavor, d, e)
     return ClassCounts(flavor=flavor, d=d, q=q, n_plain=plain, n_selfdual=nstar, m_pairs=pairs)
 

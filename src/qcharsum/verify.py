@@ -8,7 +8,8 @@ series coefficient or worked value.  One comparison walks both sides in
 step (the tags must match) and reports the first row whose values break
 the check's relation: equality, with the witness "{tag}: lhs=..., rhs=...",
 for the Warnaar checks equal integer dicts, whose witness names the first
-monomial that differs, or for oracle-hl-finite a valuation bound.  A
+monomial that differs, or for oracle-hl-finite a valuation bound.  Sides
+that yield no row fail with the witness "no rows compared".  A
 check's note, if it has one, is computed after a pass and reported apart
 from any witness.  Sides look up chars.* and this module's imported names
 at run time, so a patched binding reaches the check.  `run_all` executes
@@ -77,14 +78,19 @@ def _equal(tag, lhs, rhs):
 
 
 def _comparison(lhs, rhs, relation, note):
-    """The one comparison loop: both sides row by row, under `relation`."""
+    """The one comparison loop: both sides row by row, under `relation`.
+    Sides that yield no row compare nothing, which fails."""
     def fn(**params):
-        for (tag, a), (other, b) in zip(lhs(**params), rhs(**params), strict=True):
+        rows = 0
+        for rows, ((tag, a), (other, b)) in enumerate(
+                zip(lhs(**params), rhs(**params), strict=True), 1):
             if tag != other:
                 raise ValueError(f"sides out of step: {tag!r} against {other!r}")
             witness = relation(tag, a, b)
             if witness:
                 return witness
+        if not rows:
+            return "no rows compared"
         return None if note is None else ("pass", note(**params))
     return fn
 
@@ -132,7 +138,7 @@ def _prodlem_lhs(flavor: str, which: int, order: int, parity) -> Series:
     factors = []
     for d in range(1, order + 1):
         if which == 4:
-            factors.append((-1, d, count_u_irreducible(d, None)))
+            factors.append((-1, d, count_u_irreducible(d)))
             continue
         s1, s2 = {1: (-1, -1), 2: (1, -1), 3: (1, 1)}[which]
         factors.append((s1, d, count_selfdual_and_pairs(2 * d, None, flavor, parity).n_selfdual))
@@ -385,7 +391,7 @@ def _example_u2_even_lhs():
     yield "P_(1,1)", hl_principal([1, 1], z, t)
     yield "P_(1)", hl_principal([1], z, t)
     yield "h_(2)(1/q;1/q)", rs_multi([2], t, t)
-    yield "degree sum", chars.u_real_sum_closed(2, None, "even")
+    yield "degree sum", chars.u_real_sum_closed(2, "even")
     yield "series route", chars.real_degree_sum_gf("u", 2, None, "even")
 
 
@@ -407,7 +413,7 @@ def _example_u3_even_lhs():
     inner = (hl_principal([1], z, t) + hl_principal([2], z, t)) / (-2 * q * (q + 1))
     yield "intermediate", inner
     yield "recombined", -1 * chars.u_prefactor_abs(3, None) * inner
-    yield from zip(("eps=+1", "eps=-1"), chars.u_eps_sums_closed(3, None, "even"))
+    yield from zip(("eps=+1", "eps=-1"), chars.u_eps_sums_closed(3, "even"))
     yield from zip(("eps=+1 series", "eps=-1 series"), chars.u_eps_sums_gf(3, None, "even"))
     yield from zip(("alt route +", "alt route -"), chars.u_eps_sums_alt_even(3))
     yield "involutions", chars.involution_count("u", 3, None, "even")
@@ -437,10 +443,10 @@ def _example_u2_odd_lhs():
            * qpow(-2) * (-1))
     yield "term nu=(1,1)", 2 * hl_principal([1, 1], z, Fraction(-1)) * qpow(-2)
     yield "expressions", _unsumodd_form(2, 1)
-    yield "degree sum", chars.u_real_sum_closed(2, None, "odd")
+    yield "degree sum", chars.u_real_sum_closed(2, "odd")
     yield "degree sum series", chars.real_degree_sum_gf("u", 2, None, "odd")
     yield "involutions", chars.involution_count("u", 2, None, "odd")
-    yield "eps=-1", chars.u_eps_sums_closed(2, None, "odd")[1]
+    yield "eps=-1", chars.u_eps_sums_closed(2, "odd")[1]
     yield "eps=-1 series", chars.u_eps_sums_gf(2, None, "odd")[1]
 
 
@@ -578,8 +584,7 @@ _register("lemma-prodlem-2", ("gl", "qseries"),
 _register("thm-genfnGL", ("gl", "symbolic"),
           "linear-flavor degree-sum series equals the closed product form",
           {"order": 8}, {"order": 6},
-          _by_parity(lambda order, par: chars.real_sum_gf_from_classes(
-              "gl", order, None, parity=par)),
+          _by_parity(lambda order, par: chars.real_sum_gf_from_classes("gl", order, par)),
           _by_parity(lambda order, par: named_gf("gl_real_gf", par, order)))
 _register("thm-even", ("gl", "closed-form"),
           "even characteristic: closed involution sum equals prefactor times "
@@ -607,8 +612,7 @@ _register("u-prodlems", ("u", "qseries"),
 _register("thm-degreesU", ("u", "symbolic"),
           "unitary degree-sum series equals the closed product form at -u",
           {"order": 8}, {"order": 6},
-          _by_parity(lambda order, par: chars.real_sum_gf_from_classes(
-              "u", order, None, parity=par)),
+          _by_parity(lambda order, par: chars.real_sum_gf_from_classes("u", order, par)),
           _by_parity(lambda order, par: named_gf("u_real_gf", par, order).compose_scale(-1)))
 _register("thm-warid", ("hl", "warnaar"),
           "two-parameter Hall-Littlewood summation under geometric "
@@ -638,12 +642,12 @@ _register("cor-epsplit-odd", ("u", "closed-form"),
 _register("thm-unsumeven", ("u", "closed-form"),
           "even characteristic: partition-sum form of the unitary degree sum",
           {"nmax": 6}, {"nmax": 4},
-          _per_rank(lambda n: chars.u_real_sum_closed(n, None, "even")),
+          _per_rank(lambda n: chars.u_real_sum_closed(n, "even")),
           _per_rank(lambda n: chars.real_degree_sum_gf("u", n, None, "even")))
 _register("cor-unsumeven-pm", ("u", "closed-form"),
           "even characteristic: closed eps-split values match the series "
           "route", {"nmax": 6}, {"nmax": 4},
-          _eps_pairs(lambda n: chars.u_eps_sums_closed(n, None, "even")),
+          _eps_pairs(lambda n: chars.u_eps_sums_closed(n, "even")),
           _eps_pairs(lambda n: chars.u_eps_sums_gf(n, None, "even")))
 _register("cor-genfn-even-alt", ("u", "closed-form"),
           "even characteristic: alternative double-sum form of the eps-split",
@@ -686,7 +690,7 @@ _register("oracle-poly-census", ("oracle", "polycount"),
           {"dmax": 4, "qs": [2, 3, 4, 5], "msum": 8},
           {"dmax": 3, "qs": [2, 3], "msum": 6},
           _census_side(lambda *args: count_selfdual_and_pairs(*args),
-                       lambda m: [sum((d * count(d, None) for d in divisors(m)), RatFunc.const(0))
+                       lambda m: [sum((d * count(d) for d in divisors(m)), RatFunc.const(0))
                                   for count in (count_irreducible, count_u_irreducible)]),
           _census_side(lambda *args: brute_poly_census(*args),
                        lambda m: (_Q ** m, _Q ** m - RatFunc.const((-1) ** m))), qmax=9)
@@ -715,6 +719,8 @@ def _params_for(spec: CheckSpec, budget: str, overrides: dict) -> dict:
             raise ValueError(f"check {spec.id!r} has no parameter {key!r}; "
                              f"known: {sorted(params)}")
         params[key] = value
+    if spec.qmax and not params["qs"]:
+        raise ValueError(f"check {spec.id!r} needs at least one q")
     if spec.qmax and not all(2 <= q0 <= spec.qmax for q0 in params["qs"]):
         raise ValueError(f"check {spec.id!r} supports 2 <= q <= {spec.qmax}, got {params['qs']}")
     return params

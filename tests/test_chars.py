@@ -1,5 +1,6 @@
 """Tests for character degrees, degree sums, and involution counts."""
 
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,6 @@ from qcharsum.chars import (
     CharParam,
     _class_factor,
     _order_ic,
-    _qval,
     char_degree,
     gl_group_order,
     gl_prefactor,
@@ -31,17 +31,21 @@ from qcharsum.chars import (
     weyl_degree_sum,
     weyl_involutions,
 )
-from qcharsum import hl
+from qcharsum import hl, polycount
 from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
 from qcharsum.partitions import enumerate_partitions, partitions_up_to
-from qcharsum.polycount import (brute_poly_census, count_irreducible, count_selfdual_and_pairs,
-                                count_u_irreducible, to_int)
+from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs, to_int
 from _involution_ref import involution_sum_ic
 from _series_ref import exp, log
 
 
 Q = RatFunc.x()
+
+
+def _qval(q):
+    """Symbolic q for None, else q as a Fraction."""
+    return Q if q is None else Fraction(q)
 
 
 def test_group_orders():
@@ -193,9 +197,9 @@ def test_gf_readers_reject_bad_q(q):
     pytest.param(involution_count, ("u", -1, None, "odd"), id="involution_count-u"),
     pytest.param(real_degree_sum_gf, ("u", -2, None, "even"), id="real_degree_sum_gf"),
     pytest.param(u_eps_sums_gf, (-1, 3), id="u_eps_sums_gf"),
-    pytest.param(u_real_sum_closed, (-1, None, "odd"), id="u_real_sum_closed-odd"),
-    pytest.param(u_real_sum_closed, (-2, None, "even"), id="u_real_sum_closed-even"),
-    pytest.param(u_eps_sums_closed, (-1, None, "odd"), id="u_eps_sums_closed"),
+    pytest.param(u_real_sum_closed, (-1, "odd"), id="u_real_sum_closed-odd"),
+    pytest.param(u_real_sum_closed, (-2, "even"), id="u_real_sum_closed-even"),
+    pytest.param(u_eps_sums_closed, (-1, "odd"), id="u_eps_sums_closed"),
     pytest.param(u_eps_sums_alt_even, (-1,), id="u_eps_sums_alt_even"),
     pytest.param(real_degree_sum_oracle, ("gl", -1, 3), id="real_degree_sum_oracle"),
     pytest.param(u_real_sum_odd_closed, (-1,), id="u_real_sum_odd_closed"),
@@ -298,6 +302,47 @@ def test_parity_argument_guards():
         involution_count("u", 2, 3, "even")
 
 
+# The functions some caller evaluates at integer q: the command line's, the
+# enumeration oracles' and the benchmark's.  The other routes are identities
+# in Q(q), one per parity, and take no q, so none can be handed a q of the
+# wrong parity.
+Q_ENTRY_POINTS = {
+    "chars.real_degree_sum_gf", "chars.involution_count", "chars.u_eps_sums_gf",
+    "polycount.count_selfdual_and_pairs",
+    "chars.gl_group_order", "chars.u_group_order", "chars.char_degree",
+    "chars.gl_prefactor", "chars.u_prefactor_abs",
+    "chars.involution_count_gf",
+    # the enumerations themselves, at integer q only, and the parity validator
+    "chars.real_degree_sum_oracle", "polycount.brute_poly_census", "polycount.parity_e",
+}
+
+SYMBOLIC_ROUTES = {
+    "chars.real_sum_gf_from_classes", "chars.u_real_sum_even_closed",
+    "chars.u_real_sum_odd_closed", "chars.u_real_sum_closed", "chars.u_eps_sums_closed",
+    "chars.u_eps_sums_alt_even", "polycount.count_irreducible", "polycount.count_u_irreducible",
+}
+
+
+def test_only_the_entry_points_take_q():
+    public = {}
+    for module in (chars, polycount):
+        for name, fn in vars(module).items():
+            if (callable(fn) and not inspect.isclass(fn) and not name.startswith("_")
+                    and fn.__module__ == module.__name__):
+                public[f"{module.__name__.rsplit('.', 1)[1]}.{name}"] = fn
+    assert SYMBOLIC_ROUTES <= set(public)
+    takes_q = {name for name, fn in public.items() if "q" in inspect.signature(fn).parameters}
+    assert takes_q == Q_ENTRY_POINTS
+    # the old calls with a q of the other parity gave numbers that are no
+    # degree sums (U(2, 3) has real degree sum 12, U(2, 2) has 4)
+    with pytest.raises(ValueError, match="parity"):
+        u_real_sum_closed(2, 3)
+    for call in (lambda: u_real_sum_even_closed(2, 3), lambda: u_real_sum_odd_closed(2, 2),
+                 lambda: u_eps_sums_alt_even(2, 3)):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_generating_function_readers_reject_unknown_flavors():
     # Only "gl" and "u" have named series; any other flavor must raise
     # rather than fall through to the unitary value.
@@ -308,20 +353,18 @@ def test_generating_function_readers_reject_unknown_flavors():
 
 
 def test_u_worked_examples_closed():
-    assert u_real_sum_closed(2, None, "even") == Q**2
-    assert u_real_sum_closed(2, None, "odd") == Q**2 + Q
-    assert u_real_sum_closed(3, None, "even") == Q**4 - Q**3 + 2 * Q**2 - Q
-    assert u_eps_sums_closed(3, None, "even") == (Q**4 - Q**3 + Q**2, Q**2 - Q)
-    assert u_eps_sums_closed(2, None, "odd")[1] == Q - 1
-    assert u_real_sum_closed(2, 4) == 16
-    assert u_real_sum_closed(2, 3) == 12
+    assert u_real_sum_closed(2, "even") == Q**2
+    assert u_real_sum_closed(2, "odd") == Q**2 + Q
+    assert u_real_sum_closed(3, "even") == Q**4 - Q**3 + 2 * Q**2 - Q
+    assert u_eps_sums_closed(3, "even") == (Q**4 - Q**3 + Q**2, Q**2 - Q)
+    assert u_eps_sums_closed(2, "odd")[1] == Q - 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_every_q_function_is_its_symbolic_value_evaluated(q):
-    # At integer q each public function returns its symbolic value, with
-    # the parity of q, evaluated at q: an int (a tuple of ints for a pair),
-    # or the evaluated coefficients for a series.
+    # At integer q each entry point that accepts one returns its symbolic
+    # value, with the parity of q, evaluated at q: an int, or a tuple of
+    # ints for a pair.
     parity = "even" if q % 2 == 0 else "odd"
 
     def same(got, sym):
@@ -333,41 +376,28 @@ def test_every_q_function_is_its_symbolic_value_evaluated(q):
             assert type(got) is int and got == sym.eval(q), (got, sym)
 
     for d in range(1, 6):
-        same(count_irreducible(d, q), count_irreducible(d, None))
-        same(count_u_irreducible(d, q), count_u_irreducible(d, None))
         for flavor in ("gl", "u"):
             got = count_selfdual_and_pairs(d, q, flavor)
             sym = count_selfdual_and_pairs(d, None, flavor, parity)
             for field in ("n_plain", "n_selfdual", "m_pairs"):
                 same(getattr(got, field), getattr(sym, field))
-    closed = u_real_sum_even_closed if parity == "even" else u_real_sum_odd_closed
     for n in range(6):
-        for fn in (gl_group_order, u_group_order, gl_prefactor, u_prefactor_abs, closed):
+        for fn in (gl_group_order, u_group_order, gl_prefactor, u_prefactor_abs):
             same(fn(n, q), fn(n, None))
-        if parity == "even":
-            same(u_eps_sums_alt_even(n, q), u_eps_sums_alt_even(n, None))
-        for fn in (u_real_sum_closed, u_eps_sums_closed, u_eps_sums_gf):
-            same(fn(n, q), fn(n, None, parity))
+        same(u_eps_sums_gf(n, q), u_eps_sums_gf(n, None, parity))
         for flavor in ("gl", "u"):
             for fn in (involution_count, real_degree_sum_gf, involution_count_gf):
                 same(fn(flavor, n, q), fn(flavor, n, None, parity))
     for param in (CharParam("gl", (("selfdual", 1, (2,)), ("pair", 1, (1,)))),
                   CharParam("u", (("selfdual", 1, (2, 1)), ("selfdual", 2, (1,))))):
         same(char_degree(param, q), char_degree(param, None))
-    for flavor in ("gl", "u"):
-        got = real_sum_gf_from_classes(flavor, 4, q)
-        sym = real_sum_gf_from_classes(flavor, 4, None, parity)
-        assert [got.coefficient(n) for n in range(5)] == \
-            [sym.coefficient(n).eval(q) for n in range(5)]
 
 
 def test_u_closed_matches_gf_route():
     for n in range(1, 5):
         for parity in ("even", "odd"):
-            assert u_real_sum_closed(n, None, parity) == real_degree_sum_gf(
-                "u", n, None, parity
-            )
-            assert u_eps_sums_closed(n, None, parity) == u_eps_sums_gf(n, None, parity)
+            assert u_real_sum_closed(n, parity) == real_degree_sum_gf("u", n, None, parity)
+            assert u_eps_sums_closed(n, parity) == u_eps_sums_gf(n, None, parity)
 
 
 def _unsumodd_expr(n, form):
@@ -381,9 +411,7 @@ def test_unsummed_odd_expressions_agree():
     for n in range(1, 5):
         e1, e2 = _unsumodd_expr(n, 1), _unsumodd_expr(n, 2)
         assert e1 == e2, n
-        for q in (3, 5):
-            want = u_real_sum_odd_closed(n, q)
-            assert (-1) ** n * u_prefactor_abs(n, q) * e1.eval(q) == want, (n, q)
+        assert (-1) ** n * u_prefactor_abs(n) * e1 == u_real_sum_odd_closed(n), n
     with pytest.raises(ValueError, match="form must be 1 or 2"):
         chars._unsumodd_sum(2, 3)
 
@@ -457,11 +485,7 @@ def test_unitary_sums_match_the_hl_principal_reference():
         want = [_ref_even(n), *_ref_odd_exprs(n), _ref_alt_even(n, 1), _ref_alt_even(n, -1)]
         assert [_fields(r) for r in got] == [_fields(r) for r in want], n
         for q in (3, 4, 8):
-            assert u_real_sum_even_closed(n, q) == to_int(want[0].eval(q))
-            assert got[1].eval(q) == want[1].eval(q)
-            assert got[2].eval(q) == want[2].eval(q)
-            assert u_eps_sums_alt_even(n, q) == (to_int(want[3].eval(q)),
-                                                 to_int(want[4].eval(q))), (n, q)
+            assert [r.eval(q) for r in got] == [r.eval(q) for r in want], (n, q)
 
 
 def test_unitary_sums_take_a_fixed_number_of_ratfunc_operations(monkeypatch):
@@ -671,7 +695,7 @@ def _gf_block_by_block(flavor, order, q, parity, counts):
 def test_class_product_takes_one_exp_of_the_summed_logs(flavor, parity):
     # The integer binomial series against the per-block exp(count*log(block))
     # of the generic series calculus, coefficient for coefficient at symbolic q.
-    got = real_sum_gf_from_classes(flavor, 8, None, parity)
+    got = real_sum_gf_from_classes(flavor, 8, parity)
     assert got == _gf_block_by_block(flavor, 8, None, parity, "formula")
 
 
@@ -679,9 +703,9 @@ def test_block_powers_are_built_once_per_block():
     # Both parities at symbolic q read the same memoized block powers: one
     # entry per d = 1..6 on the first parity, and none more on the second.
     chars._assignment_blocks.cache_clear()
-    even = real_sum_gf_from_classes("u", 6, None, "even")
+    even = real_sum_gf_from_classes("u", 6, "even")
     assert chars._assignment_blocks.cache_info().currsize == 6
-    odd = real_sum_gf_from_classes("u", 6, None, "odd")
+    odd = real_sum_gf_from_classes("u", 6, "odd")
     info = chars._assignment_blocks.cache_info()
     assert (info.currsize, info.misses) == (6, 6)
     assert even == _gf_block_by_block("u", 6, None, "even", "formula")
@@ -691,8 +715,9 @@ def test_block_powers_are_built_once_per_block():
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("flavor", ["gl", "u"])
 def test_class_product_on_the_census_path(flavor, q):
-    # At numeric q the formula counts are integers, so the library raises
-    # each block to its count; the product with the census counts in their
-    # place must be the same series.
-    got = real_sum_gf_from_classes(flavor, 4, q)
+    # The symbolic class product for the parity of q, evaluated at q, against
+    # the blocks at q raised to the orbit-census counts in place of the
+    # count formulas.
+    sym = real_sum_gf_from_classes(flavor, 4, "even" if q % 2 == 0 else "odd")
+    got = Series([c.eval(q) for c in sym.co], 4)
     assert got == _gf_block_by_block(flavor, 4, q, None, "census")

@@ -154,6 +154,16 @@ def test_verify_q_beyond_an_oracle_budget_is_usage_error(capsys, tmp_path):
     assert (row["status"], row["params"]["qs"]) == ("pass", [7])
 
 
+def test_verify_empty_q_list_is_usage_error(capsys, tmp_path):
+    # --q , names no q: the oracle would compare no row, so the run is
+    # refused before any check runs.
+    path = tmp_path / "out.json"
+    assert main(["verify", "--id", "oracle-real-sums", "--q", ",", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "'oracle-real-sums' needs at least one q" in err
+    assert "[PASS]" not in out and "[FAIL]" not in out and not path.exists()
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     rc = main(["verify", "--id", "thm-bogus"])
     assert rc == 2

@@ -36,7 +36,7 @@ ALLOWED_MODULES = {"exact", "_kernel", "_kernel_py", "partitions"}
 
 ALLOWED = {
     # validators, and the evaluation of a symbolic value at integer q
-    "chars._check_rank", "chars._qval", "chars._parity_name", "polycount._finish",
+    "chars._check_rank", "polycount._finish",
     "polycount._as_scalar", "polycount.parity_e", "polycount._check_flavor",
     "polycount.to_int",
     # verify's row plumbing (lambdas in verify are allowed as such)

@@ -21,17 +21,17 @@ def test_divisors_and_mobius():
 
 def test_count_irreducible_known_values():
     for q in (2, 3, 4, 5, 7, 9):
-        assert count_irreducible(1, q) == q
-        assert count_irreducible(2, q) == (q * q - q) // 2
-        assert count_irreducible(3, q) == (q**3 - q) // 3
-    assert count_irreducible(4, 2) == 3
-    assert count_irreducible(6, 2) == 9
+        assert count_irreducible(1).eval(q) == q
+        assert count_irreducible(2).eval(q) == (q * q - q) // 2
+        assert count_irreducible(3).eval(q) == (q**3 - q) // 3
+    assert count_irreducible(4).eval(2) == 3
+    assert count_irreducible(6).eval(2) == 9
 
 
 def test_count_u_irreducible_known_values():
     for q in (2, 3, 4, 5):
-        assert count_u_irreducible(1, q) == q + 1
-        assert count_u_irreducible(2, q) == (q * q - q - 2) // 2
+        assert count_u_irreducible(1).eval(q) == q + 1
+        assert count_u_irreducible(2).eval(q) == (q * q - q - 2) // 2
 
 
 def _mobius_count(d, q, twist):
@@ -44,24 +44,22 @@ def _mobius_count(d, q, twist):
 
 def test_symbolic_matches_numeric():
     for d in range(1, 7):
-        sym = count_irreducible(d, None)
-        sym_u = count_u_irreducible(d, None)
         for q in (2, 3, 5):
-            assert sym.eval(q) == count_irreducible(d, q) == _mobius_count(d, q, 0)
-            assert sym_u.eval(q) == count_u_irreducible(d, q) == _mobius_count(d, q, -1)
+            assert count_irreducible(d).eval(q) == _mobius_count(d, q, 0)
+            assert count_u_irreducible(d).eval(q) == _mobius_count(d, q, -1)
 
 
 def test_necklace_divisor_sum():
     # Every monic polynomial factors uniquely: sum of d*N(d) over d | m is q^m.
     for m in range(1, 11):
-        total = sum(count_irreducible(d, None) * d for d in divisors(m))
+        total = sum(count_irreducible(d) * d for d in divisors(m))
         assert total == qpow(m)
 
 
 def test_dual_divisor_sum():
     # Conjugate-side analogue: sum of d*Nbar(d) over d | m is q^m - (-1)^m.
     for m in range(1, 11):
-        total = sum(count_u_irreducible(d, None) * d for d in divisors(m))
+        total = sum(count_u_irreducible(d) * d for d in divisors(m))
         assert total == qpow(m) + (-1) ** (m + 1)
 
 
@@ -104,9 +102,8 @@ def test_selfdual_symbolic_matches_numeric():
 def test_counts_are_memoized():
     # A repeat call returns the same object; for the starred counts the
     # parity may come by keyword or by position.
-    for q in (None, 3):
-        assert count_irreducible(4, q) is count_irreducible(4, q)
-        assert count_u_irreducible(4, q) is count_u_irreducible(4, q)
+    assert count_irreducible(4) is count_irreducible(4)
+    assert count_u_irreducible(4) is count_u_irreducible(4)
     for flavor in ("gl", "u"):
         for d in range(1, 5):
             by_keyword = count_selfdual_and_pairs(d, None, flavor, parity="odd")

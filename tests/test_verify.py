@@ -105,9 +105,20 @@ def test_small_check_passes():
 
 
 def test_trivial_order_passes():
-    # an empty comparison window cannot fail
+    # order=0 still compares one row, u^0, so the window is not empty
     r = run_check("cor-iden", order=0)
     assert r.status == "pass"
+
+
+def test_a_comparison_of_no_rows_fails():
+    # nmax=0 leaves both sides of remark-igl-table without a row: nothing
+    # was compared, so the check cannot pass.  An empty q list is refused
+    # up front, like a q outside the budget.
+    r = run_check("remark-igl-table", nmax=0)
+    assert (r.status, r.witness) == ("fail", "no rows compared")
+    for check_id in ("oracle-real-sums", "oracle-poly-census"):
+        with pytest.raises(ValueError, match="needs at least one q"):
+            run_check(check_id, qs=[])
 
 
 def test_run_all_id_and_tag_filters():
@@ -344,7 +355,7 @@ def _one_more_pair_at_2(monkeypatch):
 def _one_more_u_class_at_3(monkeypatch):
     real = verify.count_u_irreducible
     monkeypatch.setattr(verify, "count_u_irreducible",
-                        lambda d, q=None: real(d, q) + (d == 3))
+                        lambda d: real(d) + (d == 3))
 
 
 def _extra_degree_in_s3(monkeypatch):
@@ -647,7 +658,7 @@ def _prodlem_lhs_by_log(flavor, which, order, parity):
     total = Series.constant(one * 0, order)
     for d in range(1, order + 1):
         if which == 4:
-            terms = [(-1, count_u_irreducible(d, None))]
+            terms = [(-1, count_u_irreducible(d))]
         else:
             s1, s2 = {1: (-1, -1), 2: (1, -1), 3: (1, 1)}[which]
             terms = [(s1, count_selfdual_and_pairs(2 * d, None, flavor, parity).n_selfdual),
