@@ -67,8 +67,8 @@ from operator import add, neg, sub
 from . import _kernel as _k
 from .exact import RatFunc, Series
 from .partitions import Partition, _gauss_row, enumerate_partitions, partitions_up_to
-from .polycount import (_as_scalar, _finish, brute_poly_census, count_selfdual_and_pairs,
-                        parity_e)
+from .polycount import (_as_scalar, _check_flavor, _finish, brute_poly_census,
+                        count_selfdual_and_pairs, parity_e)
 from .hl import _fake_degree, _over_one_minus_zpow, _times_one_minus_zpow, hl_principal_poly
 from .qseries import named_gf, named_gf_value  # noqa: F401 (named_gf is re-exported)
 
@@ -164,8 +164,7 @@ def involution_count(flavor: str, n: int, q=None, parity=None):
                                          / ((x;x)_r (x;x)_(n-2r))
     Odd characteristic:   sum_{r <= n}   x^(r(n-r)) [n choose r]_x
     """
-    if flavor not in ("gl", "u"):
-        raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
+    _check_flavor(flavor)
     _check_rank(n)
     _as_scalar(q)
     e = parity_e(q, parity)
@@ -192,8 +191,7 @@ class CharParam:
     assignments: tuple
 
     def __post_init__(self):
-        if self.flavor not in ("gl", "u"):
-            raise ValueError("flavor must be 'gl' or 'u'")
+        _check_flavor(self.flavor)
         for kind, d, parts in self.assignments:
             if kind not in ("selfdual", "pair") or d < 1:
                 raise ValueError(f"bad assignment ({kind!r}, {d}, {parts})")
@@ -323,7 +321,8 @@ def real_sum_gf_from_classes(flavor: str, order: int, parity: str) -> Series:
     q-binomial convolution over the rows partitions._gauss_row, and
     coefficient n of the product is normalized once, over (x;x)_n M^n.
     """
-    parity_e(None, parity)  # also at order 0, where no count reads it
+    _check_flavor(flavor)  # both also at order 0, where no count reads them
+    parity_e(None, parity)
     eps = 1 if flavor == "gl" else -1
     factors = []
     for d in range(1, order + 1):
@@ -378,8 +377,7 @@ def real_degree_sum_oracle(flavor: str, n: int, q: int) -> int:
     slot of unit weight d or 2d; every assignment of nonempty partitions to
     distinct slots with total weight n labels one real character, whose
     degree char_degree takes from the hook formula."""
-    if flavor not in ("gl", "u"):
-        raise ValueError("flavor must be 'gl' or 'u'")
+    _check_flavor(flavor)
     if not isinstance(q, int):
         raise ValueError("the oracle needs numeric q")
     if n > 4 or q > 5:
@@ -399,8 +397,7 @@ def _named_gf_values(flavor: str, names: tuple, n: int, q, parity, u_sign: int):
     prefactor is q^binom(n+1,2) (x;x)_n, x = 1/q (gl) or -1/q (u), the scale
     the series are stored in, so named_gf_value reads each value off by one
     re-indexing, with no group-order product and no RatFunc normalization."""
-    if flavor not in ("gl", "u"):
-        raise ValueError(f"flavor must be 'gl' or 'u', got {flavor!r}")
+    _check_flavor(flavor)
     _as_scalar(q)
     _check_rank(n)
     par = {1: "even", 2: "odd"}[parity_e(q, parity)]

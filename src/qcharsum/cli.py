@@ -171,33 +171,37 @@ def _numeric_or_symbolic(args):
     return None, parity
 
 
-def _require_scale(args, parser):
-    if args.q is None and not args.symbolic:
+def _check_scale(args, parser):
+    """A Weyl group takes no scale flag; any other group needs --q or --symbolic."""
+    if getattr(args, "group", None) in _WEYL:
+        if args.q is not None or args.symbolic or args.parity:
+            parser.error(f"--q, --symbolic and --parity do not apply to {args.group}")
+    elif args.q is None and not args.symbolic:
         parser.error("need --q Q or --symbolic for this group")
 
 
 def _cmd_degree_sum(args, parser) -> int:
+    _check_scale(args, parser)
     if args.group in _WEYL:
         print(chars.weyl_degree_sum(_WEYL[args.group], args.n))
         return 0
-    _require_scale(args, parser)
     q, parity = _numeric_or_symbolic(args)
     print(chars.real_degree_sum_gf(args.group, args.n, q, parity))
     return 0
 
 
 def _cmd_involutions(args, parser) -> int:
+    _check_scale(args, parser)
     if args.group in _WEYL:
         print(chars.weyl_involutions(_WEYL[args.group], args.n))
         return 0
-    _require_scale(args, parser)
     q, parity = _numeric_or_symbolic(args)
     print(chars.involution_count(args.group, args.n, q, parity))
     return 0
 
 
 def _cmd_eps_split(args, parser) -> int:
-    _require_scale(args, parser)
+    _check_scale(args, parser)
     q, parity = _numeric_or_symbolic(args)
     plus, minus = chars.u_eps_sums_gf(args.n, q, parity)
     print(f"eps=+1\t{plus}")
@@ -224,10 +228,11 @@ def _cmd_brute_involutions(args) -> int:
 
 
 def _add_scale_flags(sub):
-    sub.add_argument("--q", type=int, default=None,
-                     help="evaluate at this prime power")
-    sub.add_argument("--symbolic", action="store_true",
-                     help="keep q symbolic (exact rational function)")
+    scale = sub.add_mutually_exclusive_group()
+    scale.add_argument("--q", type=int, default=None,
+                       help="evaluate at this prime power")
+    scale.add_argument("--symbolic", action="store_true",
+                       help="keep q symbolic (exact rational function)")
     sub.add_argument("--parity", choices=("even", "odd"), default=None,
                      help="characteristic parity for symbolic mode "
                           "(default even)")

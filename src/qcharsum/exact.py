@@ -10,14 +10,16 @@ integer coefficient tuples, not QPolys.
 
 Canonical forms
 ---------------
-QPoly      coefficients are exact rationals, stored as a primitive integer
-           coefficient tuple `ic` (little-endian, positive leading entry,
-           trailing entry nonzero) times a single Fraction `content`.  The
-           zero polynomial is `ic=(), content=0`.
 RatFunc    a pair of integer coefficient tuples n/d (little-endian, no
            trailing zero), coprime in Z[q], with gcd of all their entries 1
            and d[-1] > 0; zero is n=(), d=(1,).  This is FLINT's fmpz_poly_q
-           form.  `num`/`den` give the value as QPolys over a monic den.
+           form, and `str` prints it straight from the pair.
+QPoly      the read-only view that `RatFunc.num`/`den` return, over a monic
+           den: a primitive integer coefficient tuple `ic` (little-endian,
+           positive leading entry, trailing entry nonzero) times a single
+           Fraction `content`.  The zero polynomial is `ic=(), content=0`.
+           It keeps only the product and the gcd, and does no other
+           arithmetic; Q(q) arithmetic is RatFunc's.
 Series     explicit truncation order; length of the coefficient tuple is
            order + 1; arithmetic truncates to the minimum operand order.
 SymPoly    polynomials in the auxiliary symbols (a, b, t) whose
@@ -39,13 +41,6 @@ from . import _kernel as _k
 Rat = Fraction
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Positive g with a/g, b/g coprime integers (a, b not both zero)."""
-    num = _igcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // _igcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def _power(base, n: int, one):
     """base**n for n >= 0 by square-and-multiply, starting from `one`."""
     out = one
@@ -58,7 +53,8 @@ def _power(base, n: int, one):
 
 
 class QPoly:
-    """Univariate polynomial with exact rational coefficients."""
+    """Read-only view of a polynomial with exact rational coefficients: the
+    value that `RatFunc.num` and `RatFunc.den` return."""
 
     __slots__ = ("ic", "content")
 
@@ -93,48 +89,9 @@ class QPoly:
     def zero(cls) -> "QPoly":
         return cls._mk((), Fraction(0))
 
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls._mk((1,), Fraction(1))
-
-    @classmethod
-    def x(cls) -> "QPoly":
-        return cls._mk((0, 1), Fraction(1))
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "QPoly":
-        c = Fraction(c)
-        if not c:
-            return cls.zero()
-        return cls._mk((0,) * k + (1,), c)
-
-    # -- queries ----------------------------------------------------------
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.ic) - 1
-
     @property
     def is_zero(self) -> bool:
         return not self.ic
-
-    def __bool__(self) -> bool:
-        return bool(self.ic)
-
-    @property
-    def is_one(self) -> bool:
-        return self.ic == (1,) and self.content == 1
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.ic):
-            return self.content * self.ic[i]
-        return Fraction(0)
-
-    @property
-    def coefficients(self) -> tuple:
-        return tuple(self.content * c for c in self.ic)
-
-    # -- coercion ------------------------------------------------------------
 
     @staticmethod
     def _coerce(x):
@@ -145,44 +102,6 @@ class QPoly:
             return QPoly._mk((1,), c) if c else QPoly.zero()
         return None
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        g = _frac_gcd(self.content, other.content)
-        m1 = int(self.content / g)
-        m2 = int(other.content / g)
-        ints = _k.zz_add(_k.zz_mul_scalar(list(self.ic), m1),
-                         _k.zz_mul_scalar(list(other.ic), m2))
-        if not ints:
-            return QPoly.zero()
-        c, prim = _k.zz_primitive(ints)
-        if prim[-1] < 0:
-            c, prim = -c, [-v for v in prim]
-        return QPoly._mk(tuple(prim), g * c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return QPoly._mk(self.ic, -self.content)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -192,13 +111,6 @@ class QPoly:
         ic = tuple(_k.zz_mul(list(self.ic), list(other.ic)))
         return QPoly._mk(ic, self.content * other.content)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial; use RatFunc")
-        return _power(self, n, QPoly.one())
-
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic gcd over Q (1 for coprime inputs, 0 only for gcd(0, 0))."""
         other = self._coerce(other)
@@ -207,52 +119,30 @@ class QPoly:
             return QPoly.zero()
         return QPoly._mk(g, Fraction(1, g[-1]))
 
-    # -- maps ---------------------------------------------------------------
-
-    def eval(self, x):
-        """Horner evaluation; x may be any ring element (Fraction, RatFunc, SymPoly)."""
-        acc = x * 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    # -- comparisons / output ------------------------------------------------
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ic == other.ic and self.content == other.content
-
-    def __hash__(self):
-        # a constant equals its Fraction (and int), so it hashes as one; any
-        # other polynomial equals a RatFunc, so it hashes as that one's pair
-        if len(self.ic) <= 1:
-            return hash(self.coefficient(0))
-        c = self.content
-        return hash((tuple(c.numerator * v for v in self.ic), (c.denominator,)))
-
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(len(self.ic) - 1, -1, -1):
-            c = self.content * self.ic[i]
-            if not c:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                v = "q" if i == 1 else f"q^{i}"
-                term = v if abs(c) == 1 else f"{abs(c)}*{v}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f" + {term}" if c > 0 else f" - {term}")
-        return "".join(parts)
+        return _poly_text(self.ic, self.content)
 
     def __repr__(self):
         return f"QPoly({self!s})"
+
+
+def _poly_text(ic: tuple, scale: Fraction) -> str:
+    """sum_i scale*ic[i]*q^i, highest power first, e.g. "-3/2*q^2 + q - 1"."""
+    parts = []
+    for i in range(len(ic) - 1, -1, -1):
+        c = scale * ic[i]
+        if not c:
+            continue
+        if i == 0:
+            term = str(abs(c))
+        else:
+            v = "q" if i == 1 else f"q^{i}"
+            term = v if abs(c) == 1 else f"{abs(c)}*{v}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f" + {term}" if c > 0 else f" - {term}")
+    return "".join(parts) or "0"
 
 
 class RatFunc:
@@ -438,33 +328,31 @@ class RatFunc:
         return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        # a constant equals its int or Fraction, so it hashes as one; QPoly
-        # hashes every other polynomial as this same pair
+        # a constant equals its int or Fraction, so it hashes as one
         if len(self.n) <= 1 and len(self.d) == 1:
             c = self.n[0] if self.n else 0
             return hash(c if self.d == (1,) else Fraction(c, self.d[0]))
         return hash((self.n, self.d))
 
     def __str__(self):
-        if self.den.is_one:
-            return str(self.num)
-        n = str(self.num)
-        d = str(self.den)
-        if self.num.degree() > 0 and len(self.num.ic) - self.num.ic.count(0) > 1:
-            n = f"({n})"
-        if self.den.degree() > 0 and len(self.den.ic) - self.den.ic.count(0) > 1:
-            d = f"({d})"
-        return f"{n}/{d}"
+        # num/den over the monic denominator, a side of several terms in
+        # parentheses; over a constant denominator, the numerator alone
+        scale = Fraction(1, self.d[-1])
+        if len(self.d) == 1:
+            return _poly_text(self.n, scale)
+
+        def side(ic):
+            text = _poly_text(ic, scale)
+            return f"({text})" if len(ic) - ic.count(0) > 1 else text
+
+        return f"{side(self.n)}/{side(self.d)}"
 
     def __repr__(self):
         return f"RatFunc({self!s})"
 
 
 def _pair(x):
-    """(n, d) of an int, Fraction or QPoly in the RatFunc form; else None."""
-    if isinstance(x, QPoly):
-        c = x.content
-        return tuple(c.numerator * v for v in x.ic), (c.denominator,)
+    """(n, d) of an int or Fraction in the RatFunc form; else None."""
     if isinstance(x, (int, Fraction)):
         return ((x.numerator,) if x else ()), (x.denominator,)
     return None

@@ -767,6 +767,9 @@ def run_all(ids=None, tag=None, overrides=None, budget="full") -> list:
         unknown = set(ids) - set(REGISTRY)
         if unknown:
             raise KeyError(f"unknown check ids: {sorted(unknown)}")
+    if not selected:
+        tags = sorted({t for spec in REGISTRY.values() for t in spec.tags})
+        raise KeyError(f"no check selected (ids={ids}, tag={tag!r}); known tags: {', '.join(tags)}")
     usable = {check_id: {k: v for k, v in overrides.items() if k in REGISTRY[check_id].params}
               for check_id in selected}
     for check_id in selected:  # an unusable override stops the run before any check

@@ -32,7 +32,7 @@ from qcharsum.chars import (
     weyl_involutions,
 )
 from qcharsum import hl, polycount
-from qcharsum.exact import QPoly, RatFunc, Series, qpow
+from qcharsum.exact import RatFunc, Series, qpow
 from qcharsum.hl import hl_principal, pochhammer_cd, rs_multi
 from qcharsum.partitions import enumerate_partitions, partitions_up_to
 from qcharsum.polycount import brute_poly_census, count_selfdual_and_pairs, to_int
@@ -352,6 +352,20 @@ def test_generating_function_readers_reject_unknown_flavors():
                 fn(flavor, 2, 3)
 
 
+def test_an_unknown_flavor_is_refused_first():
+    # every entry point that takes a flavor checks it before anything else,
+    # with one message: also the class product at order 0, where no class
+    # count would read it
+    for call in (lambda f: real_sum_gf_from_classes(f, 0, "even"),
+                 lambda f: real_sum_gf_from_classes(f, 2, "even"),
+                 lambda f: involution_count(f, 0, None, "even"),
+                 lambda f: CharParam(f, ()),
+                 lambda f: real_degree_sum_oracle(f, 0, 2),
+                 lambda f: real_degree_sum_gf(f, 0, None, "odd")):
+        with pytest.raises(ValueError, match="^flavor must be 'gl' or 'u', got 'sp'$"):
+            call("sp")
+
+
 def test_u_worked_examples_closed():
     assert u_real_sum_closed(2, "even") == Q**2
     assert u_real_sum_closed(2, "odd") == Q**2 + Q
@@ -516,11 +530,12 @@ def test_unitary_sums_take_a_fixed_number_of_ratfunc_operations(monkeypatch):
 
 def test_rogers_szego_at_a_power_of_w_matches_hl():
     # H_m(w^s; w) summed from the Gaussian rows, against hl's Horner route.
-    w = QPoly.x()
+    w = RatFunc.x()
     for s in (0, 1):
         for m in range(9):
-            want = hl.rogers_szego(m, w ** s, w).coefficients
-            assert chars._rs_at_wpow(m, s) == list(want), (m, s)
+            want = hl.rogers_szego(m, w ** s, w)
+            assert want.d == (1,)
+            assert chars._rs_at_wpow(m, s) == list(want.n), (m, s)
 
 
 def _perm_compose(p, r):

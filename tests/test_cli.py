@@ -170,6 +170,15 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--tag", "nosuch"], ["--id", "weyl-A", "--tag", "hl"]])
+def test_verify_selection_of_no_check_is_usage_error(capsys, argv):
+    # a run of no check is refused, not reported as "0 passed, 0 failed"
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "known tags: " in err
+
+
 def test_census_formula_matches_brute(capsys):
     rc = main(
         ["census", "--flavor", "u", "--dmax", "3", "--q", "2,3", "--source", "both"]
@@ -237,6 +246,24 @@ def test_missing_scale_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["degree-sum", "--group", "gl", "--n", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # --q and --symbolic exclude each other
+    (["degree-sum", "--group", "gl", "--n", "2", "--q", "3", "--symbolic"], "--symbolic"),
+    (["involutions", "--group", "u", "--n", "2", "--symbolic", "--q", "3"], "--q"),
+    (["eps-split", "--n", "2", "--q", "3", "--symbolic"], "--symbolic"),
+    # a Weyl group takes no scale flag at all
+    (["degree-sum", "--group", "weylA", "--n", "3", "--q", "4"], "--q"),
+    (["degree-sum", "--group", "weylD", "--n", "3", "--symbolic"], "--symbolic"),
+    (["involutions", "--group", "weylB", "--n", "3", "--parity", "odd"], "--parity"),
+])
+def test_contradictory_scale_flags_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
 
 
 def test_the_parser_is_built_once_and_reused(capsys):

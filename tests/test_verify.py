@@ -20,6 +20,7 @@ import qcharsum.groups as groups
 import qcharsum.hl as hl
 import qcharsum.qseries as qseries
 import qcharsum.verify as verify
+from qcharsum.cli import main
 from qcharsum.exact import QPoly, RatFunc, Series, qpow
 from qcharsum.polycount import count_selfdual_and_pairs, count_u_irreducible
 from qcharsum.verify import (
@@ -127,6 +128,14 @@ def test_run_all_id_and_tag_filters():
     reports = run_all(tag="weyl", overrides={"nmax": 4})
     assert [r.id for r in reports] == ["weyl-A", "weyl-B", "weyl-D"]
     assert all(r.params == {"nmax": 4} for r in reports)
+
+
+def test_a_selection_of_no_check_raises():
+    # an unknown tag, or ids and a tag no check has together, would run
+    # nothing and report 0 passed; the error names the known tags
+    for selection in ({"tag": "nosuch"}, {"ids": ["weyl-A"], "tag": "hl"}, {"ids": []}):
+        with pytest.raises(KeyError, match="known tags: .*weyl"):
+            run_all(**selection)
 
 
 def test_overrides_apply_only_where_declared():
@@ -817,14 +826,13 @@ def test_mutation_in_the_unitary_sums_f_lam_is_detected(monkeypatch, check_id, w
 
 def test_unitary_partition_sum_checks_take_no_qpoly_route(monkeypatch):
     # The unitary partition sums run in integer lists in w = 1/q.  With
-    # QPoly arithmetic and the Rogers-Szego and Pochhammer helpers of hl
+    # the QPoly product and the Rogers-Szego and Pochhammer helpers of hl
     # raising, and every memo cold, the four checks built on them still pass.
     def unreachable(*args, **kwargs):
         raise AssertionError("QPoly route reached")
 
     _cold()
-    for name in ("__add__", "__sub__", "__mul__", "__pow__", "eval"):
-        monkeypatch.setattr(QPoly, name, unreachable)
+    monkeypatch.setattr(QPoly, "__mul__", unreachable)
     for name in ("rs_multi", "rogers_szego", "pochhammer_cd"):
         for module in (hl, chars):
             if hasattr(module, name):
@@ -835,19 +843,28 @@ def test_unitary_partition_sum_checks_take_no_qpoly_route(monkeypatch):
         assert r.status == "pass", (check_id, r.witness)
 
 
-def test_numeric_q_checks_build_no_qpoly_view(monkeypatch):
-    # At integer q each value is its symbolic value evaluated by Horner's
-    # rule on the stored integer pair.  With the QPoly views of RatFunc
-    # raising, and every memo cold, the checks that evaluate at integer q
-    # still pass.
+def test_no_library_route_builds_a_qpoly(monkeypatch, capsys):
+    # RatFunc computes, evaluates at integer q and prints from its integer
+    # pair.  With the QPoly views of RatFunc and the QPoly constructor
+    # raising, and every memo cold, every check passes and the value
+    # examples of the README print their text.
     def unreachable(*args, **kwargs):
-        raise AssertionError("QPoly view built")
+        raise AssertionError("QPoly built")
 
     _cold()
+    monkeypatch.setattr(QPoly, "__init__", unreachable)
     monkeypatch.setattr(exact, "_qpoly_over", unreachable)
-    for check_id in ("oracle-real-sums", "oracle-poly-census", "oracle-brute-involutions"):
-        r = run_check(check_id, budget="quick")
-        assert r.status == "pass", (check_id, r.witness)
+    assert [(r.id, r.witness) for r in run_all(budget="quick") if r.status != "pass"] == []
+    for argv, out in [
+        ("degree-sum --group u --n 3 --symbolic", "q^4 - q^3 + 2*q^2 - q\n"),
+        ("degree-sum --group gl --n 2 --q 3", "14\n"),
+        ("involutions --group weylB --n 3", "20\n"),
+        ("eps-split --n 2 --q 3", "eps=+1\t10\neps=-1\t2\nsum\t12\ndifference\t8\n"),
+        ("hl-value --lam 2,1 --z -1/q --t 1/q",
+         "(-q^5 + q^4 + q^2 + q)/(q^6 + q^5 - q^4 + q^2 - q - 1)\n"),
+    ]:
+        assert main(argv.split()) == 0, argv
+        assert capsys.readouterr().out == out, argv
 
 
 def test_eps_split_checks_take_the_shared_values_once(monkeypatch):
